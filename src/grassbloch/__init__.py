@@ -42,7 +42,6 @@ from .builders import (
 from .detectors import (
     DetectionResult,
     GlrtDetector,
-    NearestNeighborIndex,
     SoptDetector,
     ZOptDetectorState,
     ZoptDetector,

@@ -91,7 +91,10 @@ def _thread_count(threads: int | None) -> int:
         return 1
 
 
-def _effective_chunk(chunk: int, C: int, N: int) -> int:
+def effective_chunk(chunk: int, C: int, N: int) -> int:
+    """Rows per detector call: at most `chunk`, and at most about 4M entries
+    in a batch's (rows, C) GLRT score matrix or (rows, 4N) received reals,
+    but never capped below 256 rows."""
     cap = max(256, (1 << 22) // max(C, 4 * N))
     return max(1, min(chunk, cap))
 
@@ -166,7 +169,7 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
     det = make_detector(detector, x) if isinstance(detector, str) else detector
     points = constellation.array
     snr_db = [float(s) for s in snr_db]
-    chunk = _effective_chunk(chunk, len(points), N)
+    chunk = effective_chunk(chunk, len(points), N)
     threads = _thread_count(threads)
     errors, mean_ev, mean_cp = [], [], []
     for snr_index, snr in enumerate(snr_db):
@@ -220,7 +223,7 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
     tags = [d if isinstance(d, str) else type(d).__name__ for d in detectors]
     points = constellation.array
     sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-    chunk = _effective_chunk(chunk, len(points), N)
+    chunk = effective_chunk(chunk, len(points), N)
     err, ev, cp, max_ev, mism = _run_point(
         dets, points, seed, 0, sigma2, trials, N, chunk, _thread_count(threads)
     )

@@ -22,7 +22,7 @@ from .builders import (
     build_s_opt,
     exp_map_constellation,
 )
-from .channel import bench_detectors, make_detector, run_ser
+from .channel import bench_detectors, effective_chunk, make_detector, run_ser
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=("glrt", "sopt", "zopt"), default="glrt")
     p.add_argument("--input", required=True,
                    help="CSV; row t = re/im interleaved entries of Y column-major "
-                        "(4N values per row)")
+                        "(4N values per row, the same N on every row)")
     p.add_argument("--output", "-o", help="CSV path (default: stdout)")
     return parser
 
@@ -290,11 +290,14 @@ def _bench(args) -> int:
     return 0
 
 
-def _detect(args) -> int:
-    target, _ = _load_for_detector(args.constellation, args.detector)
-    det = make_detector(args.detector, target)
+def _read_blocks(path) -> np.ndarray:
+    """(n, 2, N) received blocks, one per CSV row of re/im interleaved entries.
+
+    Values are separated by commas or whitespace and '#' starts a comment.
+    Every row must hold the same 4*N finite values.
+    """
     rows = []
-    with open(args.input) as fh:
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -302,16 +305,34 @@ def _detect(args) -> int:
             try:
                 vals = [float(v) for v in line.replace(",", " ").split()]
             except ValueError:
-                raise FormatError("non-numeric value", path=args.input,
-                                  line=lineno) from None
+                raise FormatError("non-numeric value", path=path, line=lineno) from None
             if len(vals) % 4 != 0 or not vals:
                 raise FormatError("each row needs 4*N values (re/im interleaved)",
-                                  path=args.input, line=lineno)
-            N = len(vals) // 4
-            flat = np.asarray(vals).reshape(N, 2, 2)
-            Y = (flat[:, :, 0] + 1j * flat[:, :, 1]).T
-            res = det.detect(Y)
-            rows.append([len(rows), res.index, res.distance_evals, res.comparisons])
+                                  path=path, line=lineno)
+            if not all(map(math.isfinite, vals)):
+                raise FormatError("non-finite value", path=path, line=lineno)
+            if rows and len(vals) != len(rows[0]):
+                raise FormatError(
+                    f"row holds N={len(vals) // 4} antennas but the first row "
+                    f"holds N={len(rows[0]) // 4}; every row needs the same N",
+                    path=path, line=lineno)
+            rows.append(vals)
+    N = len(rows[0]) // 4 if rows else 1
+    flat = np.asarray(rows, dtype=np.float64).reshape(len(rows), N, 2, 2)
+    return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
+
+
+def _detect(args) -> int:
+    target, constellation = _load_for_detector(args.constellation, args.detector)
+    det = make_detector(args.detector, target)
+    Ys = _read_blocks(args.input)
+    n, _, N = Ys.shape
+    chunk = effective_chunk(n, len(constellation), N)
+    rows = []
+    for lo in range(0, n, chunk):
+        idx, evals, comps = det.detect_batch(Ys[lo:lo + chunk])
+        rows += [[lo + t, i, e, c] for t, (i, e, c) in
+                 enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
     cfg = RunConfig("detect", {"constellation": args.constellation,
                                "detector": args.detector, "input": args.input,
                                "output": args.output})

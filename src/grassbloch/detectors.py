@@ -137,8 +137,7 @@ class GlrtDetector:
         self._parts = _score_matrix_parts(constellation.array)
 
     def detect_batch(self, Ys: np.ndarray):
-        Ys = np.asarray(Ys, dtype=np.complex128)
-        g00, g11, g01 = _gram_parts(Ys)
+        g00, g11, g01 = _gram_parts(_checked(Ys))
         A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
         scores = A @ self._parts
         idx = np.argmax(scores, axis=1)
@@ -156,34 +155,19 @@ class GlrtDetector:
 # Bloch-sphere nearest-neighbor detector
 
 
-class NearestNeighborIndex:
-    """Space-partitioning index over a constellation's Bloch points."""
+class SoptDetector:
+    """Nearest neighbor on the Bloch sphere; decision-identical to the GLRT.
+
+    Owns a space-partitioning tree over the constellation's Bloch points.
+    """
 
     def __init__(self, constellation: Constellation, leaf_size: int = 8):
         self.constellation = constellation
-        self.leaf_size = leaf_size
         self.tree = KDTree(constellation.bloch, leaf_size=leaf_size)
 
-    def __len__(self) -> int:
-        return len(self.constellation)
-
-    def query(self, bloch_points: np.ndarray):
-        return self.tree.query(bloch_points)
-
-
-class SoptDetector:
-    """Nearest neighbor on the Bloch sphere; decision-identical to the GLRT."""
-
-    def __init__(self, constellation: Constellation, leaf_size: int = 8):
-        self.index = NearestNeighborIndex(constellation, leaf_size=leaf_size)
-
-    @property
-    def constellation(self) -> Constellation:
-        return self.index.constellation
-
     def detect_batch(self, Ys: np.ndarray):
-        est = rough_estimate_batch(np.asarray(Ys, dtype=np.complex128))
-        idx, _, evals, comps = self.index.query(_bloch_of_raw(est))
+        est = rough_estimate_batch(_checked(Ys))
+        idx, _, evals, comps = self.tree.query(_bloch_of_raw(est))
         return idx, evals, comps
 
     def detect(self, Y) -> DetectionResult:
@@ -329,8 +313,7 @@ class ZoptDetector:
             self.state = ZOptDetectorState.from_constellation(z)
 
     def detect_batch(self, Ys: np.ndarray):
-        est = rough_estimate_batch(np.asarray(Ys, dtype=np.complex128))
-        return self.detect_points(est)
+        return self.detect_points(rough_estimate_batch(_checked(Ys)))
 
     def detect_points(self, est: np.ndarray):
         """Detect from raw (unnormalized) direction estimates, batched."""
@@ -372,25 +355,35 @@ class ZoptDetector:
 # functional entry points
 
 
+def _checked(Ys) -> np.ndarray:
+    """A (n, 2, N) observation batch, refusing what no detector can decide.
+
+    Non-finite entries raise InvalidInputError; an all-zero observation has
+    no dominant direction and raises DegenerateInputError.
+    """
+    Ys = np.asarray(Ys, dtype=np.complex128)
+    if not np.isfinite(Ys).all():
+        raise InvalidInputError("observation has non-finite entries")
+    if not Ys.any(axis=(1, 2)).all():
+        raise DegenerateInputError("observation is zero")
+    return Ys
+
+
 def _as_batch(Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim == 1:
         Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != 2 or Y.shape[1] < 1:
         raise InvalidInputError("observation must be a 2xN matrix")
-    if not np.any(Y):
-        raise DegenerateInputError("observation is zero")
-    return Y[None, :, :]
+    return _checked(Y[None, :, :])
 
 
 def glrt_detect(Y, constellation: Constellation) -> DetectionResult:
     return GlrtDetector(constellation).detect(Y)
 
 
-def sopt_detect(Y, nn: NearestNeighborIndex) -> DetectionResult:
-    est = rough_estimate_batch(_as_batch(Y))
-    idx, _, evals, comps = nn.query(_bloch_of_raw(est))
-    return DetectionResult(int(idx[0]), int(evals[0]), int(comps[0]))
+def sopt_detect(Y, det: SoptDetector) -> DetectionResult:
+    return det.detect(Y)
 
 
 def zopt_detect(Y, state, constellation: Constellation | None = None) -> DetectionResult:

@@ -2,9 +2,16 @@
 
 Queries return exactly what a linear scan would, including the tie rule (equal
 distances resolve to the lowest point index), and report how many point
-distances and scalar comparisons each lookup performed. The batch entry point
-walks the tree once per node with the whole active query subset, so counters
-are identical to the one-at-a-time walk while the arithmetic stays vectorized.
+distances and scalar comparisons each lookup performed.
+
+A batch is searched in lockstep. Each query keeps an explicit stack of
+(node, bound) entries and every vectorized step pops one entry for every query
+whose stack is not empty. An entry is visited only while its bound does not
+exceed the query's best squared distance: the near child of a split is pushed
+with bound -inf, the far child with the squared distance to the splitting
+plane. Near is pushed last, so each query visits nodes in the depth-first
+order of the one-at-a-time walk, and its result and counters are those of
+that walk.
 """
 
 from __future__ import annotations
@@ -33,13 +40,24 @@ class KDTree:
         self._right = []
         self._start = []
         self._end = []
-        self._root = self._build(0, len(points))
+        self._depth = 0
+        self._root = self._build(0, len(points), 0)
         self._split_dim = np.asarray(self._split_dim, dtype=np.int64)
         self._split_val = np.asarray(self._split_val, dtype=np.float64)
         self._left = np.asarray(self._left, dtype=np.int64)
         self._right = np.asarray(self._right, dtype=np.int64)
         self._start = np.asarray(self._start, dtype=np.int64)
         self._end = np.asarray(self._end, dtype=np.int64)
+        # leaf tables, one row per node: point indices padded with _BIG and
+        # coordinates padded with +inf, so padding never wins a distance
+        n_nodes = len(self._split_dim)
+        self._count = np.where(self._split_dim < 0, self._end - self._start, 0)
+        self._leaf_idx = np.full((n_nodes, leaf_size), _BIG, dtype=np.int64)
+        self._leaf_pts = np.full((n_nodes, leaf_size, points.shape[1]), np.inf)
+        for node in np.flatnonzero(self._split_dim < 0):
+            idx = self._perm[self._start[node]:self._end[node]]
+            self._leaf_idx[node, :len(idx)] = idx
+            self._leaf_pts[node, :len(idx)] = points[idx]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -50,8 +68,9 @@ class KDTree:
             arr.append(-1)
         return len(self._split_dim) - 1
 
-    def _build(self, lo: int, hi: int) -> int:
+    def _build(self, lo: int, hi: int, depth: int) -> int:
         node = self._new_node()
+        self._depth = max(self._depth, depth)
         if hi - lo <= self.leaf_size:
             self._start[node] = lo
             self._end[node] = hi
@@ -66,8 +85,8 @@ class KDTree:
         # everything at or beyond the split value lives in the right subtree
         self._split_dim[node] = dim
         self._split_val[node] = self.points[self._perm[lo + mid], dim]
-        self._left[node] = self._build(lo, lo + mid)
-        self._right[node] = self._build(lo + mid, hi)
+        self._left[node] = self._build(lo, lo + mid, depth + 1)
+        self._right[node] = self._build(lo + mid, hi, depth + 1)
         return node
 
     def query(self, q):
@@ -82,42 +101,59 @@ class KDTree:
         best_idx = np.full(m, _BIG, dtype=np.int64)
         evals = np.zeros(m, dtype=np.int64)
         comps = np.zeros(m, dtype=np.int64)
-        self._search(self._root, np.arange(m), q, best_d2, best_idx, evals, comps)
+        # a path of d splits holds at most d far children plus the node on top
+        width = self._depth + 1
+        stack_node = np.empty(m * width, dtype=np.int64)
+        stack_bound = np.empty(m * width)
+        base = np.arange(m) * width
+        stack_node[base] = self._root
+        stack_bound[base] = -np.inf
+        top = base.copy()  # flat slot of each query's top entry
+        act = np.arange(m)  # queries whose stack is not empty
+        while len(act):
+            slot = top[act]
+            node = stack_node[slot]
+            live = stack_bound[slot] <= best_d2[act]
+            top[act] -= 1
+            act_live = act[live]
+            node = node[live]
+            leaf = self._split_dim[node] < 0
+            if leaf.any():
+                self._visit_leaves(act_live[leaf], node[leaf], q,
+                                   best_d2, best_idx, evals, comps)
+            inner = ~leaf
+            if inner.any():
+                self._split(act_live[inner], node[inner], q, top,
+                            stack_node, stack_bound, comps)
+            act = act[top[act] >= base[act]]
         return best_idx, best_d2, evals, comps
 
-    def _search(self, node, sel, q, best_d2, best_idx, evals, comps):
-        if len(sel) == 0:
-            return
-        if self._split_dim[node] < 0:
-            pts_idx = self._perm[self._start[node]:self._end[node]]
-            pts = self.points[pts_idx]
-            diff = q[sel][:, None, :] - pts[None, :, :]
-            d2 = np.einsum("mkd,mkd->mk", diff, diff)
-            k = len(pts_idx)
-            # lexicographic (distance, index) minimum over the leaf
-            d2min = d2.min(axis=1)
-            cand = np.where(d2 == d2min[:, None], pts_idx[None, :], _BIG).min(axis=1)
-            take = (d2min < best_d2[sel]) | (
-                (d2min == best_d2[sel]) & (cand < best_idx[sel])
-            )
-            upd = sel[take]
-            best_d2[upd] = d2min[take]
-            best_idx[upd] = cand[take]
-            evals[sel] += k
-            comps[sel] += k
-            return
-        dim = self._split_dim[node]
-        sval = self._split_val[node]
-        s = q[sel, dim] - sval
+    def _visit_leaves(self, sel, node, q, best_d2, best_idx, evals, comps):
+        diff = q[sel][:, None, :] - self._leaf_pts[node]
+        d2 = np.einsum("mkd,mkd->mk", diff, diff)
+        # lexicographic (distance, index) minimum over the leaf
+        d2min = d2.min(axis=1)
+        cand = np.where(d2 == d2min[:, None], self._leaf_idx[node], _BIG).min(axis=1)
+        take = (d2min < best_d2[sel]) | (
+            (d2min == best_d2[sel]) & (cand < best_idx[sel])
+        )
+        upd = sel[take]
+        best_d2[upd] = d2min[take]
+        best_idx[upd] = cand[take]
+        k = self._count[node]
+        evals[sel] += k
+        comps[sel] += k
+
+    def _split(self, sel, node, q, top, stack_node, stack_bound, comps):
+        s = q[sel, self._split_dim[node]] - self._split_val[node]
         comps[sel] += 1
         near_left = s < 0.0
-        left_sel = sel[near_left]
-        right_sel = sel[~near_left]
-        self._search(self._left[node], left_sel, q, best_d2, best_idx, evals, comps)
-        self._search(self._right[node], right_sel, q, best_d2, best_idx, evals, comps)
-        # cross the plane only when the hypersphere around the best still reaches it
-        s2 = s * s
-        go_right = left_sel[s2[near_left] <= best_d2[left_sel]]
-        self._search(self._right[node], go_right, q, best_d2, best_idx, evals, comps)
-        go_left = right_sel[s2[~near_left] <= best_d2[right_sel]]
-        self._search(self._left[node], go_left, q, best_d2, best_idx, evals, comps)
+        left = self._left[node]
+        right = self._right[node]
+        # the far child is crossed only if the best sphere still reaches the plane
+        far = top[sel] + 1
+        stack_node[far] = np.where(near_left, right, left)
+        stack_bound[far] = s * s
+        stack_node[far + 1] = np.where(near_left, left, right)
+        stack_bound[far + 1] = -np.inf
+        top[sel] = far + 1

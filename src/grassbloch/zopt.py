@@ -109,8 +109,11 @@ class ZOptStructure:
         """Distance evaluations per objective call.
 
         2*n_v for uniform rows, 2*n_v + 3 for halved caps (B = 5), 2*n_v + 1
-        for doubled caps (B = 7).
+        for doubled caps (B = 7). A single equatorial ring (B = 1) has only
+        its in-layer distance.
         """
+        if self.l == 1:
+            return 1
         n_v_prime = self.n_v + self.equator
         return 2 * n_v_prime - 1 + len(self.h_layers)
 

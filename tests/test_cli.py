@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from grassbloch.cli import main, _parse_snr
+from grassbloch.channel import effective_chunk, make_detector
+from grassbloch.cli import _load_for_detector, _parse_snr, main
 from grassbloch.errors import InvalidInputError
 
 
@@ -233,6 +234,60 @@ class TestDetect:
         rx = tmp_path / "rx.csv"
         rx.write_text("1 2 3\n")
         assert run(["detect", "--constellation", zopt_file, "--input", rx]) == 3
+
+    def test_non_finite_row_format_error(self, tmp_path, zopt_file, capsys):
+        for bad in ("nan", "inf", "-inf"):
+            rx = tmp_path / "rx.csv"
+            rx.write_text(f"1 0 0 0\n# comment\n1 {bad} 0 0\n")
+            for det in ("glrt", "sopt", "zopt"):
+                assert run(["detect", "--constellation", zopt_file, "--detector", det,
+                            "--input", rx]) == 3
+                assert ":3" in capsys.readouterr().err
+
+    def test_mixed_antenna_counts_format_error(self, tmp_path, zopt_file, capsys):
+        rx = tmp_path / "rx.csv"
+        rx.write_text("1 0 0 0\n\n1 0 0 0 0 1 0 0\n")
+        assert run(["detect", "--constellation", zopt_file, "--input", rx]) == 3
+        assert ":3" in capsys.readouterr().err
+
+    def test_empty_input_header_only(self, tmp_path, zopt_file):
+        rx = tmp_path / "rx.csv"
+        rx.write_text("# no blocks\n\n")
+        out = tmp_path / "det.csv"
+        assert run(["detect", "--constellation", zopt_file, "--input", rx,
+                    "-o", out]) == 0
+        body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+        assert body == ["trial,index,distance_evals,comparisons"]
+
+    def test_zero_row_numerical_failure(self, tmp_path, zopt_file):
+        rx = tmp_path / "rx.csv"
+        rx.write_text("1 0 0 0\n0 0 0 0\n")
+        for det in ("glrt", "sopt", "zopt"):
+            assert run(["detect", "--constellation", zopt_file, "--detector", det,
+                        "--input", rx]) == 4
+
+    def test_rows_beyond_one_chunk_match_per_row(self, tmp_path):
+        x = tmp_path / "z12.json"
+        assert run(["construct", "--method", "z-opt", "-B", 12, "-o", x]) == 0
+        target, constellation = _load_for_detector(x, "zopt")
+        rows, N = 1100, 2
+        assert rows > effective_chunk(rows, len(constellation), N)
+        rng = np.random.default_rng(12)
+        vals = rng.standard_normal((rows, 4 * N))
+        rx = tmp_path / "rx.csv"
+        rx.write_text("\n".join(",".join(f"{v:.17g}" for v in r) for r in vals) + "\n")
+        flat = vals.reshape(rows, N, 2, 2)
+        Ys = (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
+        out = tmp_path / "det.csv"
+        for tag in ("glrt", "sopt", "zopt"):
+            assert run(["detect", "--constellation", x, "--detector", tag,
+                        "--input", rx, "-o", out]) == 0
+            body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+            got = [[int(v) for v in l.split(",")] for l in body[1:]]
+            det = make_detector(tag, target)
+            want = [[t, r.index, r.distance_evals, r.comparisons]
+                    for t, r in enumerate(det.detect(Y) for Y in Ys)]
+            assert got == want
 
     def test_zopt_detector_needs_structure(self, tmp_path):
         out = tmp_path / "s2.json"

@@ -7,7 +7,6 @@ from grassbloch.builders import build_s_opt
 from grassbloch.channel import bench_detectors, make_detector
 from grassbloch.detectors import (
     GlrtDetector,
-    NearestNeighborIndex,
     SoptDetector,
     ZOptDetectorState,
     ZoptDetector,
@@ -81,8 +80,7 @@ class TestSopt:
 
     def test_functional_entry(self):
         x = build_s_opt(exact_packing(4))
-        nn = NearestNeighborIndex(x)
-        res = sopt_detect(noiseless_observation(x.array[2]), nn)
+        res = sopt_detect(noiseless_observation(x.array[2]), SoptDetector(x))
         assert res.index == 2
         assert res.comparisons >= 1
 
@@ -91,7 +89,7 @@ class TestSopt:
             [Codeword(1.0, 0.0), Codeword(0.0, 1.0)], "external", 1
         )
         # equator point is equidistant from both poles
-        res = sopt_detect(np.array([[1.0], [1.0]]) / math.sqrt(2.0), NearestNeighborIndex(x))
+        res = sopt_detect(np.array([[1.0], [1.0]]) / math.sqrt(2.0), SoptDetector(x))
         assert res.index == 0
 
     def test_agrees_with_glrt_on_noise(self):
@@ -256,3 +254,26 @@ class TestMakeDetector:
         x = build_s_opt(exact_packing(4))
         with pytest.raises(InvalidInputError):
             make_detector("brute", x)
+
+
+class TestRejectedObservations:
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_non_finite(self, tag):
+        z = build_z_opt(4, seed=0)
+        det = make_detector(tag, z)
+        Ys = np.tile(noiseless_observation(z.constellation.array[1], N=2), (3, 1, 1))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            Ys_bad = Ys.copy()
+            Ys_bad[1, 0, 1] = bad
+            with pytest.raises(InvalidInputError):
+                det.detect_batch(Ys_bad)
+            with pytest.raises(InvalidInputError):
+                det.detect(Ys_bad[1])
+
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_zero_row_in_batch(self, tag):
+        z = build_z_opt(4, seed=0)
+        Ys = np.tile(noiseless_observation(z.constellation.array[1], N=2), (3, 1, 1))
+        Ys[2] = 0.0
+        with pytest.raises(DegenerateInputError):
+            make_detector(tag, z).detect_batch(Ys)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassbloch.errors import InvalidInputError
-from grassbloch.kdtree import KDTree
+from grassbloch.kdtree import _BIG, KDTree
 
 
 def sphere_points(n, seed):
@@ -17,7 +17,73 @@ def linear_scan(points, queries):
     return d2.argmin(axis=1)
 
 
-@pytest.mark.parametrize("n,leaf", [(1, 1), (5, 2), (64, 8), (300, 8), (300, 1), (4096, 16)])
+def reference_query(tree, q):
+    """The one-node-at-a-time recursive walk the lockstep traversal replaces.
+
+    Each call splits the active query subset at one node, searches the near
+    side, then crosses the plane for the queries whose best sphere reaches it.
+    """
+    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    m = len(q)
+    best_d2 = np.full(m, np.inf)
+    best_idx = np.full(m, _BIG, dtype=np.int64)
+    evals = np.zeros(m, dtype=np.int64)
+    comps = np.zeros(m, dtype=np.int64)
+
+    def search(node, sel):
+        if len(sel) == 0:
+            return
+        if tree._split_dim[node] < 0:
+            pts_idx = tree._perm[tree._start[node]:tree._end[node]]
+            pts = tree.points[pts_idx]
+            diff = q[sel][:, None, :] - pts[None, :, :]
+            d2 = np.einsum("mkd,mkd->mk", diff, diff)
+            k = len(pts_idx)
+            d2min = d2.min(axis=1)
+            cand = np.where(d2 == d2min[:, None], pts_idx[None, :], _BIG).min(axis=1)
+            take = (d2min < best_d2[sel]) | (
+                (d2min == best_d2[sel]) & (cand < best_idx[sel])
+            )
+            upd = sel[take]
+            best_d2[upd] = d2min[take]
+            best_idx[upd] = cand[take]
+            evals[sel] += k
+            comps[sel] += k
+            return
+        s = q[sel, tree._split_dim[node]] - tree._split_val[node]
+        comps[sel] += 1
+        near_left = s < 0.0
+        left_sel = sel[near_left]
+        right_sel = sel[~near_left]
+        search(tree._left[node], left_sel)
+        search(tree._right[node], right_sel)
+        s2 = s * s
+        search(tree._right[node], left_sel[s2[near_left] <= best_d2[left_sel]])
+        search(tree._left[node], right_sel[s2[~near_left] <= best_d2[right_sel]])
+
+    search(tree._root, np.arange(m))
+    return best_idx, best_d2, evals, comps
+
+
+def assert_same_as_reference(tree, q):
+    got = tree.query(q)
+    want = reference_query(tree, q)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+SIZES = [(1, 1), (5, 2), (64, 8), (300, 8), (300, 1), (4096, 16)]
+
+
+@pytest.mark.parametrize("n,leaf", SIZES)
+def test_matches_reference_walk(n, leaf):
+    pts = sphere_points(n, seed=n)
+    q = sphere_points(500, seed=n + 1)
+    assert_same_as_reference(KDTree(pts, leaf_size=leaf), q)
+
+
+@pytest.mark.parametrize("n,leaf", SIZES)
 def test_matches_linear_scan(n, leaf):
     pts = sphere_points(n, seed=n)
     tree = KDTree(pts, leaf_size=leaf)
@@ -35,8 +101,20 @@ def test_tie_breaks_to_lowest_index():
         [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
     ])
     tree = KDTree(pts, leaf_size=1)
-    idx, _, _, _ = tree.query(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    idx, _, _, _ = assert_same_as_reference(
+        tree, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
     assert list(idx) == [0, 0]
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 3, 8])
+def test_grid_ties_match_reference(leaf):
+    # a doubled integer grid queried on half-integers: many exact ties,
+    # duplicate points and queries lying on splitting planes
+    g = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+    pts = np.concatenate([g, g])
+    q = np.random.default_rng(leaf).integers(-2, 3, (400, 3)) / 2.0
+    idx, _, _, _ = assert_same_as_reference(KDTree(pts, leaf_size=leaf), q)
+    assert np.array_equal(idx, linear_scan(pts, q))
 
 
 def test_duplicate_coordinates_on_split_axis():
@@ -45,7 +123,7 @@ def test_duplicate_coordinates_on_split_axis():
                      [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     tree = KDTree(base, leaf_size=1)
     q = sphere_points(200, seed=3)
-    assert np.array_equal(tree.query(q)[0], linear_scan(base, q))
+    assert np.array_equal(assert_same_as_reference(tree, q)[0], linear_scan(base, q))
 
 
 def test_counters_shrink_with_tree():
@@ -62,8 +140,14 @@ def test_counters_shrink_with_tree():
 def test_query_single_row():
     pts = sphere_points(32, seed=5)
     tree = KDTree(pts, leaf_size=4)
-    idx, _, _, _ = tree.query(pts[7])
+    idx, _, _, _ = assert_same_as_reference(tree, pts[7])
     assert idx[0] == 7
+
+
+def test_query_empty_batch():
+    tree = KDTree(sphere_points(32, seed=5), leaf_size=4)
+    out = assert_same_as_reference(tree, np.empty((0, 3)))
+    assert [a.shape for a in out] == [(0,)] * 4
 
 
 def test_rejects_empty():

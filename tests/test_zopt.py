@@ -60,10 +60,12 @@ class TestStructureTable:
             zopt_structure(17)
 
     def test_candidate_count_column(self):
-        for B in range(4, 17):
+        for B in range(1, 17):
             s = zopt_structure(B)
-            expected = 2 * s.n_v + (3 if B == 5 else 1 if B == 7 else 0)
+            expected = 1 if B == 1 else 2 * s.n_v + (3 if B == 5 else 1 if B == 7 else 0)
             assert s.candidate_count == expected
+            free = np.linspace(0.2, math.pi / 2 - 0.1, s.n_v)
+            assert candidate_distances(free, s).count == s.candidate_count
 
 
 class TestChordHelpers:
