@@ -18,7 +18,6 @@ from .geometry import (
     euclidean_distance,
     fejes_toth_bound,
     min_chordal_distance,
-    normalize_received,
 )
 from .packing import PackingConfig, PackingSet, exact_packing, load_packing, optimize_packing
 from .zopt import (
@@ -46,12 +45,9 @@ from .detectors import (
     ZOptDetectorState,
     ZoptDetector,
     azimuth_region,
-    glrt_detect,
     polar_region,
     rough_estimate,
-    sopt_detect,
-    zopt_detect,
 )
-from .channel import ChannelSample, SerCurve, bench_detectors, run_ser, transmit
+from .channel import SerCurve, bench_detectors, run_ser
 
 __all__ = [name for name in dir() if not name.startswith("_")]

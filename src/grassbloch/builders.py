@@ -13,17 +13,8 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (
-    Codeword,
-    Constellation,
-    canonicalize_array,
-    min_chordal_distance_array,
-)
+from .geometry import Constellation, canonicalize_array, min_chordal_distance_array
 from .packing import PackingConfig, PackingSet, optimize_packing
-
-
-def _constellation_from_array(points, method: str, B=None) -> Constellation:
-    return Constellation([Codeword(p[0], p[1]) for p in np.asarray(points)], method, B)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +35,7 @@ def packing_to_codewords(points3: np.ndarray) -> np.ndarray:
 
 def build_s_opt(p: PackingSet, method: str = "s-opt") -> Constellation:
     """Codewords whose Bloch points are exactly the packing's points."""
-    points = packing_to_codewords(p.points)
-    return _constellation_from_array(points, method)
+    return Constellation(packing_to_codewords(p.points), method)
 
 
 def build_man_opt(C: int, seed: int = 0, config: PackingConfig | None = None) -> Constellation:
@@ -66,13 +56,9 @@ def build_man_opt(C: int, seed: int = 0, config: PackingConfig | None = None) ->
 def build_exp_map(symbols) -> Constellation:
     """Map complex symbols v with |v| < pi/2 to (cos|v|, -(sin|v|/|v|) v)."""
     v = np.asarray(symbols, dtype=np.complex128)
-    rho = np.abs(v)
-    if np.any(rho >= math.pi / 2.0):
+    if np.any(np.abs(v) >= math.pi / 2.0):
         raise InvalidInputError("symbol magnitudes must stay below pi/2 to keep the map invertible")
-    sinc = np.where(rho > 0.0, np.sin(rho) / np.where(rho > 0, rho, 1.0), 1.0)
-    points = np.column_stack([np.cos(rho), -sinc * v])
-    points = canonicalize_array(points)
-    return _constellation_from_array(points, "exp-map")
+    return Constellation(canonicalize_array(_exp_map_points(v)), "exp-map")
 
 
 def psk_symbols(n: int, radius: float) -> np.ndarray:
@@ -224,26 +210,23 @@ def normal_quantile(p):
 
 
 def cube_split_map(a, cell: int) -> np.ndarray:
-    """Map a point of (0,1)^2 into the given cell (1 or 2) of G(2,1).
+    """Map points of (0,1)^2, shape (..., 2), into the given cell (1 or 2) of G(2,1).
 
-    The grid point becomes a complex value through the standard normal
+    Each grid point becomes a complex value through the standard normal
     quantile, shrinks into the unit disk, and lands next to the cell's basis
-    vector.
+    vector. Returns shape (..., 2); a single pair (a1, a2) gives one 2-vector.
     """
     a = np.asarray(a, dtype=np.float64)
     if cell not in (1, 2):
         raise InvalidInputError("cell must be 1 or 2 when T = 2")
-    w = complex(normal_quantile(a[0]), normal_quantile(a[1]))
-    if w == 0:
-        t = 0.0j
-    else:
-        t = math.sqrt(math.tanh(abs(w) ** 2 / 4.0)) * (w / abs(w))
-    denom = math.sqrt(1.0 + abs(t) ** 2)
-    if cell == 1:
-        vec = np.array([1.0, t], dtype=np.complex128)
-    else:
-        vec = np.array([t, 1.0], dtype=np.complex128)
-    return vec / denom
+    re, im = normal_quantile(a[..., 0]), normal_quantile(a[..., 1])
+    r = np.hypot(re, im)
+    safe = np.where(r > 0.0, r, 1.0)
+    t = np.sqrt(np.tanh(r**2 / 4.0)) * (re / safe + 1j * (im / safe))
+    denom = np.sqrt(1.0 + np.abs(t) ** 2)
+    one = np.ones_like(t)
+    vec = np.stack([one, t] if cell == 1 else [t, one], axis=-1)
+    return vec / denom[..., None]
 
 
 def _half_odd_grid(bits: int) -> np.ndarray:
@@ -262,18 +245,13 @@ def build_cube_split(B_total: int) -> Constellation:
     if B_total < 1:
         raise InvalidInputError("need at least one bit")
     if B_total == 1:
-        return _constellation_from_array(
-            np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128), "cube-split", 1
-        )
+        return Constellation(np.eye(2), "cube-split", 1)
     b1 = math.ceil((B_total - 1) / 2)
     b2 = (B_total - 1) // 2
-    rows = []
-    for cell in (1, 2):
-        for a1 in _half_odd_grid(b1):
-            for a2 in _half_odd_grid(b2):
-                rows.append(cube_split_map((a1, a2), cell))
-    points = canonicalize_array(np.asarray(rows))
-    return _constellation_from_array(points, "cube-split", B_total)
+    a1, a2 = np.meshgrid(_half_odd_grid(b1), _half_odd_grid(b2), indexing="ij")
+    grid = np.column_stack([a1.ravel(), a2.ravel()])
+    points = canonicalize_array(np.vstack([cube_split_map(grid, 1), cube_split_map(grid, 2)]))
+    return Constellation(points, "cube-split", B_total)
 
 
 # ---------------------------------------------------------------------------
@@ -309,4 +287,4 @@ def build_grass_lattice(B_r: int, alpha: float = 1e-2) -> Constellation:
     z = (normal_quantile(a.ravel()) + 1j * normal_quantile(b.ravel())) / math.sqrt(2.0)
     w = z * ball_shrink_factor(np.abs(z))
     points = np.column_stack([np.sqrt(np.maximum(0.0, 1.0 - np.abs(w) ** 2)), w])
-    return _constellation_from_array(points, "grass-lattice", 2 * B_r)
+    return Constellation(points, "grass-lattice", 2 * B_r)

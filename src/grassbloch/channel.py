@@ -26,30 +26,6 @@ DETECTOR_TAGS = ("glrt", "sopt", "zopt")
 _THREADS_ENV = "GRASSBLOCH_THREADS"
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One block-fading draw: channel row H (1 x N) and noise W (2 x N)."""
-
-    H: np.ndarray
-    W: np.ndarray
-    sigma2: float
-
-
-def sample_channel(key: int, N: int, sigma2: float) -> ChannelSample:
-    """Channel and noise for one trial substream key."""
-    h_ctr = 1 + 2 * np.arange(N, dtype=np.uint64)
-    H = rng.complex_normal(key, h_ctr).reshape(1, N)
-    w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64)
-    W = rng.complex_normal(key, w_ctr, variance=sigma2).reshape(2, N)
-    return ChannelSample(H=H, W=W, sigma2=sigma2)
-
-
-def transmit(x, ch: ChannelSample) -> np.ndarray:
-    """Received block Y = sqrt(2) x H + W for a unit-norm codeword x."""
-    xv = np.asarray(getattr(x, "vector", x), dtype=np.complex128).reshape(2, 1)
-    return math.sqrt(2.0) * xv @ ch.H + ch.W
-
-
 def make_detector(tag: str, x, leaf_size: int = 8):
     """Instantiate a detector for a constellation (or layered constellation)."""
     constellation = x.constellation if isinstance(x, ZOptConstellation) else x

@@ -22,7 +22,7 @@ from .builders import (
     build_s_opt,
     exp_map_constellation,
 )
-from .channel import bench_detectors, effective_chunk, make_detector, run_ser
+from .channel import DETECTOR_TAGS, bench_detectors, effective_chunk, make_detector, run_ser
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -38,7 +38,7 @@ from .formats import (
     ser_curve_to_json,
     write_csv,
 )
-from .geometry import fejes_toth_bound
+from .geometry import METHOD_TAGS, fejes_toth_bound
 from .packing import (
     EXACT_COUNTS,
     PackingConfig,
@@ -48,7 +48,10 @@ from .packing import (
 )
 from .zopt import build_z_opt
 
-METHODS = ("s-opt", "z-opt", "man-opt", "exp-map", "cube-split", "grass-lattice")
+#: every tag but "external", which only files from elsewhere carry
+METHODS = tuple(m for m in METHOD_TAGS if m != "external")
+#: most SNR points a 'start:stop:step' range may expand to
+MAX_SNR_POINTS = 10_000
 
 
 def _parse_snr(spec: str):
@@ -59,9 +62,14 @@ def _parse_snr(spec: str):
             if len(parts) != 3:
                 raise InvalidInputError("range spec must be start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise InvalidInputError("range start, stop and step must be finite")
             if step <= 0:
                 raise InvalidInputError("step must be positive")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step + 1e-9
+            if span >= MAX_SNR_POINTS:
+                raise InvalidInputError(f"range holds more than {MAX_SNR_POINTS} points")
+            n = int(math.floor(span)) + 1
             return [start + k * step for k in range(max(n, 0))]
         return [float(p) for p in spec.split(",") if p != ""]
     except ValueError as exc:
@@ -102,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo symbol error rate sweep")
     p.add_argument("--constellation", required=True)
-    p.add_argument("--detector", choices=("glrt", "sopt", "zopt"), default="glrt")
+    p.add_argument("--detector", choices=DETECTOR_TAGS, default="glrt")
     p.add_argument("--snr", required=True, help="'0,10,20' or '0:20:4' (dB)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--antennas", "-N", type=int, default=1)
@@ -113,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="operation counters over a shared trial stream")
     p.add_argument("--constellation", required=True)
     p.add_argument("--detectors", default="glrt,sopt",
-                   help="comma list from glrt,sopt,zopt; first is the reference")
+                   help=f"comma list from {','.join(DETECTOR_TAGS)}; first is the reference")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--antennas", "-N", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -122,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect received blocks from a CSV file")
     p.add_argument("--constellation", required=True)
-    p.add_argument("--detector", choices=("glrt", "sopt", "zopt"), default="glrt")
+    p.add_argument("--detector", choices=DETECTOR_TAGS, default="glrt")
     p.add_argument("--input", required=True,
                    help="CSV; row t = re/im interleaved entries of Y column-major "
                         "(4N values per row, the same N on every row)")
@@ -157,7 +165,7 @@ def _construct(args) -> int:
     seed = args.seed
     obj = None
     if args.method == "z-opt":
-        obj = build_z_opt(B, seed=seed)
+        obj = build_z_opt(B)
         constellation = obj.constellation
     elif args.method == "s-opt":
         if args.packing_file:

@@ -10,9 +10,9 @@ candidates to at most four codewords, and a closed-form cell-to-index map
 turns the winning candidate into a codeword index without storing the
 constellation.
 
-Ties always resolve to the lowest codeword index. All single-shot entry
-points run through the batch implementations with one row, so scalar and
-vectorized detection are exactly the same computation.
+Ties always resolve to the lowest codeword index. Each detector's single-row
+`detect` runs its batch implementation on one row, so scalar and vectorized
+detection are exactly the same computation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import Constellation
+from .geometry import Constellation, bloch_array
 from .kdtree import KDTree
 from .zopt import ZOptConstellation, ZOptStructure
 
@@ -85,7 +85,7 @@ def rough_estimate_batch(Ys: np.ndarray) -> np.ndarray:
 
 def rough_estimate(Y) -> np.ndarray:
     """Single-observation front end; N = 1 passes the column through unchanged."""
-    return rough_estimate_batch(_as_batch(Y))[0]
+    return rough_estimate_batch(_checked(_as_batch(Y)))[0]
 
 
 def _bloch_of_raw(v: np.ndarray) -> np.ndarray:
@@ -93,12 +93,7 @@ def _bloch_of_raw(v: np.ndarray) -> np.ndarray:
     n2 = np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2
     if np.any(n2 == 0.0):
         raise DegenerateInputError("zero vector has no Bloch image")
-    cross = np.conj(v[:, 0]) * v[:, 1]
-    out = np.empty((len(v), 3), dtype=np.float64)
-    out[:, 0] = 2.0 * cross.real
-    out[:, 1] = 2.0 * cross.imag
-    out[:, 2] = (np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2)
-    return out / n2[:, None]
+    return bloch_array(v) / n2[:, None]
 
 
 def _angles_of_raw(v: np.ndarray):
@@ -179,28 +174,21 @@ class SoptDetector:
 # layered-constellation detector
 
 
-def azimuth_region(phi_z: float, z_max: int) -> int:
-    """Sector index floor(phi / (pi / z_max)), clamped into [0, 2*z_max).
+def azimuth_region(phi_z, z_max: int):
+    """Sector indices floor(phi / (pi / z_max)), clamped into [0, 2*z_max).
 
     An azimuth that reaches 2*pi (only possible through rounding) wraps to 0;
     values just below 2*pi stay in the last sector.
     """
-    if phi_z >= TWO_PI:
-        phi_z = max(phi_z - TWO_PI, 0.0)
-    j = int(phi_z / (math.pi / z_max))
-    return min(max(j, 0), 2 * z_max - 1)
+    phi_z = np.asarray(phi_z, dtype=np.float64)
+    phi_z = np.where(phi_z >= TWO_PI, np.maximum(phi_z - TWO_PI, 0.0), phi_z)
+    j = np.floor(phi_z / (math.pi / z_max)).astype(np.int64)
+    return np.clip(j, 0, 2 * z_max - 1)
 
 
-def polar_region(theta_z: float, theta: np.ndarray) -> int:
-    """Number of layer angles strictly below theta_z, found by bisection."""
-    lo, hi = 0, len(theta)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if theta[mid] < theta_z:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def polar_region(theta_z, theta: np.ndarray):
+    """Numbers of layer angles strictly below theta_z, found by bisection."""
+    return np.searchsorted(theta, theta_z, side="left").astype(np.int64)
 
 
 def _region_comparisons(l: int) -> int:
@@ -277,17 +265,12 @@ class ZOptDetectorState:
             raise InvalidInputError("need l strictly increasing layer angles")
         self.structure = structure
         self.theta = theta
-        self.layer_offsets = structure.layer_offsets
 
     @classmethod
     def from_constellation(cls, z: ZOptConstellation) -> "ZOptDetectorState":
         if int(sum(z.structure.Z_l)) != len(z.constellation):
             raise InvalidInputError("structure does not match the constellation size")
         return cls(z.structure, z.theta)
-
-    @property
-    def C(self) -> int:
-        return self.structure.C
 
     def anchor_index(self, i, j0):
         """1-based codeword index anchored to grid cell (i, j0)."""
@@ -321,11 +304,8 @@ class ZoptDetector:
         theta_arr = self.state.theta
         theta_z, phi_z = _angles_of_raw(est)
         n = len(est)
-        wrap = phi_z >= TWO_PI
-        phi_z = np.where(wrap, np.maximum(phi_z - TWO_PI, 0.0), phi_z)
-        j0 = np.floor(phi_z / (math.pi / s.z_max)).astype(np.int64)
-        j0 = np.clip(j0, 0, 2 * s.z_max - 1)
-        i = np.searchsorted(theta_arr, theta_z, side="left").astype(np.int64)
+        j0 = azimuth_region(phi_z, s.z_max)
+        i = polar_region(theta_z, theta_arr)
         cand = np.clip(i[:, None] + np.array([-1, 0, 1, 2]), 1, s.l)
         dup = np.zeros_like(cand, dtype=bool)
         dup[:, 1:] = cand[:, 1:] == cand[:, :-1]
@@ -352,7 +332,7 @@ class ZoptDetector:
 
 
 # ---------------------------------------------------------------------------
-# functional entry points
+# observation checks
 
 
 def _checked(Ys) -> np.ndarray:
@@ -370,31 +350,10 @@ def _checked(Ys) -> np.ndarray:
 
 
 def _as_batch(Y) -> np.ndarray:
+    """One 2xN observation (or a 2-vector) as a batch of one; shape only."""
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim == 1:
         Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != 2 or Y.shape[1] < 1:
         raise InvalidInputError("observation must be a 2xN matrix")
-    return _checked(Y[None, :, :])
-
-
-def glrt_detect(Y, constellation: Constellation) -> DetectionResult:
-    return GlrtDetector(constellation).detect(Y)
-
-
-def sopt_detect(Y, det: SoptDetector) -> DetectionResult:
-    return det.detect(Y)
-
-
-def zopt_detect(Y, state, constellation: Constellation | None = None) -> DetectionResult:
-    """Detect with a prebuilt layered-detector state.
-
-    `state` may be a ZoptDetector, a ZOptDetectorState or a ZOptConstellation.
-    When `constellation` is given its size is validated against the state.
-    """
-    det = state if isinstance(state, ZoptDetector) else ZoptDetector(state)
-    if constellation is not None and len(constellation) != det.state.C:
-        raise InvalidInputError(
-            f"state is for C={det.state.C} but constellation has {len(constellation)}"
-        )
-    return det.detect(Y)
+    return Y[None, :, :]

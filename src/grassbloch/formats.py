@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .channel import BenchReport, SerCurve
 from .errors import FormatError, InvalidInputError
-from .geometry import Codeword, Constellation
+from .geometry import Constellation
 from .zopt import ZOptConstellation, zopt_structure
 
 FORMAT_VERSION = 1
@@ -56,9 +56,7 @@ def constellation_to_dict(x, seed=None, extra_config=None) -> dict:
         "seed": seed,
         "config_hash": config_hash({"method": c.method, "B": b, "seed": seed,
                                     "extra": extra_config}),
-        "codewords": [
-            [cw.c0.real, cw.c0.imag, cw.c1.real, cw.c1.imag] for cw in c.codewords
-        ],
+        "codewords": c.array.view(np.float64).reshape(len(c), 4).tolist(),
     }
     if z is not None:
         data["zopt"] = {
@@ -69,7 +67,7 @@ def constellation_to_dict(x, seed=None, extra_config=None) -> dict:
             "z_max": z.structure.z_max,
             "n_v": z.structure.n_v,
             "theta": [float(t) for t in z.theta],
-            "layer_offsets": list(z.layer_offsets),
+            "layer_offsets": list(z.structure.layer_offsets),
         }
     return data
 
@@ -91,12 +89,12 @@ def constellation_from_dict(data, path=None):
     if data.get("T", 2) != 2 or data.get("M", 1) != 1:
         raise FormatError("only T=2, M=1 constellations are supported", path=path)
     try:
-        codewords = [
-            Codeword(complex(r0, i0), complex(r1, i1))
-            for r0, i0, r1, i1 in data["codewords"]
-        ]
-        constellation = Constellation(codewords, data["method"], data["B"])
-    except (TypeError, ValueError) as exc:
+        rows = np.asarray(data["codewords"])
+        if rows.dtype.kind not in "biuf" or rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError("codewords must be rows of 4 numbers [re0, im0, re1, im1]")
+        points = rows.astype(np.float64, copy=False).view(np.complex128)
+        constellation = Constellation(points, data["method"], data["B"])
+    except (TypeError, ValueError, InvalidInputError) as exc:
         raise FormatError(f"bad codeword data: {exc}", path=path) from exc
     zopt = None
     if "zopt" in data:
@@ -106,7 +104,6 @@ def constellation_from_dict(data, path=None):
             Z_l = tuple(int(z) for z in zd["Z_l"])
             l = int(zd["l"])
             theta = np.asarray(zd["theta"], dtype=np.float64)
-            offsets = tuple(zd["layer_offsets"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
         if sum(structure.Z_l) != len(constellation):
@@ -119,8 +116,7 @@ def constellation_from_dict(data, path=None):
                 "rebuild the constellation", path=path)
         try:
             zopt = ZOptConstellation(structure=structure, theta=theta,
-                                     constellation=constellation,
-                                     layer_offsets=offsets)
+                                     constellation=constellation)
         except InvalidInputError as exc:
             raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
     return constellation, zopt

@@ -7,6 +7,11 @@ serialization is deterministic. Each such line corresponds to a unit vector on
 the Bloch sphere, and the chordal distance between two lines is exactly half
 the Euclidean distance between their Bloch points. All types are immutable and
 all operations are pure functions.
+
+A `Constellation` is its read-only (C, 2) complex array, and the array
+kernels below do all the work. `Codeword`, `BlochPoint`, `SphericalAngles`
+and their scalar functions are helpers for one point at a time; the tests use
+them as independent references for the array kernels.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from .errors import DegenerateInputError, InvalidInputError
 
 #: codeword norms must match unity this tightly before distance ops accept them
 NORM_TOL = 1e-9
-#: construction-time tolerance on stored invariants
-CANON_TOL = 1e-12
 
 METHOD_TAGS = (
     "s-opt",
@@ -47,6 +50,8 @@ class Codeword:
     def __post_init__(self):
         c0 = complex(self.c0)
         c1 = complex(self.c1)
+        if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
+            raise InvalidInputError("codeword has non-finite entries")
         norm2 = abs(c0) ** 2 + abs(c1) ** 2
         if abs(norm2 - 1.0) > 1e-10:
             raise InvalidInputError(f"codeword norm^2 = {norm2!r} is not 1")
@@ -168,58 +173,47 @@ def fejes_toth_bound(C: int) -> float:
     return 0.5 * math.sqrt(max(radicand, 0.0))
 
 
-def normalize_received(y) -> Codeword:
-    """Project a received 2-vector onto G(2,1), fixing norm and global phase.
-
-    The phase reference is the first entry; when it is exactly zero its phase
-    is taken as 1, which lands on the south pole where every phase of the
-    second entry represents the same line.
-    """
-    y0, y1 = complex(y[0]), complex(y[1])
-    n = math.hypot(abs(y0), abs(y1))
-    if n == 0.0:
-        raise DegenerateInputError("received vector is zero")
-    if y0 == 0:
-        return Codeword(0.0, abs(y1) / n)
-    phase = y0 / abs(y0)
-    return Codeword(abs(y0) / n, y1 * phase.conjugate() / n)
-
-
 class Constellation:
-    """Ordered collection of distinct codewords with provenance metadata.
+    """Ordered distinct codewords, stored as a read-only (C, 2) complex array.
 
-    B is the bit load log2(C); it is fractional for the few point counts
-    (packing-derived sets such as C = 3 or 12) that are not powers of two.
+    Rows follow the `Codeword` rules: finite, unit norm and c0 real and
+    nonnegative, within 1e-10; c0 is stored clamped exactly as `Codeword`
+    stores it. B is the bit load log2(C); it is fractional for the few point
+    counts (packing-derived sets such as C = 3 or 12) that are not powers of two.
     """
 
-    def __init__(self, codewords, method: str, B=None):
-        codewords = list(codewords)
+    def __init__(self, points, method: str, B=None):
         if method not in METHOD_TAGS:
             raise InvalidInputError(f"unknown method tag {method!r}")
-        if len(codewords) < 2:
+        points = np.array(points, dtype=np.complex128)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise InvalidInputError(f"codewords must form a (C, 2) array, got {points.shape}")
+        C = len(points)
+        if C < 2:
             raise InvalidInputError("constellation needs at least two codewords")
         if B is None:
-            b = math.log2(len(codewords))
+            b = math.log2(C)
             B = int(round(b)) if abs(b - round(b)) < 1e-12 else b
-        if B < 1 or abs(2.0**B - len(codewords)) > 1e-6:
+        if B < 1 or abs(2.0**B - C) > 1e-6:
             raise InvalidInputError(
-                f"constellation must hold 2^B codewords; got {len(codewords)} for B={B}"
+                f"constellation must hold 2^B codewords; got {C} for B={B}"
             )
-        self.codewords = codewords
+        _canonical_rows(points)
+        points.setflags(write=False)
         self.method = method
         self.B = B
-        self._array = np.array([c.vector for c in codewords], dtype=np.complex128)
+        self._array = points
         self._bloch = None
         self._min_distance = None
-        if _has_duplicate_rows(self._array):
+        if _has_duplicate_rows(points):
             raise InvalidInputError("constellation contains duplicate codewords")
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self._array)
 
     @property
     def C(self) -> int:
-        return len(self.codewords)
+        return len(self._array)
 
     @property
     def array(self) -> np.ndarray:
@@ -239,10 +233,6 @@ class Constellation:
             self._min_distance = min_chordal_distance_array(self._array)
         return self._min_distance
 
-    @classmethod
-    def from_array(cls, points, method: str, B: int) -> "Constellation":
-        return cls([Codeword(p[0], p[1]) for p in np.asarray(points)], method, B)
-
 
 def min_chordal_distance(x: Constellation) -> float:
     """Smallest chordal distance over all codeword pairs."""
@@ -259,6 +249,23 @@ def _check_unit(v: np.ndarray) -> None:
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > NORM_TOL:
         raise InvalidInputError(f"vector norm {n!r} deviates from 1 beyond {NORM_TOL}")
+
+
+def _canonical_rows(points: np.ndarray) -> None:
+    """Check (C, 2) rows against the `Codeword` rules and clamp c0 in place."""
+    if not np.isfinite(points).all():
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        raise InvalidInputError(f"codeword {bad} has non-finite entries")
+    c0 = points[:, 0]
+    norm2 = np.abs(c0) ** 2 + np.abs(points[:, 1]) ** 2
+    off = np.abs(norm2 - 1.0) > 1e-10
+    if off.any():
+        bad = int(np.flatnonzero(off)[0])
+        raise InvalidInputError(f"codeword {bad} norm^2 = {float(norm2[bad])!r} is not 1")
+    if np.any((np.abs(c0.imag) > 1e-10) | (c0.real < -1e-10)):
+        raise InvalidInputError("codeword is not canonical: c0 must be real >= 0")
+    # max(re, 0.0) as Codeword takes it: only a negative value becomes 0, -0.0 stays
+    points[:, 0] = np.where(c0.real < 0.0, 0.0, c0.real)
 
 
 def _has_duplicate_rows(arr: np.ndarray) -> bool:

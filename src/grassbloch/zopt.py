@@ -28,6 +28,7 @@ B = 4..8.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .geometry import Codeword, Constellation
+from .geometry import Constellation
 
 # layer structure per bit count: l, layer sizes, z_max, n_v
 _STRUCTURE_TABLE = {
@@ -119,11 +120,8 @@ class ZOptStructure:
 
     @property
     def layer_offsets(self) -> tuple:
-        out, acc = [], 0
-        for z in self.Z_l:
-            out.append(acc)
-            acc += z
-        return tuple(out)
+        """Index of each layer's first codeword."""
+        return tuple(itertools.accumulate(self.Z_l[:-1], initial=0))
 
 
 def zopt_structure(B: int) -> ZOptStructure:
@@ -354,14 +352,13 @@ def _bisect_greedy(s: ZOptStructure) -> np.ndarray:
     return _greedy_feasible(lo, s)
 
 
-def optimize_zopt(s: ZOptStructure, config: ZOptConfig | None = None, seed: int = 0) -> np.ndarray:
+def optimize_zopt(s: ZOptStructure, config: ZOptConfig | None = None) -> np.ndarray:
     """Free polar angles maximizing the candidate-set minimum.
 
     A bisection over the achievable minimum with a greedy layer placement
     finds the optimum directly; a short coordinate-ascent polish then shakes
-    out the residual bisection tolerance. Deterministic for fixed inputs (the
-    seed is accepted for interface stability but the search is exhaustive
-    rather than randomized).
+    out the residual bisection tolerance. Deterministic: the search is
+    exhaustive rather than randomized.
     """
     if not 4 <= s.B <= 16:
         raise UnsupportedError("optimization applies to B in 4..16; smaller B is closed form")
@@ -382,7 +379,6 @@ class ZOptConstellation:
     structure: ZOptStructure
     theta: np.ndarray
     constellation: Constellation
-    layer_offsets: tuple
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64)
@@ -411,21 +407,13 @@ def realize_codewords(theta: np.ndarray, s: ZOptStructure) -> np.ndarray:
     return np.vstack(rows)
 
 
-def build_z_opt(B: int, config: ZOptConfig | None = None, seed: int = 0) -> ZOptConstellation:
+def build_z_opt(B: int, config: ZOptConfig | None = None) -> ZOptConstellation:
     """Construct the layered constellation for 1 <= B <= 16."""
     s = zopt_structure(B)
     if B in _CLOSED_FORM_THETA:
         free = np.asarray(_CLOSED_FORM_THETA[B])
     else:
-        free = optimize_zopt(s, config=config, seed=seed)
+        free = optimize_zopt(s, config=config)
     theta = expand_theta(free, s)
-    points = realize_codewords(theta, s)
-    constellation = Constellation(
-        [Codeword(p[0], p[1]) for p in points], method="z-opt", B=B
-    )
-    return ZOptConstellation(
-        structure=s,
-        theta=theta,
-        constellation=constellation,
-        layer_offsets=s.layer_offsets,
-    )
+    constellation = Constellation(realize_codewords(theta, s), method="z-opt", B=B)
+    return ZOptConstellation(structure=s, theta=theta, constellation=constellation)

@@ -46,7 +46,7 @@ def _packing_for(C, seed=SEED):
 
 @pytest.fixture(scope="module")
 def zopts():
-    return {B: build_z_opt(B, seed=0) for B in range(1, 13)}
+    return {B: build_z_opt(B) for B in range(1, 13)}
 
 
 @pytest.fixture(scope="module")

@@ -200,6 +200,20 @@ class TestCubeSplit:
                     cube_split_map(a, cell), reference_cell_map(a, cell), atol=1e-12
                 )
 
+    def test_batched_map_matches_reference_rows(self):
+        rng = np.random.default_rng(9)
+        grid = rng.uniform(0.01, 0.99, (5, 8, 2))
+        for cell in (1, 2):
+            got = cube_split_map(grid, cell)
+            assert got.shape == (5, 8, 2)
+            for a, row in zip(grid.reshape(-1, 2), got.reshape(-1, 2)):
+                assert np.allclose(row, reference_cell_map(a, cell), atol=1e-12)
+
+    def test_grid_centre_is_basis_vector(self):
+        # the quantile of (1/2, 1/2) is 0, so the point is the cell's basis vector
+        assert np.array_equal(cube_split_map((0.5, 0.5), 1), [1.0, 0.0])
+        assert np.array_equal(cube_split_map(np.full((3, 2), 0.5), 2), [[0.0, 1.0]] * 3)
+
     def test_bad_cell(self):
         with pytest.raises(InvalidInputError):
             cube_split_map((0.3, 0.3), 3)

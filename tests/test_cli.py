@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grassbloch.channel import effective_chunk, make_detector
-from grassbloch.cli import _load_for_detector, _parse_snr, main
+from grassbloch.cli import MAX_SNR_POINTS, _load_for_detector, _parse_snr, main
 from grassbloch.errors import InvalidInputError
 
 
@@ -30,6 +30,23 @@ class TestParseSnr:
     def test_bad(self):
         with pytest.raises(InvalidInputError):
             _parse_snr("zero,one")
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:10:nan", "0:10:inf"])
+    def test_non_finite_range_rejected(self, spec):
+        with pytest.raises(InvalidInputError, match="finite"):
+            _parse_snr(spec)
+
+    @pytest.mark.parametrize("spec", ["0:1e9:1e-9", "0:1e300:1e-300", "0:10000:1"])
+    def test_oversized_range_rejected(self, spec):
+        with pytest.raises(InvalidInputError, match=str(MAX_SNR_POINTS)):
+            _parse_snr(spec)
+
+    def test_largest_range_accepted(self):
+        assert len(_parse_snr(f"0:{MAX_SNR_POINTS - 1}:1")) == MAX_SNR_POINTS
+
+    def test_range_exit_code(self, zopt_file):
+        assert run(["simulate", "--constellation", zopt_file, "--snr", "0:inf:1",
+                    "--trials", 10]) == 2
 
 
 class TestConstruct:
@@ -124,6 +141,16 @@ class TestEvaluate:
 
     def test_missing_file(self, tmp_path):
         assert run(["evaluate", tmp_path / "none.json"]) == 3
+
+    def test_nan_codeword_format_error(self, tmp_path, zopt_file, capsys):
+        text = zopt_file.read_text()
+        data = json.loads(text)
+        data["codewords"][3][2] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # writes the bare NaN literal
+        assert "NaN" in path.read_text()
+        assert run(["evaluate", path]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestBound:

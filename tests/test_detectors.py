@@ -11,14 +11,11 @@ from grassbloch.detectors import (
     ZOptDetectorState,
     ZoptDetector,
     azimuth_region,
-    glrt_detect,
     polar_region,
     rough_estimate,
-    sopt_detect,
-    zopt_detect,
 )
 from grassbloch.errors import DegenerateInputError, InvalidInputError
-from grassbloch.geometry import Codeword, Constellation
+from grassbloch.geometry import Constellation, canonicalize_array
 from grassbloch.packing import exact_packing
 from grassbloch.zopt import build_z_opt, layer_azimuths, zopt_structure
 
@@ -61,13 +58,13 @@ class TestGlrt:
             assert res.distance_evals == len(x)
 
     def test_two_poles(self):
-        x = Constellation([Codeword(1.0, 0.0), Codeword(0.0, 1.0)], "external", 1)
-        res = glrt_detect(np.array([[1.0], [0.1]]), x)
+        x = Constellation([[1.0, 0.0], [0.0, 1.0]], "external", 1)
+        res = GlrtDetector(x).detect(np.array([[1.0], [0.1]]))
         assert res.index == 0
 
     def test_counter_is_size(self):
         x = build_s_opt(exact_packing(12))
-        res = glrt_detect(noiseless_observation(x.array[3]), x)
+        res = GlrtDetector(x).detect(noiseless_observation(x.array[3]))
         assert res.distance_evals == 12 and res.comparisons == 12
 
 
@@ -80,16 +77,14 @@ class TestSopt:
 
     def test_functional_entry(self):
         x = build_s_opt(exact_packing(4))
-        res = sopt_detect(noiseless_observation(x.array[2]), SoptDetector(x))
+        res = SoptDetector(x).detect(noiseless_observation(x.array[2]))
         assert res.index == 2
         assert res.comparisons >= 1
 
     def test_tie_to_lowest_index(self):
-        x = Constellation(
-            [Codeword(1.0, 0.0), Codeword(0.0, 1.0)], "external", 1
-        )
+        x = Constellation([[1.0, 0.0], [0.0, 1.0]], "external", 1)
         # equator point is equidistant from both poles
-        res = sopt_detect(np.array([[1.0], [1.0]]) / math.sqrt(2.0), SoptDetector(x))
+        res = SoptDetector(x).detect(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
         assert res.index == 0
 
     def test_agrees_with_glrt_on_noise(self):
@@ -101,8 +96,7 @@ class TestSopt:
         # the tree detector is not tied to any construction
         rng = np.random.default_rng(77)
         raw = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
-        from grassbloch.geometry import canonicalize_array
-        x = Constellation.from_array(canonicalize_array(raw), "external", 5)
+        x = Constellation(canonicalize_array(raw), "external", 5)
         for N in (1, 2):
             rep = bench_detectors(x, ["glrt", "sopt"], trials=20000, N=N,
                                   seed=4, snr_db=8.0)
@@ -132,6 +126,12 @@ class TestRegions:
         theta = np.array([0.5, 1.2])
         assert polar_region(1.2, theta) == 1
 
+    def test_batched_match_scalars(self):
+        phis = np.array([0.0, 0.5, 2.0 * math.pi - 1e-12, 2.0 * math.pi])
+        assert azimuth_region(phis, 8).tolist() == [0, 1, 15, 0]
+        theta = np.array([0.5, 1.2, 1.94, 2.64])
+        assert polar_region(np.array([0.3, 3.0, 1.0, 1.2]), theta).tolist() == [0, 4, 1, 1]
+
 
 def geometric_anchor_table(z):
     """Independent anchor table from the layer geometry itself."""
@@ -146,19 +146,19 @@ def geometric_anchor_table(z):
             gaps = np.abs(phis - center)
             gaps = np.minimum(gaps, 2.0 * math.pi - gaps)
             n = int(np.argmin(gaps))
-            table[i, j0] = z.layer_offsets[layer - 1] + n + 1
+            table[i, j0] = z.structure.layer_offsets[layer - 1] + n + 1
     return table
 
 
 class TestAnchorClosedForm:
     @pytest.mark.parametrize("B", list(range(1, 9)))
     def test_matches_geometry(self, B):
-        z = build_z_opt(B, seed=0)
+        z = build_z_opt(B)
         state = ZOptDetectorState.from_constellation(z)
         assert np.array_equal(state.anchor_table(), geometric_anchor_table(z))
 
     def test_first_cell_anchor_b4(self):
-        z = build_z_opt(4, seed=0)
+        z = build_z_opt(4)
         state = ZOptDetectorState.from_constellation(z)
         assert int(state.anchor_index(1, 0)) == 1
 
@@ -170,7 +170,7 @@ class TestCandidateOffsets:
         # angular distance from the query to the anchor codeword's own azimuth
         from grassbloch.detectors import _candidate_azimuth_offset
 
-        z = build_z_opt(B, seed=0)
+        z = build_z_opt(B)
         s = z.structure
         state = ZOptDetectorState.from_constellation(z)
         arr = z.constellation.array
@@ -194,7 +194,7 @@ class TestCandidateOffsets:
 class TestZoptDetector:
     @pytest.mark.parametrize("B", list(range(1, 13)))
     def test_noiseless_exact_recovery(self, B):
-        z = build_z_opt(B, seed=0)
+        z = build_z_opt(B)
         det = ZoptDetector(z)
         pts = z.constellation.array
         rng = np.random.default_rng(B)
@@ -209,7 +209,7 @@ class TestZoptDetector:
         # with the GLRT (points exactly on symmetry planes are excluded since
         # a tie there is resolved by arithmetic noise, not by either rule)
         for B in (3, 4, 5, 7):
-            z = build_z_opt(B, seed=0)
+            z = build_z_opt(B)
             glrt = GlrtDetector(z.constellation)
             det = ZoptDetector(z)
             thetas = np.linspace(0.0213, math.pi - 0.0131, 40)
@@ -225,16 +225,9 @@ class TestZoptDetector:
             assert np.array_equal(gi, zi)
             assert evals.max() <= 4
 
-    def test_mismatched_constellation_rejected(self):
-        z = build_z_opt(3, seed=0)
-        other = build_z_opt(4, seed=0).constellation
-        with pytest.raises(InvalidInputError):
-            zopt_detect(noiseless_observation(other.array[0]), z, constellation=other)
-
     def test_functional_entry(self):
-        z = build_z_opt(4, seed=0)
-        res = zopt_detect(noiseless_observation(z.constellation.array[5]), z,
-                          constellation=z.constellation)
+        z = build_z_opt(4)
+        res = ZoptDetector(z).detect(noiseless_observation(z.constellation.array[5]))
         assert res.index == 5
         assert res.distance_evals <= 4
 
@@ -259,7 +252,7 @@ class TestMakeDetector:
 class TestRejectedObservations:
     @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
     def test_non_finite(self, tag):
-        z = build_z_opt(4, seed=0)
+        z = build_z_opt(4)
         det = make_detector(tag, z)
         Ys = np.tile(noiseless_observation(z.constellation.array[1], N=2), (3, 1, 1))
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
@@ -272,7 +265,7 @@ class TestRejectedObservations:
 
     @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
     def test_zero_row_in_batch(self, tag):
-        z = build_z_opt(4, seed=0)
+        z = build_z_opt(4)
         Ys = np.tile(noiseless_observation(z.constellation.array[1], N=2), (3, 1, 1))
         Ys[2] = 0.0
         with pytest.raises(DegenerateInputError):

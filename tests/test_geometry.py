@@ -11,13 +11,13 @@ from grassbloch.geometry import (
     SphericalAngles,
     angles_to_codeword,
     bloch_array,
+    canonicalize_array,
     chordal_distance,
     codeword_to_bloch,
     euclidean_distance,
     fejes_toth_bound,
     min_chordal_distance,
     min_chordal_distance_array,
-    normalize_received,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -200,53 +200,60 @@ class TestFejesTothBound:
 
 
 class TestNormalizeReceived:
-    def test_common_phase(self):
-        c = normalize_received([2j, 2j])
-        assert c.c0 == pytest.approx(R2, abs=1e-15)
-        assert c.c1 == pytest.approx(R2, abs=1e-15)
+    """Codeword.from_vector projects a received 2-vector onto G(2,1)."""
 
     def test_real_axis(self):
-        c = normalize_received([3.0, 0.0])
+        c = Codeword.from_vector([3.0, 0.0])
         assert (c.c0, c.c1) == (1.0, 0.0)
-
-    def test_zero_first_entry(self):
-        c = normalize_received([0.0, 5j])
-        assert (c.c0, c.c1) == (0.0, 1.0)
 
     def test_zero_vector(self):
         with pytest.raises(DegenerateInputError):
-            normalize_received([0.0, 0.0])
+            Codeword.from_vector([0.0, 0.0])
 
     def test_idempotent_on_canonical(self):
         c = Codeword(0.6, 0.8j)
-        again = normalize_received([c.c0, c.c1])
+        again = Codeword.from_vector([c.c0, c.c1])
         assert again.c0 == c.c0 and again.c1 == c.c1
         for cw in random_codewords(50, seed=23):
-            back = normalize_received([cw.c0, cw.c1])
+            back = Codeword.from_vector([cw.c0, cw.c1])
             assert abs(back.c0 - cw.c0) <= 1e-15
             assert abs(back.c1 - cw.c1) <= 1e-15
 
 
+def rows_of(codewords):
+    return np.array([c.vector for c in codewords])
+
+
 class TestConstellation:
     def test_min_distance_poles(self):
-        x = Constellation([Codeword(1.0, 0.0), Codeword(0.0, 1.0)], "external", 1)
+        x = Constellation([[1.0, 0.0], [0.0, 1.0]], "external", 1)
         assert min_chordal_distance(x) == pytest.approx(1.0, abs=1e-15)
 
     def test_duplicate_rejected(self):
         with pytest.raises(InvalidInputError):
-            Constellation([Codeword(1.0, 0.0), Codeword(1.0, 0.0)], "external", 1)
+            Constellation([[1.0, 0.0], [1.0, 0.0]], "external", 1)
 
     def test_bad_method(self):
         with pytest.raises(InvalidInputError):
-            Constellation([Codeword(1.0, 0.0), Codeword(0.0, 1.0)], "fancy", 1)
+            Constellation([[1.0, 0.0], [0.0, 1.0]], "fancy", 1)
 
     def test_size_must_match_bits(self):
         with pytest.raises(InvalidInputError):
-            Constellation(random_codewords(3, seed=2), "external", 2)
+            Constellation(rows_of(random_codewords(3, seed=2)), "external", 2)
+
+    def test_shape_must_be_rows_of_two(self):
+        with pytest.raises(InvalidInputError):
+            Constellation(np.ones((4, 3)), "external", 2)
+
+    def test_array_is_read_only(self):
+        x = Constellation(rows_of(random_codewords(4, seed=1)), "external", 2)
+        assert x.array.dtype == np.complex128 and x.array.shape == (4, 2)
+        with pytest.raises(ValueError):
+            x.array[0, 0] = 1.0
 
     def test_array_matches_scalar_distances(self):
         cws = random_codewords(24, seed=5)
-        x = Constellation(cws, "external", None)
+        x = Constellation(rows_of(cws), "external", None)
         brute = min(
             chordal_distance(a, b)
             for i, a in enumerate(cws) for b in cws[i + 1:]
@@ -259,6 +266,64 @@ class TestConstellation:
         for row, c in zip(arr, cws):
             p, _ = codeword_to_bloch(c)
             assert np.allclose(row, [p.x, p.y, p.z], atol=1e-12)
+
+
+def codeword_row(row):
+    """The scalar reference: Codeword's stored vector, or None if it refuses the row."""
+    try:
+        return Codeword(row[0], row[1]).vector
+    except InvalidInputError:
+        return None
+
+
+def scaled(row, norm2):
+    k = math.sqrt(norm2)
+    return (row[0] * k, row[1] * k)
+
+
+class TestConstellationRows:
+    """The vectorized row check and clamp against the scalar Codeword rules."""
+
+    @pytest.mark.parametrize("row, accepted", [
+        ((-1e-11, 1.0), True),
+        ((-1.1e-10, 1.0), False),
+        ((complex(R2, 1e-11), R2), True),
+        ((complex(R2, 1.1e-10), R2), False),
+        ((-0.0, 1.0), True),
+        (scaled((0.6, 0.8j), 1.0 + 0.9e-10), True),
+        (scaled((0.6, 0.8j), 1.0 - 0.9e-10), True),
+        (scaled((0.6, 0.8j), 1.0 + 1.1e-10), False),
+        (scaled((0.6, 0.8j), 1.0 - 1.1e-10), False),
+    ])
+    def test_edge_rows_match_codeword(self, row, accepted):
+        want = codeword_row(row)
+        assert (want is not None) == accepted
+        other = [0.0, 1.0] if abs(row[0]) > 0.5 else [1.0, 0.0]
+        if not accepted:
+            with pytest.raises(InvalidInputError):
+                Constellation([row, other], "external", 1)
+            return
+        got = Constellation([row, other], "external", 1).array[0]
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_rows_match_codeword_bits(self):
+        rng = np.random.default_rng(31)
+        rows = canonicalize_array(rng.standard_normal((256, 2))
+                                  + 1j * rng.standard_normal((256, 2)))
+        rows[:, 0] += 1j * rng.uniform(-5e-11, 5e-11, 256)
+        # near the south pole c0 may sit just below zero; both clamp it to 0
+        rows[:16, 0] = -rng.uniform(0.0, 5e-11, 16)
+        rows[:16, 1] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 16))
+        want = np.array([codeword_row(r) for r in rows])
+        got = Constellation(rows, "external", 8).array
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.6, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        # the norm test alone would pass NaN: abs(nan - 1) > tol is False
+        assert codeword_row((bad, 0.8j)) is None
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            Constellation([[bad, 0.8j], [0.0, 1.0]], "external", 1)
 
 
 def test_bound_sanity_for_constructed_sets():

@@ -121,7 +121,7 @@ class TestCandidateDistances:
     def test_matches_all_pairs_minimum(self):
         # the whole point of the reduction: nothing outside the set is smaller
         for B in range(1, 11):
-            z = build_z_opt(B, seed=0)
+            z = build_z_opt(B)
             free = z.theta[: z.structure.n_v]
             cd = candidate_distances(free, z.structure)
             assert cd.minimum / 2.0 == pytest.approx(
@@ -164,18 +164,18 @@ class TestOptimizer:
                 continue
             vals = [candidate_distances([t1, t2], s).minimum for t2 in t2s]
             best = max(best, max(vals))
-        free = optimize_zopt(s, seed=0)
+        free = optimize_zopt(s)
         achieved = candidate_distances(free, s).minimum
         assert achieved >= best - 1e-4
 
     def test_b4_ratio_window(self):
-        z = build_z_opt(4, seed=0)
+        z = build_z_opt(4)
         bound = fejes_toth_bound(16)
         d = z.constellation.min_chordal_distance
         assert 0.9 * bound <= d <= bound
 
     def test_objective_equals_built_minimum(self):
-        z = build_z_opt(6, seed=0)
+        z = build_z_opt(6)
         free = z.theta[: z.structure.n_v]
         cd = candidate_distances(free, z.structure)
         assert cd.minimum / 2.0 == pytest.approx(
@@ -187,7 +187,7 @@ class TestOptimizer:
             s = zopt_structure(B)
             if B > 12:
                 continue  # keep runtime modest; the count is structural anyway
-            free = optimize_zopt(s, seed=0)
+            free = optimize_zopt(s)
             assert len(free) == s.n_v
 
     def test_small_b_rejected(self):
@@ -196,15 +196,15 @@ class TestOptimizer:
 
     def test_deterministic(self):
         s = zopt_structure(5)
-        a = optimize_zopt(s, seed=0)
-        b = optimize_zopt(s, seed=0)
+        a = optimize_zopt(s)
+        b = optimize_zopt(s)
         assert np.array_equal(a, b)
 
 
 class TestRealization:
     def test_theta_symmetry(self):
         for B in (2, 3, 4, 5, 6, 7, 8):
-            z = build_z_opt(B, seed=0)
+            z = build_z_opt(B)
             s = z.structure
             for k in range(s.n_v):
                 if s.l - 1 - k == k:
@@ -217,7 +217,7 @@ class TestRealization:
 
     def test_phi_assignment(self):
         for B in (4, 5, 6):
-            z = build_z_opt(B, seed=0)
+            z = build_z_opt(B)
             s = z.structure
             for m in range(1, s.l + 1):
                 phis = layer_azimuths(s, m)
@@ -227,15 +227,15 @@ class TestRealization:
                 assert phis[0] == pytest.approx(expected_offset, abs=1e-15)
 
     def test_layer_offsets(self):
-        z = build_z_opt(5, seed=0)
-        assert z.layer_offsets == (0, 4, 12, 20, 28)
+        z = build_z_opt(5)
+        assert z.structure.layer_offsets == (0, 4, 12, 20, 28)
 
     def test_codewords_layer_major(self):
-        z = build_z_opt(4, seed=0)
+        z = build_z_opt(4)
         arr = z.constellation.array
         s = z.structure
         for m in range(1, s.l + 1):
-            lo = z.layer_offsets[m - 1]
+            lo = z.structure.layer_offsets[m - 1]
             block = arr[lo: lo + s.Z_l[m - 1]]
             c0 = math.cos(z.theta[m - 1] / 2.0)
             assert np.allclose(block[:, 0].real, c0, atol=1e-12)
