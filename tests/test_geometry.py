@@ -202,9 +202,18 @@ class TestFejesTothBound:
 class TestNormalizeReceived:
     """Codeword.from_vector projects a received 2-vector onto G(2,1)."""
 
+    def test_common_phase(self):
+        c = Codeword.from_vector([2j, 2j])
+        assert c.c0 == pytest.approx(R2, abs=1e-15)
+        assert c.c1 == pytest.approx(R2, abs=1e-15)
+
     def test_real_axis(self):
         c = Codeword.from_vector([3.0, 0.0])
         assert (c.c0, c.c1) == (1.0, 0.0)
+
+    def test_zero_first_entry(self):
+        c = Codeword.from_vector([0.0, 5j])
+        assert (c.c0, c.c1) == (0.0, 1.0)
 
     def test_zero_vector(self):
         with pytest.raises(DegenerateInputError):
