@@ -75,6 +75,22 @@ def effective_chunk(chunk: int, C: int, N: int) -> int:
     return max(1, min(chunk, cap))
 
 
+def _noise_variance(snr_db) -> float:
+    """sigma^2 = 10^(-snr/10) for an SNR in dB; +inf dB is noiseless.
+
+    An SNR that is NaN, or so low that sigma^2 overflows, has no noise
+    variance and raises InvalidInputError.
+    """
+    snr = float(snr_db)
+    try:
+        sigma2 = 10.0 ** (-snr / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise InvalidInputError(f"SNR {snr!r} dB gives no finite noise variance")
+    return sigma2
+
+
 def _trial_batch(seed: int, snr_index: int, lo: int, hi: int, N: int,
                  sigma2: float, points: np.ndarray):
     """Symbols and received blocks for trials [lo, hi) of one SNR point."""
@@ -140,16 +156,16 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
         raise InvalidInputError("trials must be >= 1")
     if N < 1:
         raise InvalidInputError("need at least one receive antenna")
+    snr_db = [float(s) for s in snr_db]
+    sigma2s = [_noise_variance(s) for s in snr_db]
     constellation = x.constellation if isinstance(x, ZOptConstellation) else x
     tag = detector if isinstance(detector, str) else type(detector).__name__
     det = make_detector(detector, x) if isinstance(detector, str) else detector
     points = constellation.array
-    snr_db = [float(s) for s in snr_db]
     chunk = effective_chunk(chunk, len(points), N)
     threads = _thread_count(threads)
     errors, mean_ev, mean_cp = [], [], []
-    for snr_index, snr in enumerate(snr_db):
-        sigma2 = 10.0 ** (-snr / 10.0)
+    for snr_index, sigma2 in enumerate(sigma2s):
         err, ev, cp, _, _ = _run_point(
             [det], points, seed, snr_index, sigma2, trials, N, chunk, threads
         )
@@ -194,11 +210,11 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    sigma2 = _noise_variance(snr_db)
     constellation = x.constellation if isinstance(x, ZOptConstellation) else x
     dets = [make_detector(d, x) if isinstance(d, str) else d for d in detectors]
     tags = [d if isinstance(d, str) else type(d).__name__ for d in detectors]
     points = constellation.array
-    sigma2 = 10.0 ** (-float(snr_db) / 10.0)
     chunk = effective_chunk(chunk, len(points), N)
     err, ev, cp, max_ev, mism = _run_point(
         dets, points, seed, 0, sigma2, trials, N, chunk, _thread_count(threads)

@@ -84,7 +84,8 @@ def rough_estimate_batch(Ys: np.ndarray) -> np.ndarray:
 
 
 def rough_estimate(Y) -> np.ndarray:
-    """Single-observation front end; N = 1 passes the column through unchanged."""
+    """Single-observation front end; N = 1 passes the column through unchanged,
+    unless its entries are extreme enough to be rescaled by a power of two."""
     return rough_estimate_batch(_checked(_as_batch(Y)))[0]
 
 
@@ -335,17 +336,37 @@ class ZoptDetector:
 # observation checks
 
 
+#: rows whose |entries| sum outside [2**-_SCALE_EXP, 2**_SCALE_EXP] are
+#: rescaled; inside, the fourth powers of entries that the rough estimate
+#: forms stay normal floats
+_SCALE_EXP = 200
+
+
 def _checked(Ys) -> np.ndarray:
     """A (n, 2, N) observation batch, refusing what no detector can decide.
 
-    Non-finite entries raise InvalidInputError; an all-zero observation has
-    no dominant direction and raises DegenerateInputError.
+    A single screen sums each row's |entries| (real and imaginary parts).
+    A row with a non-finite entry raises InvalidInputError and an all-zero row
+    DegenerateInputError. A row far from unit scale, whose Gram products
+    would overflow or underflow, is multiplied by the power of two that
+    brings its largest |entry| into [1/2, 1): the factor is exact and every
+    detector is scale-invariant, so its decision does not change. Every
+    other row is returned bit for bit.
     """
-    Ys = np.asarray(Ys, dtype=np.complex128)
-    if not np.isfinite(Ys).all():
-        raise InvalidInputError("observation has non-finite entries")
-    if not Ys.any(axis=(1, 2)).all():
-        raise DegenerateInputError("observation is zero")
+    Ys = np.ascontiguousarray(Ys, dtype=np.complex128)
+    v = Ys.view(np.float64)
+    s = np.einsum("ijk->i", np.abs(v))
+    far = ~((s >= 2.0**-_SCALE_EXP) & (s <= 2.0**_SCALE_EXP))
+    if far.any():
+        a = np.abs(v[far])
+        if not np.isfinite(a).all():
+            raise InvalidInputError("observation has non-finite entries")
+        m = a.max(axis=(1, 2), initial=0.0)
+        if not m.all():
+            raise DegenerateInputError("observation is zero")
+        v = v.copy()
+        v[far] = np.ldexp(v[far], -np.frexp(m)[1][:, None, None])
+        Ys = v.view(np.complex128)
     return Ys
 
 

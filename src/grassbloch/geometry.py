@@ -39,6 +39,11 @@ METHOD_TAGS = (
 
 TWO_PI = 2.0 * math.pi
 
+#: unit axis (12, 15, 16) / 25 of the closest-pair sweep; it is generic, so
+#: the rings of equal z and the other symmetric sets the builders make spread
+#: out along it, where a coordinate axis would stack them
+_SWEEP_AXIS = (0.48, 0.6, 0.64)
+
 
 @dataclass(frozen=True)
 class Codeword:
@@ -285,20 +290,38 @@ def bloch_array(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_min_bloch_dot(points: np.ndarray, chunk: int | None = None) -> float:
-    """Maximum dot product over distinct pairs of an (n, 3) array of unit vectors.
+def pairwise_min_bloch_dot(points: np.ndarray) -> float:
+    """Maximum dot product over distinct pairs of an (n, 3) array of vectors.
 
-    Scans the upper triangle in blocks, so memory stays bounded for large n.
+    An exact closest-pair sweep in O(n) memory. The points are sorted by
+    their projection t on `_SWEEP_AXIS`, and offset k pairs each point with
+    the k-th next one. Since |u . (p - q)| <= |p - q| for a unit u, a pair
+    whose dot beats the best so far lies within sqrt(2 r^2 - 2 best) in t,
+    r the largest norm; the sorted gaps t[i + k] - t[i] only grow with k, so
+    the sweep stops at the first offset whose smallest gap exceeds that
+    reach. The rounding margin on the reach can only make it look further.
+    Time is O(n log n) plus O(n) per offset, O(n^2) at worst, when all the
+    points project close together.
+
+    Each dot is x x' + y y' + z z' summed in that order, so the result does
+    not depend on the BLAS build. Fewer than two points give -1.
     """
-    n = len(points)
-    if chunk is None:
-        chunk = max(16, min(2048, (1 << 24) // max(n, 1)))
+    p = np.asarray(points, dtype=np.float64)
+    n = len(p)
+    if n < 2:
+        return -1.0
+    ux, uy, uz = _SWEEP_AXIS
+    t = p[:, 0] * ux + p[:, 1] * uy + p[:, 2] * uz
+    order = np.argsort(t)
+    t = t[order]
+    x, y, z = np.ascontiguousarray(p[order].T)
+    r2 = float(np.max(x * x + y * y + z * z))
     best = -1.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dots = points[lo:hi] @ points[lo:].T
-        rows, cols = np.tril_indices(hi - lo, k=0)
-        dots[rows, cols] = -2.0
+    for k in range(1, n):
+        reach = math.sqrt(max(2.0 * r2 - 2.0 * best, 0.0)) * (1.0 + 1e-6) + 1e-12
+        if float(np.min(t[k:] - t[:-k])) > reach:
+            break
+        dots = x[:-k] * x[k:] + y[:-k] * y[k:] + z[:-k] * z[k:]
         best = max(best, float(dots.max()))
     return best
 

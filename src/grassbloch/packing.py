@@ -307,9 +307,10 @@ def load_packing(path) -> PackingSet:
     if len(rows) < 2:
         raise FormatError("packing needs at least two points", path=path, line=None)
     pts = np.asarray(rows, dtype=np.float64)
-    if min_euclidean_distance_array(pts) <= 1e-9:
+    d_min = min_euclidean_distance_array(pts)
+    if d_min <= 1e-9:
         raise FormatError("duplicate points in packing file", path=path, line=None)
-    return PackingSet(pts, "file", min_euclidean_distance_array(pts))
+    return PackingSet(pts, "file", d_min)
 
 
 def save_packing(path, packing: PackingSet) -> None:

@@ -194,6 +194,21 @@ class TestSimulate:
         assert run(["simulate", "--constellation", zopt_file, "--snr", "0",
                     "--trials", 0]) == 2
 
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0,nan", "-4000"])
+    def test_snr_without_noise_variance(self, zopt_file, capsys, snr):
+        assert run(["simulate", "--constellation", zopt_file, f"--snr={snr}",
+                    "--trials", 10]) == 2
+        err = capsys.readouterr().err
+        assert f"SNR {float(snr.split(',')[-1])!r} dB gives no finite noise variance" in err
+
+    def test_infinite_snr_is_noiseless(self, tmp_path, zopt_file):
+        out = tmp_path / "ser.csv"
+        assert run(["simulate", "--constellation", zopt_file, "--snr", "inf",
+                    "--trials", 500, "-o", out]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith("#")]
+        assert float(rows[1][3]) == 0.0
+
     def test_json_metadata(self, tmp_path, zopt_file):
         out = tmp_path / "ser.csv"
         meta = tmp_path / "ser.json"
@@ -216,6 +231,13 @@ class TestBench:
         assert float(glrt[3]) == 64.0
         for r in rows:
             assert int(r[6]) == 0  # no detector disagrees with the reference
+
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "-4000"])
+    def test_snr_without_noise_variance(self, zopt_file, capsys, snr):
+        assert run(["bench", "--constellation", zopt_file, f"--snr={snr}",
+                    "--trials", 10]) == 2
+        assert "gives no finite noise variance" in capsys.readouterr().err
 
 
 class TestDetect:

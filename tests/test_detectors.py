@@ -10,6 +10,7 @@ from grassbloch.detectors import (
     SoptDetector,
     ZOptDetectorState,
     ZoptDetector,
+    _checked,
     azimuth_region,
     polar_region,
     rough_estimate,
@@ -270,3 +271,41 @@ class TestRejectedObservations:
         Ys[2] = 0.0
         with pytest.raises(DegenerateInputError):
             make_detector(tag, z).detect_batch(Ys)
+
+
+class TestExtremeScale:
+    # unless rescaled, entries near 1e200 overflow the Gram matrix and entries
+    # near 1e-170 underflow it
+    Y = np.array([[1.0, 0.3], [0.2j, 1.0]])
+
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_reported_observation(self, tag):
+        det = make_detector(tag, build_z_opt(4))
+        for factor in (1.0, 1e200, 1e-170):
+            assert det.detect(self.Y * factor).index == 4
+
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_power_of_two_scaling(self, tag):
+        z = build_z_opt(6)
+        rng = np.random.default_rng(12)
+        rows = z.constellation.array[rng.integers(0, len(z.constellation), 64)]
+        Ys = np.stack([noiseless_observation(r, h=complex(*rng.standard_normal(2)), N=3)
+                       for r in rows])
+        Ys += 0.3 * (rng.standard_normal(Ys.shape) + 1j * rng.standard_normal(Ys.shape))
+        det = make_detector(tag, z)
+        ref = det.detect_batch(Ys)
+        for k in (-600, -300, -150, 0, 150, 300, 600):
+            got = det.detect_batch(np.ldexp(Ys.real, k) + 1j * np.ldexp(Ys.imag, k))
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+
+    def test_only_extreme_rows_rescaled(self):
+        Ys = np.tile(self.Y, (3, 1, 1))
+        Ys[1] *= 2.0**700
+        Ys[2] *= 2.0**-700
+        before = Ys.copy()
+        out = _checked(Ys)
+        assert np.array_equal(Ys, before)  # the caller's batch is not touched
+        assert np.array_equal(out[0], Ys[0])
+        assert np.array_equal(out[1], out[2])
+        assert 0.5 <= np.abs(out[1].view(np.float64)).max() < 1.0

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from grassbloch import geometry
 from grassbloch.errors import DegenerateInputError, InvalidInputError
 from grassbloch.geometry import (
     BlochPoint,
@@ -18,7 +20,9 @@ from grassbloch.geometry import (
     fejes_toth_bound,
     min_chordal_distance,
     min_chordal_distance_array,
+    pairwise_min_bloch_dot,
 )
+from grassbloch.zopt import build_z_opt, realize_codewords, zopt_structure
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -346,3 +350,128 @@ def test_bound_sanity_for_constructed_sets():
         cws = [angles_to_codeword(SphericalAngles(t, p)) for t, p in zip(theta, phi)]
         arr = np.array([c.vector for c in cws])
         assert min_chordal_distance_array(arr) <= fejes_toth_bound(C) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closest-pair sweep against the all-pairs scan
+
+
+def reference_max_dot(points):
+    """All-pairs maximum dot: upper-triangle blocks of a dense Gram matrix."""
+    n = len(points)
+    chunk = max(16, min(2048, (1 << 24) // max(n, 1)))
+    best = -1.0
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        dots = points[lo:hi] @ points[lo:].T
+        rows, cols = np.tril_indices(hi - lo, k=0)
+        dots[rows, cols] = -2.0
+        best = max(best, float(dots.max()))
+    return best
+
+
+def unit_rows(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def uniform_points(n, seed):
+    return unit_rows(np.random.default_rng(seed).standard_normal((n, 3)))
+
+
+def axis_circle(phi, t):
+    """Points at azimuths phi about the sweep axis, projecting onto it at t."""
+    u = np.array(geometry._SWEEP_AXIS)
+    a = np.cross(u, [1.0, 0.0, 0.0])
+    a /= np.linalg.norm(a)
+    b = np.cross(u, a)
+    r = math.sqrt(1.0 - t * t)
+    return t * u + r * (np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * b)
+
+
+def psk_ring(n, z):
+    phi = 2.0 * math.pi * np.arange(n) / n
+    r = math.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(n, z)])
+
+
+def near_duplicates(n, seed):
+    base = uniform_points(n, seed)
+    nudge = np.random.default_rng(seed + 1).standard_normal((n, 3))
+    return np.vstack([base, unit_rows(base + 1e-10 * unit_rows(nudge))])
+
+
+def antipodal(n, seed):
+    base = uniform_points(n, seed)
+    return np.vstack([base, -base])
+
+
+class TestClosestPairSweep:
+    def check(self, points):
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        got = pairwise_min_bloch_dot(points)
+        assert abs(got - reference_max_dot(points)) <= 1e-15
+
+    @pytest.mark.parametrize("C", [2, 3, 4, 7, 33, 256, 1000, 3000])
+    def test_uniform(self, C):
+        for seed in range(3):
+            self.check(uniform_points(C, seed=100 * C + seed))
+
+    @pytest.mark.parametrize("B", range(4, 13))
+    def test_zopt_layers_share_z(self, B):
+        self.check(bloch_array(build_z_opt(B).constellation.array))
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, -0.95])
+    def test_psk_ring(self, z):
+        self.check(psk_ring(500, z))
+
+    def test_great_circle_perpendicular_to_axis(self):
+        pts = axis_circle(np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 2000), 0.0)
+        t = pts @ np.array(geometry._SWEEP_AXIS)
+        assert np.ptp(t) < 1e-12  # every pair falls inside the reach
+        self.check(pts)
+
+    def test_close_pair_at_the_last_offset(self):
+        # the closest pair sits either side of a ring that projects onto one
+        # point of the axis, so it is met at the last offset the sweep scans
+        M, delta = 50, 1e-4
+        ring = 2.0 * math.pi * np.arange(M) / M
+        pair = np.vstack([axis_circle(np.array([math.pi / M]), 0.2 - delta),
+                          axis_circle(np.array([math.pi / M]), 0.2 + delta)])
+        pts = np.vstack([axis_circle(ring, -0.5), axis_circle(ring, 0.2), pair])
+        expected = float(pair[0] @ pair[1])
+        assert pairwise_min_bloch_dot(pts) == pytest.approx(expected, abs=1e-15)
+        self.check(pts)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_duplicates(self, seed):
+        self.check(near_duplicates(300, seed))
+
+    def test_antipodal_pairs(self):
+        self.check(antipodal(200, seed=3))
+        self.check(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        self.check(np.array([geometry._SWEEP_AXIS, [-c for c in geometry._SWEEP_AXIS]]))
+
+    def test_two_and_three_points(self):
+        self.check(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        self.check(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        self.check(psk_ring(3, 0.2))
+
+    def test_fewer_than_two_points(self):
+        assert pairwise_min_bloch_dot(np.empty((0, 3))) == -1.0
+        assert pairwise_min_bloch_dot(np.array([[0.0, 0.0, 1.0]])) == -1.0
+
+    def test_memory_stays_linear(self):
+        # a layered set of C = 16384 codewords; the all-pairs scan peaked near
+        # 256 MiB here, the sweep holds a few arrays of C entries
+        s = zopt_structure(14)
+        theta = (np.arange(s.l) + 0.5) * (math.pi / s.l)
+        arr = realize_codewords(theta, s)
+        assert len(arr) == 16384
+        tracemalloc.start()
+        try:
+            min_chordal_distance_array(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
