@@ -22,7 +22,6 @@ from .geometry import (
 from .packing import PackingConfig, PackingSet, exact_packing, load_packing, optimize_packing
 from .zopt import (
     CandidateDistances,
-    ZOptConfig,
     ZOptConstellation,
     ZOptStructure,
     build_z_opt,

@@ -213,67 +213,6 @@ def candidate_distances(free_theta, s: ZOptStructure) -> CandidateDistances:
 # angle optimization
 
 
-@dataclass(frozen=True)
-class ZOptConfig:
-    """Settings for the coordinate-ascent polish of the angle optimizer."""
-
-    sweeps: int = 200
-    line_grid: int = 24
-    refine_iters: int = 40
-    tol: float = 1e-13
-    min_gap: float = 1e-7
-
-
-def _objective(free_theta, s: ZOptStructure) -> float:
-    return candidate_distances(free_theta, s).minimum
-
-
-def _line_maximize(free, k, lo, hi, s, cfg) -> float:
-    """Best value of free angle k inside (lo, hi), holding the others fixed."""
-    xs = np.linspace(lo, hi, cfg.line_grid)
-    work = free.copy()
-    best_x, best_f = free[k], _objective(free, s)
-    for x in xs:
-        work[k] = x
-        f = _objective(work, s)
-        if f > best_f:
-            best_x, best_f = x, f
-    span = (hi - lo) / (cfg.line_grid - 1)
-    for _ in range(cfg.refine_iters):
-        span *= 0.62
-        improved = False
-        for x in (best_x - span, best_x + span):
-            if not lo < x < hi:
-                continue
-            work[k] = x
-            f = _objective(work, s)
-            if f > best_f:
-                best_x, best_f = x, f
-                improved = True
-        if span < 1e-15 and not improved:
-            break
-    free[k] = best_x
-    return best_f
-
-
-def _coordinate_ascent(free, s, cfg) -> tuple[np.ndarray, float]:
-    free = free.copy()
-    f_prev = _objective(free, s)
-    for _ in range(cfg.sweeps):
-        for k in range(s.n_v):
-            lo = cfg.min_gap if k == 0 else free[k - 1] + cfg.min_gap
-            hi = (math.pi / 2.0 if k == s.n_v - 1 else free[k + 1]) - cfg.min_gap
-            if hi <= lo:
-                continue
-            _line_maximize(free, k, lo, hi, s, cfg)
-        f_now = _objective(free, s)
-        if f_now - f_prev < cfg.tol:
-            f_prev = f_now
-            break
-        f_prev = f_now
-    return free, f_prev
-
-
 def _diag_lower_root(theta_prev: float, t: float, h: float) -> float:
     """Smallest theta >= theta_prev whose diagonal chord to theta_prev reaches t."""
     if diagonal_chord(theta_prev, theta_prev, h) >= t:
@@ -352,7 +291,7 @@ def _bisect_greedy(s: ZOptStructure) -> np.ndarray:
     return _greedy_feasible(lo, s)
 
 
-def optimize_zopt(s: ZOptStructure, config: ZOptConfig | None = None) -> np.ndarray:
+def optimize_zopt(s: ZOptStructure) -> np.ndarray:
     """Free polar angles maximizing the candidate-set minimum.
 
     A bisection over the achievable minimum with a greedy layer placement
@@ -362,10 +301,7 @@ def optimize_zopt(s: ZOptStructure, config: ZOptConfig | None = None) -> np.ndar
     """
     if not 4 <= s.B <= 16:
         raise UnsupportedError("optimization applies to B in 4..16; smaller B is closed form")
-    cfg = config or ZOptConfig()
-    free = _bisect_greedy(s)
-    free, _ = _coordinate_ascent(free, s, cfg)
-    return free
+    return _bisect_greedy(s)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +343,13 @@ def realize_codewords(theta: np.ndarray, s: ZOptStructure) -> np.ndarray:
     return np.vstack(rows)
 
 
-def build_z_opt(B: int, config: ZOptConfig | None = None) -> ZOptConstellation:
+def build_z_opt(B: int) -> ZOptConstellation:
     """Construct the layered constellation for 1 <= B <= 16."""
     s = zopt_structure(B)
     if B in _CLOSED_FORM_THETA:
         free = np.asarray(_CLOSED_FORM_THETA[B])
     else:
-        free = optimize_zopt(s, config=config)
+        free = optimize_zopt(s)
     theta = expand_theta(free, s)
     constellation = Constellation(realize_codewords(theta, s), method="z-opt", B=B)
     return ZOptConstellation(structure=s, theta=theta, constellation=constellation)
