@@ -104,21 +104,22 @@ def _exp_map_points(v: np.ndarray) -> np.ndarray:
     return np.column_stack([np.cos(rho), -sinc * v])
 
 
-def exp_map_psk(C: int, radius: float | None = None) -> Constellation:
-    """PSK symbols on one ring; the ring radius is grid-searched when absent."""
-    if radius is None:
-        radius = _sweep_scale(lambda r: psk_symbols(C, r), 1e-3, math.pi / 2.0 - 1e-9)
-    return build_exp_map(psk_symbols(C, radius))
+def exp_map_psk(C: int) -> Constellation:
+    """PSK symbols on one ring of radius pi/4.
+
+    The map sends |v| to the Bloch polar angle 2|v|, so this ring is the
+    equator, where the in-ring chord 2 sin(theta) sin(pi/C) peaks.
+    """
+    return build_exp_map(psk_symbols(C, math.pi / 4.0))
 
 
-def exp_map_qam(C: int, scale: float | None = None) -> Constellation:
-    """Square-grid symbols scaled to stay inside the invertibility disk."""
+def exp_map_qam(C: int) -> Constellation:
+    """Square-grid symbols, scaled by grid search inside the invertibility disk."""
     m = round(math.sqrt(C))
     if m * m != C:
         raise InvalidInputError(f"square-grid symbols need a square constellation size, not {C}")
     s_max = (math.pi / 2.0 - 1e-9) / (math.sqrt(2.0) * (m - 1)) if m > 1 else 0.5
-    if scale is None:
-        scale = _sweep_scale(lambda s: qam_symbols(C, s), s_max * 1e-3, s_max)
+    scale = _sweep_scale(lambda s: qam_symbols(C, s), s_max * 1e-3, s_max)
     return build_exp_map(qam_symbols(C, scale))
 
 

@@ -35,10 +35,10 @@ class PackingSet:
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
             raise InvalidInputError("packing needs an (n, 3) array with n >= 2")
         norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # also rejects NaN
             raise InvalidInputError("packing points must be unit vectors")
         recomputed = min_euclidean_distance_array(pts)
-        if abs(recomputed - self.min_distance) > 1e-12:
+        if not abs(recomputed - self.min_distance) <= 1e-12:
             raise InvalidInputError(
                 f"cached min_distance {self.min_distance!r} != recomputed {recomputed!r}"
             )
@@ -297,7 +297,7 @@ def load_packing(path) -> PackingSet:
                 raise FormatError(f"non-numeric value in {parts!r}",
                                   path=path, line=lineno) from None
             norm = math.sqrt(sum(v * v for v in vec))
-            if abs(norm - 1.0) > 1e-6:
+            if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN
                 raise FormatError(f"point norm {norm!r} deviates from 1 by more than 1e-6",
                                   path=path, line=lineno)
             rows.append([v / norm for v in vec])

@@ -214,19 +214,27 @@ def candidate_distances(free_theta, s: ZOptStructure) -> CandidateDistances:
 
 
 def _diag_lower_root(theta_prev: float, t: float, h: float) -> float:
-    """Smallest theta >= theta_prev whose diagonal chord to theta_prev reaches t."""
-    if diagonal_chord(theta_prev, theta_prev, h) >= t:
+    """Smallest theta >= theta_prev whose diagonal chord to theta_prev reaches t.
+
+    In closed form: the squared half chord is 1/2 - R*cos(theta - psi), with
+    (R*cos(psi), R*sin(psi)) = (cos(theta_prev), cos(h)*sin(theta_prev))/2.
+    For theta_prev < pi/2, psi <= theta_prev, so the chord grows over
+    [theta_prev, pi] and the root is psi + acos((1/2 - t^2/4)/R). It is
+    evaluated as psi + 2*asin(sqrt(x)), with the chord's minimum 1/2 - R
+    written without cancellation, so it stays accurate for roots close to psi
+    (acos loses up to 3e-10 there). inf means not even theta = pi reaches t.
+    """
+    a = 0.5 * math.cos(theta_prev)
+    b = 0.5 * math.cos(h) * math.sin(theta_prev)
+    R = math.hypot(a, b)
+    lowest = (0.5 * math.sin(h) * math.sin(theta_prev)) ** 2 / (0.5 + R)  # 1/2 - R
+    x = (t * t / 4.0 - lowest) / (2.0 * R)  # sin^2((theta - psi) / 2) at the root
+    if x <= 0.0:
         return theta_prev
-    lo, hi = theta_prev, math.pi
-    if diagonal_chord(theta_prev, hi, h) < t:
+    if x >= 1.0:
         return math.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if diagonal_chord(theta_prev, mid, h) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    root = math.atan2(b, a) + 2.0 * math.asin(math.sqrt(x))
+    return max(theta_prev, root) if root <= math.pi else math.inf
 
 
 def _greedy_feasible(t: float, s: ZOptStructure):
@@ -294,10 +302,11 @@ def _bisect_greedy(s: ZOptStructure) -> np.ndarray:
 def optimize_zopt(s: ZOptStructure) -> np.ndarray:
     """Free polar angles maximizing the candidate-set minimum.
 
-    A bisection over the achievable minimum with a greedy layer placement
-    finds the optimum directly; a short coordinate-ascent polish then shakes
-    out the residual bisection tolerance. Deterministic: the search is
-    exhaustive rather than randomized.
+    A bisection over the achievable minimum t, where each step places the
+    layers greedily at their lowest feasible angles (`_greedy_feasible`).
+    The greedy placement decides feasibility exactly, so the bisection
+    converges on the optimum of the structure and no polish follows.
+    Deterministic.
     """
     if not 4 <= s.B <= 16:
         raise UnsupportedError("optimization applies to B in 4..16; smaller B is closed form")

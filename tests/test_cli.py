@@ -94,6 +94,12 @@ class TestConstruct:
         assert run(["construct", "--method", "s-opt", "-B", 2,
                     "--packing-file", pk, "-o", tmp_path / "s.json"]) == 2
 
+    def test_packing_file_with_nan_row(self, tmp_path):
+        pk = tmp_path / "pk.txt"
+        pk.write_text("4\n0 0 1\nnan 0 0\n1 0 0\n0 1 0\n")
+        assert run(["construct", "--method", "s-opt", "-B", 2,
+                    "--packing-file", pk, "-o", tmp_path / "s.json"]) == 3
+
     def test_optimizer_flags(self, tmp_path):
         out = tmp_path / "m.json"
         assert run(["construct", "--method", "man-opt", "-B", 4, "-o", out,

@@ -104,6 +104,16 @@ class TestPackingSet:
         with pytest.raises(InvalidInputError):
             PackingSet(pts, "exact", 4.0)
 
+    def test_rejects_nan_point(self):
+        pts = exact_packing(4).points.copy()
+        pts[1] = np.nan
+        with pytest.raises(InvalidInputError):
+            PackingSet(pts, "exact", 2.0)
+
+    def test_rejects_nan_cached_distance(self):
+        with pytest.raises(InvalidInputError):
+            PackingSet(exact_packing(4).points, "exact", float("nan"))
+
 
 class TestLoadPacking:
     def test_two_antipodal(self, tmp_path):
@@ -136,6 +146,13 @@ class TestLoadPacking:
         with pytest.raises(FormatError) as err:
             load_packing(f)
         assert err.value.line == 2
+
+    def test_nan_rejected_with_line(self, tmp_path):
+        f = tmp_path / "nan_row.txt"
+        f.write_text("3\n0 0 1\nnan 0 0\n1 0 0\n")
+        with pytest.raises(FormatError) as err:
+            load_packing(f)
+        assert err.value.line == 3
 
     def test_small_norm_drift_renormalized(self, tmp_path):
         f = tmp_path / "drift.txt"

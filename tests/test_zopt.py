@@ -6,6 +6,8 @@ import pytest
 from grassbloch.errors import InvalidInputError, UnsupportedError
 from grassbloch.geometry import fejes_toth_bound
 from grassbloch.zopt import (
+    _diag_lower_root,
+    _greedy_feasible,
     build_z_opt,
     candidate_distances,
     diagonal_chord,
@@ -18,6 +20,23 @@ from grassbloch.zopt import (
 )
 
 ANTIPRISM_D = math.sqrt((4.0 - math.sqrt(2.0)) / 7.0)
+Z_MAX_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def reference_diag_lower_root(theta_prev, t, h):
+    """80-step bisection on diagonal_chord: the reference for the closed-form root."""
+    if diagonal_chord(theta_prev, theta_prev, h) >= t:
+        return theta_prev
+    lo, hi = theta_prev, math.pi
+    if diagonal_chord(theta_prev, hi, h) < t:
+        return math.inf
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if diagonal_chord(theta_prev, mid, h) >= t:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestStructureTable:
@@ -120,13 +139,64 @@ class TestCandidateDistances:
 
     def test_matches_all_pairs_minimum(self):
         # the whole point of the reduction: nothing outside the set is smaller
-        for B in range(1, 11):
+        for B in range(1, 17):
             z = build_z_opt(B)
             free = z.theta[: z.structure.n_v]
             cd = candidate_distances(free, z.structure)
             assert cd.minimum / 2.0 == pytest.approx(
                 z.constellation.min_chordal_distance, abs=1e-12
             )
+
+
+class TestDiagLowerRoot:
+    def check(self, theta_prev, t, h):
+        got = _diag_lower_root(theta_prev, t, h)
+        want = reference_diag_lower_root(theta_prev, t, h)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert abs(got - want) <= 1e-12, (theta_prev, t, h, got, want)
+        return got
+
+    def test_matches_bisection_on_random_cases(self):
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            theta_prev = rng.uniform(1e-3, math.pi / 2 - 1e-3)
+            h = rng.uniform(1e-3, math.pi / 2)
+            theta = rng.uniform(theta_prev, math.pi)
+            # t reached at a known interior root, then t anywhere in (0, 2)
+            got = self.check(theta_prev, float(diagonal_chord(theta_prev, theta, h)), h)
+            assert got == pytest.approx(theta, abs=1e-12)
+            self.check(theta_prev, rng.uniform(0.0, 2.0), h)
+
+    def test_small_t_gives_theta_prev(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            theta_prev = rng.uniform(1e-3, math.pi / 2 - 1e-3)
+            h = rng.uniform(1e-3, math.pi / 2)
+            t = float(diagonal_chord(theta_prev, theta_prev, h)) * rng.uniform(0.0, 1.0)
+            assert _diag_lower_root(theta_prev, t, h) == theta_prev
+            assert self.check(theta_prev, t, h) == theta_prev
+
+    def test_unreachable_gives_inf(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            theta_prev = rng.uniform(1e-3, math.pi / 2 - 1e-3)
+            h = rng.uniform(1e-3, math.pi / 2)
+            top = float(diagonal_chord(theta_prev, math.pi, h))
+            t = top * (1.0 + 1e-9) + rng.uniform(0.0, 2.0 - top)
+            assert _diag_lower_root(theta_prev, t, h) == math.inf
+            self.check(theta_prev, t, h)
+
+    @pytest.mark.parametrize("z_max", Z_MAX_VALUES)
+    def test_layer_offsets_near_the_root(self, z_max):
+        # the optimizer's h = pi/z_max, with roots from far above theta_prev
+        # down to 1e-10 above it, including near the pole and the equator
+        h = math.pi / z_max
+        for theta_prev in (1e-3, 0.1, 0.7, 1.2, 1.5, math.pi / 2 - 1e-3):
+            for gap in (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+                t = float(diagonal_chord(theta_prev, theta_prev + gap, h))
+                self.check(theta_prev, t, h)
 
 
 class TestClosedForms:
@@ -185,10 +255,28 @@ class TestOptimizer:
     def test_variable_count_matches_table(self):
         for B in range(4, 17):
             s = zopt_structure(B)
-            if B > 12:
-                continue  # keep runtime modest; the count is structural anyway
             free = optimize_zopt(s)
             assert len(free) == s.n_v
+
+    @pytest.mark.parametrize("B", range(4, 17))
+    def test_no_single_angle_move_raises_minimum(self, B):
+        # the greedy bisection is the optimum: moving any one free angle alone
+        # never raises the candidate minimum beyond rounding
+        s = zopt_structure(B)
+        free = optimize_zopt(s)
+        best = candidate_distances(free, s).minimum
+        for k in range(s.n_v):
+            for step in (-1e-4, -1e-6, -1e-9, 1e-9, 1e-6, 1e-4):
+                moved = free.copy()
+                moved[k] += step
+                assert candidate_distances(moved, s).minimum <= best + 1e-13, (k, step)
+
+    def test_bisection_reaches_largest_feasible_minimum(self):
+        # 1e-10 above the achieved minimum no placement meets every candidate
+        for B in range(4, 17):
+            s = zopt_structure(B)
+            achieved = candidate_distances(optimize_zopt(s), s).minimum
+            assert _greedy_feasible(achieved + 1e-10, s) is None, B
 
     def test_small_b_rejected(self):
         with pytest.raises(UnsupportedError):
