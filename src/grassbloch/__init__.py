@@ -17,7 +17,6 @@ from .geometry import (
     codeword_to_bloch,
     euclidean_distance,
     fejes_toth_bound,
-    min_chordal_distance,
 )
 from .packing import PackingConfig, PackingSet, exact_packing, load_packing, optimize_packing
 from .zopt import (
@@ -41,7 +40,6 @@ from .detectors import (
     DetectionResult,
     GlrtDetector,
     SoptDetector,
-    ZOptDetectorState,
     ZoptDetector,
     azimuth_region,
     polar_region,

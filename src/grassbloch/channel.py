@@ -26,16 +26,21 @@ DETECTOR_TAGS = ("glrt", "sopt", "zopt")
 _THREADS_ENV = "GRASSBLOCH_THREADS"
 
 
-def make_detector(tag: str, x, leaf_size: int = 8):
-    """Instantiate a detector for a constellation (or layered constellation)."""
-    constellation = x.constellation if isinstance(x, ZOptConstellation) else x
+def make_detector(tag: str, x):
+    """Instantiate a detector for a constellation.
+
+    The layered detector ("zopt") needs a `ZOptConstellation`.
+    """
     if tag == "glrt":
-        return GlrtDetector(constellation)
+        return GlrtDetector(x)
     if tag == "sopt":
-        return SoptDetector(constellation, leaf_size=leaf_size)
+        return SoptDetector(x)
     if tag == "zopt":
         if not isinstance(x, ZOptConstellation):
-            raise InvalidInputError("the layered detector needs a layered constellation")
+            raise InvalidInputError(
+                "this constellation carries no layer structure; "
+                "the zopt detector needs one (construct with --method z-opt)"
+            )
         return ZoptDetector(x)
     raise InvalidInputError(f"unknown detector {tag!r}; expected one of {DETECTOR_TAGS}")
 
@@ -158,10 +163,9 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
         raise InvalidInputError("need at least one receive antenna")
     snr_db = [float(s) for s in snr_db]
     sigma2s = [_noise_variance(s) for s in snr_db]
-    constellation = x.constellation if isinstance(x, ZOptConstellation) else x
     tag = detector if isinstance(detector, str) else type(detector).__name__
     det = make_detector(detector, x) if isinstance(detector, str) else detector
-    points = constellation.array
+    points = x.array
     chunk = effective_chunk(chunk, len(points), N)
     threads = _thread_count(threads)
     errors, mean_ev, mean_cp = [], [], []
@@ -182,8 +186,8 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
         seed=seed,
         detector=tag,
         N=N,
-        method=constellation.method,
-        C=len(constellation),
+        method=x.method,
+        C=len(x),
     )
 
 
@@ -211,10 +215,9 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     sigma2 = _noise_variance(snr_db)
-    constellation = x.constellation if isinstance(x, ZOptConstellation) else x
     dets = [make_detector(d, x) if isinstance(d, str) else d for d in detectors]
     tags = [d if isinstance(d, str) else type(d).__name__ for d in detectors]
-    points = constellation.array
+    points = x.array
     chunk = effective_chunk(chunk, len(points), N)
     err, ev, cp, max_ev, mism = _run_point(
         dets, points, seed, 0, sigma2, trials, N, chunk, _thread_count(threads)

@@ -30,8 +30,8 @@ from .errors import (
     NumericalError,
 )
 from .formats import (
-    RunConfig,
     bench_rows,
+    config_hash,
     load_constellation,
     save_constellation,
     ser_curve_to_csv,
@@ -138,18 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_for_detector(path, tag):
-    constellation, zopt = load_constellation(path)
-    if tag == "zopt":
-        if zopt is None:
-            raise InvalidInputError(
-                "this constellation file carries no layer structure; "
-                "the zopt detector needs one (construct with --method z-opt)"
-            )
-        return zopt, constellation
-    return constellation, constellation
-
-
 def _packing_config(args):
     overrides = {k: getattr(args, k) for k in
                  ("starts", "phase1_iters", "phase2_sweeps")
@@ -163,10 +151,10 @@ def _construct(args) -> int:
         raise InvalidInputError("bits must be >= 1")
     C = 2**B
     seed = args.seed
-    obj = None
+    structure = None
     if args.method == "z-opt":
-        obj = build_z_opt(B)
-        constellation = obj.constellation
+        constellation = build_z_opt(B)
+        structure = constellation.structure
     elif args.method == "s-opt":
         if args.packing_file:
             packing = load_packing(args.packing_file)
@@ -194,21 +182,20 @@ def _construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown method {args.method}")
 
-    cfg = RunConfig("construct", {
+    cfg_hash = config_hash({"command": "construct", "params": {
         "method": args.method, "B": B, "seed": seed,
         "packing_file": args.packing_file, "alpha": args.alpha,
         "symbols": args.symbols, "output": args.output,
         "starts": args.starts, "phase1_iters": args.phase1_iters,
         "phase2_sweeps": args.phase2_sweeps,
-    })
-    save_constellation(args.output, obj if obj is not None else constellation,
-                       seed=seed, extra_config=cfg.hash)
+    }})
+    save_constellation(args.output, constellation, seed=seed, extra_config=cfg_hash)
 
     d_min = constellation.min_chordal_distance
     bound = fejes_toth_bound(len(constellation)) if len(constellation) >= 3 else 1.0
     report = {
         "tool_version": __version__,
-        "config_hash": cfg.hash,
+        "config_hash": cfg_hash,
         "seed": seed,
         "method": args.method,
         "B": B,
@@ -216,8 +203,8 @@ def _construct(args) -> int:
         "d_min": d_min,
         "fejes_toth_bound": bound,
         "ratio": d_min / bound,
-        "n_v": obj.structure.n_v if obj is not None else None,
-        "candidate_set_size": obj.structure.candidate_count if obj is not None else None,
+        "n_v": structure.n_v if structure is not None else None,
+        "candidate_set_size": structure.candidate_count if structure is not None else None,
     }
     report_path = args.report or (args.output + ".report.json")
     with open(report_path, "w") as fh:
@@ -232,7 +219,7 @@ def _evaluate(args) -> int:
     rows = []
     notes = ["bound column is blank for C=2, where the exact value is 1"]
     for path in args.inputs:
-        constellation, _ = load_constellation(path)
+        constellation = load_constellation(path)
         d_min = constellation.min_chordal_distance
         C = len(constellation)
         if C >= 3:
@@ -243,8 +230,9 @@ def _evaluate(args) -> int:
             rows.append([constellation.method, constellation.B, C,
                          f"{d_min:.10g}", "", f"{d_min / 1.0:.10g}"])
     header = ["method", "B", "C", "d_min", "fejes_toth_bound", "ratio"]
-    cfg = RunConfig("evaluate", {"inputs": list(args.inputs), "output": args.output})
-    write_csv(args.output or sys.stdout, header, rows, seed=None, cfg=cfg.hash,
+    cfg_hash = config_hash({"command": "evaluate", "params": {
+        "inputs": list(args.inputs), "output": args.output}})
+    write_csv(args.output or sys.stdout, header, rows, seed=None, cfg=cfg_hash,
               footnotes=notes)
     return 0
 
@@ -255,10 +243,10 @@ def _bound(args) -> int:
     if args.c_max < args.c_min:
         raise InvalidInputError("c-max must be >= c-min")
     rows = [[C, f"{fejes_toth_bound(C):.10g}"] for C in range(args.c_min, args.c_max + 1)]
-    cfg = RunConfig("bound", {"c_min": args.c_min, "c_max": args.c_max,
-                              "output": args.output})
+    cfg_hash = config_hash({"command": "bound", "params": {
+        "c_min": args.c_min, "c_max": args.c_max, "output": args.output}})
     write_csv(args.output or sys.stdout, ["C", "fejes_toth_bound"], rows,
-              seed=None, cfg=cfg.hash)
+              seed=None, cfg=cfg_hash)
     return 0
 
 
@@ -268,9 +256,8 @@ def _simulate(args) -> int:
     snr = _parse_snr(args.snr)
     if not snr:
         raise InvalidInputError("empty SNR list")
-    target, _ = _load_for_detector(args.constellation, args.detector)
-    curve = run_ser(target, args.detector, snr, trials=args.trials,
-                    N=args.antennas, seed=args.seed)
+    curve = run_ser(load_constellation(args.constellation), args.detector, snr,
+                    trials=args.trials, N=args.antennas, seed=args.seed)
     ser_curve_to_csv(args.output or sys.stdout, curve)
     if args.json_output:
         with open(args.json_output, "w") as fh:
@@ -285,16 +272,15 @@ def _bench(args) -> int:
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
     if not tags:
         raise InvalidInputError("need at least one detector")
-    needs_zopt = "zopt" in tags
-    target, _ = _load_for_detector(args.constellation, "zopt" if needs_zopt else tags[0])
-    reports = bench_detectors(target, tags, trials=args.trials, N=args.antennas,
+    reports = bench_detectors(load_constellation(args.constellation), tags,
+                              trials=args.trials, N=args.antennas,
                               seed=args.seed, snr_db=args.snr)
     header, rows = bench_rows(reports)
-    cfg = RunConfig("bench", {"constellation": args.constellation,
-                              "detectors": tags, "trials": args.trials,
-                              "N": args.antennas, "seed": args.seed,
-                              "snr_db": args.snr, "output": args.output})
-    write_csv(args.output or sys.stdout, header, rows, seed=args.seed, cfg=cfg.hash)
+    cfg_hash = config_hash({"command": "bench", "params": {
+        "constellation": args.constellation, "detectors": tags,
+        "trials": args.trials, "N": args.antennas, "seed": args.seed,
+        "snr_db": args.snr, "output": args.output}})
+    write_csv(args.output or sys.stdout, header, rows, seed=args.seed, cfg=cfg_hash)
     return 0
 
 
@@ -331,8 +317,8 @@ def _read_blocks(path) -> np.ndarray:
 
 
 def _detect(args) -> int:
-    target, constellation = _load_for_detector(args.constellation, args.detector)
-    det = make_detector(args.detector, target)
+    constellation = load_constellation(args.constellation)
+    det = make_detector(args.detector, constellation)
     Ys = _read_blocks(args.input)
     n, _, N = Ys.shape
     chunk = effective_chunk(n, len(constellation), N)
@@ -341,12 +327,12 @@ def _detect(args) -> int:
         idx, evals, comps = det.detect_batch(Ys[lo:lo + chunk])
         rows += [[lo + t, i, e, c] for t, (i, e, c) in
                  enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
-    cfg = RunConfig("detect", {"constellation": args.constellation,
-                               "detector": args.detector, "input": args.input,
-                               "output": args.output})
+    cfg_hash = config_hash({"command": "detect", "params": {
+        "constellation": args.constellation, "detector": args.detector,
+        "input": args.input, "output": args.output}})
     write_csv(args.output or sys.stdout,
               ["trial", "index", "distance_evals", "comparisons"], rows,
-              seed=None, cfg=cfg.hash)
+              seed=None, cfg=cfg_hash)
     return 0
 
 

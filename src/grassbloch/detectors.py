@@ -7,8 +7,9 @@ because chordal distance is half of Bloch Euclidean distance. The layered
 detector exploits the structure of layered-polygon constellations: the sphere
 splits into an angular grid, the grid cell of the received point narrows the
 candidates to at most four codewords, and a closed-form cell-to-index map
-turns the winning candidate into a codeword index without storing the
-constellation.
+turns the winning candidate into a codeword index. It takes a
+`ZOptConstellation` and keeps only its layer structure and l polar angles,
+the O(sqrt(C)) state, never the codeword array.
 
 Ties always resolve to the lowest codeword index. Each detector's single-row
 `detect` runs its batch implementation on one row, so scalar and vectorized
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import Constellation, bloch_array
 from .kdtree import KDTree
-from .zopt import ZOptConstellation, ZOptStructure
+from .zopt import ZOptConstellation, diagonal_chord
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,9 +158,9 @@ class SoptDetector:
     Owns a space-partitioning tree over the constellation's Bloch points.
     """
 
-    def __init__(self, constellation: Constellation, leaf_size: int = 8):
+    def __init__(self, constellation: Constellation):
         self.constellation = constellation
-        self.tree = KDTree(constellation.bloch, leaf_size=leaf_size)
+        self.tree = KDTree(constellation.bloch)
 
     def detect_batch(self, Ys: np.ndarray):
         est = rough_estimate_batch(_checked(Ys))
@@ -221,62 +222,44 @@ def _nearest_vertex(ic, j0, m):
     return k, b + m * k
 
 
-def cell_anchor_index(i, j0, z_max: int, l: int, half_layers: int):
-    """Closed-form codeword index (1-based) anchored to grid cell (i, j0).
+def cell_vertex(i, j0, z_max: int, l: int, half_layers: int):
+    """(index, a) of the codeword anchored to grid cell (i, j0).
 
     `i` is the polar region in [0, l]; `j0` the azimuth sector in
-    [0, 2*z_max). For i >= 1 the result is the point of layer i azimuthally
-    nearest sector j0; region 0 borrows layer 1. `half_layers` rings of
-    z_max/2 points sit in each polar cap; every other layer holds z_max.
+    [0, 2*z_max). For i >= 1 the anchor is the point of layer i azimuthally
+    nearest sector j0; region 0 borrows layer 1. index is the anchor's
+    closed-form codeword index (1-based) and a its azimuth in sectors of
+    pi/z_max. `half_layers` rings of z_max/2 points sit in each polar cap,
+    where the nearest point snaps to sector 4k (odd layers) or 4k + 1 (even
+    layers); every other layer holds z_max.
     """
     layer = np.maximum(np.asarray(i, dtype=np.int64), 1)
     m = _ring_step(layer, l, half_layers)
-    k, _ = _nearest_vertex(layer, np.asarray(j0, dtype=np.int64), m)
+    k, a = _nearest_vertex(layer, np.asarray(j0, dtype=np.int64), m)
     index = (layer - 1) * z_max + k % (2 * z_max // m) + 1
     if half_layers:
         halves_above = (np.minimum(layer - 1, half_layers)
                         + np.maximum(layer - 1 - (l - half_layers), 0))
         index -= halves_above * (z_max // 2)
-    return index
+    return index, a
 
 
-def _candidate_azimuth_offset(ic, j0, z_max: int, l: int, half_layers: int, phi_z):
-    """|phi_z - azimuth of layer ic's point nearest sector j0|.
+class ZoptDetector:
+    """Grid lookup plus at most four distance evaluations per decision.
 
-    Full layers alternate their azimuth offset with layer parity; cap rings
-    keep every other vertex, so their nearest point snaps to sector 4k (odd
-    layers) or 4k + 1 (even layers).
-    """
-    ic = np.asarray(ic, dtype=np.int64)
-    _, a = _nearest_vertex(ic, np.asarray(j0, dtype=np.int64), _ring_step(ic, l, half_layers))
-    return np.abs(np.asarray(phi_z) - a * (math.pi / z_max))
-
-
-class ZOptDetectorState:
-    """Angles and structure needed to detect a layered constellation.
-
-    Holds l polar angles plus O(1) structure fields; detection never touches
-    the codeword list. An explicit anchor table can be materialized for
-    validation via `anchor_table`.
+    Holds only the layer structure and the l polar angles of a
+    `ZOptConstellation`, never its codeword array: the closed-form
+    cell-to-index map names the winning codeword.
     """
 
-    def __init__(self, structure: ZOptStructure, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if len(theta) != structure.l or np.any(np.diff(theta) <= 0.0):
-            raise InvalidInputError("need l strictly increasing layer angles")
-        self.structure = structure
-        self.theta = theta
-
-    @classmethod
-    def from_constellation(cls, z: ZOptConstellation) -> "ZOptDetectorState":
-        if int(sum(z.structure.Z_l)) != len(z.constellation):
-            raise InvalidInputError("structure does not match the constellation size")
-        return cls(z.structure, z.theta)
+    def __init__(self, z: ZOptConstellation):
+        self.structure = z.structure
+        self.theta = z.theta
 
     def anchor_index(self, i, j0):
         """1-based codeword index anchored to grid cell (i, j0)."""
         s = self.structure
-        return cell_anchor_index(i, j0, s.z_max, s.l, s.half_layers)
+        return cell_vertex(i, j0, s.z_max, s.l, s.half_layers)[0]
 
     def anchor_table(self) -> np.ndarray:
         """(l+1, 2*z_max) table of anchor indices for every grid cell."""
@@ -286,41 +269,23 @@ class ZOptDetectorState:
         )
         return self.anchor_index(ii, jj)
 
-
-class ZoptDetector:
-    """Grid lookup plus at most four distance evaluations per decision."""
-
-    def __init__(self, z):
-        if isinstance(z, ZOptDetectorState):
-            self.state = z
-        else:
-            self.state = ZOptDetectorState.from_constellation(z)
-
     def detect_batch(self, Ys: np.ndarray):
         return self.detect_points(rough_estimate_batch(_checked(Ys)))
 
     def detect_points(self, est: np.ndarray):
         """Detect from raw (unnormalized) direction estimates, batched."""
-        s = self.state.structure
-        theta_arr = self.state.theta
+        s = self.structure
         theta_z, phi_z = _angles_of_raw(est)
         n = len(est)
         j0 = azimuth_region(phi_z, s.z_max)
-        i = polar_region(theta_z, theta_arr)
+        i = polar_region(theta_z, self.theta)
         cand = np.clip(i[:, None] + np.array([-1, 0, 1, 2]), 1, s.l)
         dup = np.zeros_like(cand, dtype=bool)
         dup[:, 1:] = cand[:, 1:] == cand[:, :-1]
-        dphi = _candidate_azimuth_offset(
-            cand, j0[:, None], s.z_max, s.l, s.half_layers, phi_z[:, None]
-        )
-        th_c = theta_arr[cand - 1]
-        half = 0.5 * (th_c - theta_z[:, None])
-        rad = np.sin(half) ** 2 + (
-            np.sin(th_c) * np.sin(theta_z[:, None]) * np.sin(dphi / 2.0) ** 2
-        )
-        d = 2.0 * np.sqrt(np.maximum(rad, 0.0))
+        anchors, a = cell_vertex(cand, j0[:, None], s.z_max, s.l, s.half_layers)
+        dphi = np.abs(phi_z[:, None] - a * (math.pi / s.z_max))
+        d = diagonal_chord(self.theta[cand - 1], theta_z[:, None], dphi)
         d[dup] = np.inf
-        anchors = self.state.anchor_index(cand, j0[:, None])
         dmin = d.min(axis=1)
         best = np.where(d == dmin[:, None], anchors, np.iinfo(np.int64).max).min(axis=1)
         evals = (~dup).sum(axis=1).astype(np.int64)

@@ -1,9 +1,11 @@
-"""On-disk formats: constellation JSON, result CSV/JSON, and run configs.
+"""On-disk formats: constellation JSON and result CSV/JSON.
 
 Every file this package writes carries the tool version, a hash of the
 generating configuration and the seed, so any figure can be reproduced from
 its own header. Formats are versioned and readers reject files from a future
-major version.
+major version. A constellation file with a `zopt` block loads as the
+`ZOptConstellation` its layer angles realize, and only if those codewords
+match the file's rows to within 1e-12 in every entry.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,6 +24,10 @@ from .geometry import Constellation
 from .zopt import ZOptConstellation, zopt_structure
 
 FORMAT_VERSION = 1
+
+#: largest difference, in any real entry, between a z-opt file's codeword rows
+#: and the rows its `zopt` angles realize
+_ZOPT_ROW_TOL = 1e-12
 
 
 def config_hash(obj) -> str:
@@ -43,31 +49,30 @@ def _check_version(data, path):
 
 def constellation_to_dict(x, seed=None, extra_config=None) -> dict:
     """JSON payload for a Constellation or ZOptConstellation."""
-    z = x if isinstance(x, ZOptConstellation) else None
-    c = z.constellation if z is not None else x
-    b = c.B
+    b = x.B
     data = {
         "format_version": FORMAT_VERSION,
         "tool_version": __version__,
-        "method": c.method,
+        "method": x.method,
         "B": int(b) if float(b).is_integer() else float(b),
         "T": 2,
         "M": 1,
         "seed": seed,
-        "config_hash": config_hash({"method": c.method, "B": b, "seed": seed,
+        "config_hash": config_hash({"method": x.method, "B": b, "seed": seed,
                                     "extra": extra_config}),
-        "codewords": c.array.view(np.float64).reshape(len(c), 4).tolist(),
+        "codewords": x.array.view(np.float64).reshape(len(x), 4).tolist(),
     }
-    if z is not None:
+    if isinstance(x, ZOptConstellation):
+        s = x.structure
         data["zopt"] = {
-            "B": z.structure.B,
-            "C": z.structure.C,
-            "l": z.structure.l,
-            "Z_l": list(z.structure.Z_l),
-            "z_max": z.structure.z_max,
-            "n_v": z.structure.n_v,
-            "theta": [float(t) for t in z.theta],
-            "layer_offsets": list(z.structure.layer_offsets),
+            "B": s.B,
+            "C": s.C,
+            "l": s.l,
+            "Z_l": list(s.Z_l),
+            "z_max": s.z_max,
+            "n_v": s.n_v,
+            "theta": [float(t) for t in x.theta],
+            "layer_offsets": list(s.layer_offsets),
         }
     return data
 
@@ -79,7 +84,12 @@ def save_constellation(path, x, seed=None, extra_config=None) -> None:
 
 
 def constellation_from_dict(data, path=None):
-    """Rebuild (Constellation, ZOptConstellation | None) from a JSON payload."""
+    """Rebuild the Constellation from a JSON payload.
+
+    A payload with a `zopt` block gives the ZOptConstellation that its layer
+    angles realize; the payload's codeword rows must match those within
+    1e-12 in every entry.
+    """
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object", path=path)
     _check_version(data, path)
@@ -92,34 +102,47 @@ def constellation_from_dict(data, path=None):
         rows = np.asarray(data["codewords"])
         if rows.dtype.kind not in "biuf" or rows.ndim != 2 or rows.shape[1] != 4:
             raise ValueError("codewords must be rows of 4 numbers [re0, im0, re1, im1]")
-        points = rows.astype(np.float64, copy=False).view(np.complex128)
-        constellation = Constellation(points, data["method"], data["B"])
+        rows = rows.astype(np.float64, copy=False)
+        if "zopt" not in data:
+            return Constellation(rows.view(np.complex128), data["method"], data["B"])
     except (TypeError, ValueError, InvalidInputError) as exc:
         raise FormatError(f"bad codeword data: {exc}", path=path) from exc
-    zopt = None
-    if "zopt" in data:
-        zd = data["zopt"]
-        try:
-            structure = zopt_structure(int(zd["B"]))
-            Z_l = tuple(int(z) for z in zd["Z_l"])
-            l = int(zd["l"])
-            theta = np.asarray(zd["theta"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
-        if sum(structure.Z_l) != len(constellation):
-            raise FormatError("layer sizes do not match the codeword count", path=path)
-        if (l, Z_l) != (structure.l, structure.Z_l):
-            # e.g. a B = 7 file from before B = 7 moved to ten layers
-            raise FormatError(
-                f"layer sizes {list(Z_l)} ({l} layers) do not match the B={structure.B} "
-                f"structure {list(structure.Z_l)} ({structure.l} layers); "
-                "rebuild the constellation", path=path)
-        try:
-            zopt = ZOptConstellation(structure=structure, theta=theta,
-                                     constellation=constellation)
-        except InvalidInputError as exc:
-            raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
-    return constellation, zopt
+    zd = data["zopt"]
+    try:
+        structure = zopt_structure(int(zd["B"]))
+        Z_l = tuple(int(z) for z in zd["Z_l"])
+        l = int(zd["l"])
+        theta = np.asarray(zd["theta"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
+    if structure.C != len(rows):
+        raise FormatError("layer sizes do not match the codeword count", path=path)
+    if (l, Z_l) != (structure.l, structure.Z_l):
+        # e.g. a B = 7 file from before B = 7 moved to ten layers
+        raise FormatError(
+            f"layer sizes {list(Z_l)} ({l} layers) do not match the B={structure.B} "
+            f"structure {list(structure.Z_l)} ({structure.l} layers); "
+            "rebuild the constellation", path=path)
+    if (data["method"], data["B"]) != ("z-opt", structure.B):
+        raise FormatError(
+            f"a zopt block needs method 'z-opt' and B={structure.B}, "
+            f"not {data['method']!r} and B={data['B']!r}", path=path)
+    try:
+        z = ZOptConstellation(structure, theta)
+    except InvalidInputError as exc:
+        raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
+    # the rebuilt rows are valid codewords, so matching them validates the file's
+    gap = np.abs(z.array.view(np.float64).reshape(len(rows), 4) - rows).max(axis=1)
+    bad = np.flatnonzero(~(gap <= _ZOPT_ROW_TOL))
+    if len(bad):
+        k = int(bad[0])
+        if not np.isfinite(gap[k]):
+            raise FormatError(f"bad codeword data: codeword {k} has non-finite entries",
+                              path=path)
+        raise FormatError(
+            f"codeword {k} differs by {gap[k]:.3g} from the one the zopt layer angles "
+            f"realize (tolerance {_ZOPT_ROW_TOL:g}); rebuild the constellation", path=path)
+    return z
 
 
 def load_constellation(path):
@@ -197,65 +220,3 @@ def bench_rows(reports: list[BenchReport]):
         for r in reports
     ]
     return header, rows
-
-
-# ---------------------------------------------------------------------------
-# run configuration files
-
-_ALLOWED_PARAMS = {
-    "construct": {"method", "B", "seed", "packing_file", "alpha", "symbols",
-                  "output", "report", "starts", "phase1_iters", "phase2_sweeps"},
-    "evaluate": {"inputs", "output"},
-    "bound": {"c_min", "c_max", "output"},
-    "simulate": {"constellation", "detector", "snr_db", "trials", "N", "seed",
-                 "output", "json_output"},
-    "bench": {"constellation", "detectors", "trials", "N", "seed", "snr_db", "output"},
-    "detect": {"constellation", "detector", "input", "output"},
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One subcommand invocation, round-trippable through JSON."""
-
-    command: str
-    params: dict
-    format_version: int = FORMAT_VERSION
-
-    def __post_init__(self):
-        if self.command not in _ALLOWED_PARAMS:
-            raise InvalidInputError(f"unknown command {self.command!r}")
-        unknown = set(self.params) - _ALLOWED_PARAMS[self.command]
-        if unknown:
-            raise InvalidInputError(
-                f"unknown parameter(s) for {self.command}: {sorted(unknown)}"
-            )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"format_version": self.format_version, "command": self.command,
-             "params": self.params},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str, path=None) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}", path=path) from exc
-        _check_version(data, path)
-        unknown = set(data) - {"format_version", "command", "params"}
-        if unknown:
-            raise FormatError(f"unknown top-level field(s): {sorted(unknown)}", path=path)
-        try:
-            return cls(command=data["command"], params=dict(data["params"]),
-                       format_version=data.get("format_version", 1))
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc}", path=path) from exc
-        except InvalidInputError as exc:
-            raise FormatError(str(exc), path=path) from exc
-
-    @property
-    def hash(self) -> str:
-        return config_hash({"command": self.command, "params": self.params})

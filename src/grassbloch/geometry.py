@@ -239,13 +239,6 @@ class Constellation:
         return self._min_distance
 
 
-def min_chordal_distance(x: Constellation) -> float:
-    """Smallest chordal distance over all codeword pairs."""
-    if len(x) < 2:
-        raise InvalidInputError("need at least two codewords")
-    return x.min_chordal_distance
-
-
 # ---------------------------------------------------------------------------
 # array helpers shared by the builders, detectors and simulator
 

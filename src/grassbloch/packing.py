@@ -103,28 +103,36 @@ def exact_packing(C: int) -> PackingSet:
     return _make(pts, "exact")
 
 
+#: phase-1 temperature at the start and the end, as fractions of the running
+#: minimum distance; it decays geometrically in between
+_EPS_START = 0.5
+_EPS_FINAL = 0.02
+#: phase-1 step, as a fraction of the temperature, for the largest gradient entry
+_STEP_SCALE = 0.5
+#: phase-2 step bounds, as fractions of the minimum distance
+_PHASE2_STEP = 0.05
+_MIN_STEP = 1e-13
+#: start spread around the spiral, as a fraction of the nominal spacing
+_INIT_NOISE = 0.25
+
+
 @dataclass(frozen=True)
 class PackingConfig:
-    """Optimizer settings; the defaults are tuned for C up to a few thousand.
+    """Optimizer budget; the defaults are tuned for C up to a few thousand.
 
     Phase 1 follows the gradient of a softened minimum (log-sum-exp of negative
-    pairwise distances) while the temperature decays geometrically from
-    `eps_start` to `eps_final`, both as fractions of the running minimum
-    distance. Phase 2 polishes with direct maximin ascent: every point whose
-    nearest neighbor sits within `active_slack` of the global minimum moves
-    away from its near-critical neighbors, and a step is kept only when the
-    global minimum improves.
+    pairwise distances) for `phase1_iters` steps while the temperature decays
+    geometrically from `_EPS_START` to `_EPS_FINAL` of the running minimum
+    distance. Phase 2 polishes with direct maximin ascent for up to
+    `phase2_sweeps` sweeps: every point whose nearest neighbor sits near the
+    global minimum moves away from its near-critical neighbors, and a step is
+    kept only when the global minimum improves. Each of `starts` restarts
+    perturbs the spiral start differently.
     """
 
     starts: int = 4
     phase1_iters: int = 500
-    eps_start: float = 0.5
-    eps_final: float = 0.02
-    step_scale: float = 0.5
     phase2_sweeps: int = 2000
-    phase2_step: float = 0.05
-    min_step: float = 1e-13
-    init_noise: float = 0.25
 
 
 def fibonacci_points(C: int) -> np.ndarray:
@@ -168,10 +176,10 @@ def _renormalize(points: np.ndarray) -> np.ndarray:
 
 def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     n = len(points)
-    decay = (cfg.eps_final / cfg.eps_start) ** (1.0 / max(cfg.phase1_iters - 1, 1))
+    decay = (_EPS_FINAL / _EPS_START) ** (1.0 / max(cfg.phase1_iters - 1, 1))
     d = _pairwise_distances(points)
     np.fill_diagonal(d, np.inf)
-    eps = cfg.eps_start * float(d.min())
+    eps = _EPS_START * float(d.min())
     for _ in range(cfg.phase1_iters):
         d = _pairwise_distances(points)
         np.fill_diagonal(d, np.inf)
@@ -186,7 +194,7 @@ def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
         g = _project_tangent(points, g)
         gmax = float(np.abs(g).max())
         if gmax > 0:
-            points = _renormalize(points + (cfg.step_scale * eps / gmax) * g)
+            points = _renormalize(points + (_STEP_SCALE * eps / gmax) * g)
         eps *= decay
     return points
 
@@ -198,13 +206,13 @@ def _maximin_polish(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     pairs that truly attain the minimum keep steering the configuration.
     A step is kept only when the global minimum improves.
     """
-    step = cfg.phase2_step
+    step = _PHASE2_STEP
     d = _pairwise_distances(points)
     np.fill_diagonal(d, np.inf)
     best_f = float(d.min())
     best_points = points.copy()
     for _ in range(cfg.phase2_sweeps):
-        if step < cfg.min_step:
+        if step < _MIN_STEP:
             break
         d = _pairwise_distances(best_points)
         np.fill_diagonal(d, np.inf)
@@ -232,7 +240,7 @@ def _maximin_polish(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
         if ft > best_f:
             best_points = trial
             best_f = ft
-            step = min(step * 1.3, cfg.phase2_step)
+            step = min(step * 1.3, _PHASE2_STEP)
         else:
             step *= 0.5
     return best_points
@@ -255,7 +263,7 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
     for start in range(max(cfg.starts, 1)):
         key = rng.stream_key(seed, 0x5048, start)
         noise = rng.complex_normal(key, 2 * np.arange(3 * C, dtype=np.uint64)).real
-        noise = noise.reshape(C, 3) * (cfg.init_noise * nominal)
+        noise = noise.reshape(C, 3) * (_INIT_NOISE * nominal)
         pts = _renormalize(base + _project_tangent(base, noise))
         pts = _softmin_phase(pts, cfg)
         pts = _maximin_polish(pts, cfg)

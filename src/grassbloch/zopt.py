@@ -317,22 +317,6 @@ def optimize_zopt(s: ZOptStructure) -> np.ndarray:
 # constellation realization
 
 
-@dataclass(frozen=True)
-class ZOptConstellation:
-    """A built layered constellation plus the structure its detector needs."""
-
-    structure: ZOptStructure
-    theta: np.ndarray
-    constellation: Constellation
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        if len(theta) != self.structure.l or np.any(np.diff(theta) <= 0.0):
-            raise InvalidInputError("theta must hold l strictly increasing angles")
-
-
 def layer_azimuths(s: ZOptStructure, layer: int) -> np.ndarray:
     """Azimuths of the points in 1-based layer `layer` (offset alternates by parity)."""
     z = s.Z_l[layer - 1]
@@ -352,6 +336,29 @@ def realize_codewords(theta: np.ndarray, s: ZOptStructure) -> np.ndarray:
     return np.vstack(rows)
 
 
+class ZOptConstellation(Constellation):
+    """A layered constellation: the codewords that `structure` and the l
+    polar angles `theta` realize, with both kept for the layered detector."""
+
+    def __init__(self, structure: ZOptStructure, theta):
+        theta = np.array(theta, dtype=np.float64)
+        if theta.shape != (structure.l,) or not np.all(np.diff(theta) > 0.0):
+            raise InvalidInputError("theta must hold l strictly increasing angles")
+        theta.setflags(write=False)
+        super().__init__(realize_codewords(theta, structure), "z-opt", structure.B)
+        self._structure = structure
+        self._theta = theta
+
+    @property
+    def structure(self) -> ZOptStructure:
+        return self._structure
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Read-only polar angle of each of the l layers, increasing."""
+        return self._theta
+
+
 def build_z_opt(B: int) -> ZOptConstellation:
     """Construct the layered constellation for 1 <= B <= 16."""
     s = zopt_structure(B)
@@ -359,6 +366,4 @@ def build_z_opt(B: int) -> ZOptConstellation:
         free = np.asarray(_CLOSED_FORM_THETA[B])
     else:
         free = optimize_zopt(s)
-    theta = expand_theta(free, s)
-    constellation = Constellation(realize_codewords(theta, s), method="z-opt", B=B)
-    return ZOptConstellation(structure=s, theta=theta, constellation=constellation)
+    return ZOptConstellation(s, expand_theta(free, s))

@@ -18,7 +18,7 @@ from grassbloch.builders import (
     exp_map_constellation,
 )
 from grassbloch.channel import bench_detectors, run_ser
-from grassbloch.detectors import GlrtDetector, ZOptDetectorState, ZoptDetector
+from grassbloch.detectors import GlrtDetector, ZoptDetector
 from grassbloch.geometry import bloch_array, fejes_toth_bound
 from grassbloch.packing import EXACT_COUNTS, PackingConfig, exact_packing, optimize_packing, softmin_objective, fibonacci_points
 from grassbloch.zopt import build_z_opt, candidate_distances, zopt_structure
@@ -88,7 +88,7 @@ def test_criterion_2_bound_attainment(zopts):
         details.append(f"C={C}: |d-b|={abs(d - b):.1e}")
     closed = {1: 1.0, 2: math.sqrt(6.0) / 3.0, 3: math.sqrt((4.0 - math.sqrt(2.0)) / 7.0)}
     for B, expected in closed.items():
-        d = zopts[B].constellation.min_chordal_distance
+        d = zopts[B].min_chordal_distance
         ok &= abs(d - expected) <= 1e-9
         details.append(f"B={B}: |d-closed|={abs(d - expected):.1e}")
     assert report(2, ok, "; ".join(details))
@@ -104,7 +104,7 @@ def test_criterion_3_bound_compliance(zopts, families46):
                 build_man_opt(C, seed=SEED + 2, config=LIGHT if C >= 256 else MID),
                 exp_map_constellation(B),
                 build_cube_split(B)]
-        sets.append(zopts[B].constellation)
+        sets.append(zopts[B])
         if B % 2 == 0:
             sets.append(build_grass_lattice(B // 2))
         for x in sets:
@@ -121,7 +121,7 @@ def test_criterion_4_zopt_near_optimality(zopts):
     consistency_ok = True
     for B in range(1, 13):
         z = zopts[B]
-        d = z.constellation.min_chordal_distance
+        d = z.min_chordal_distance
         cd = candidate_distances(z.theta[: z.structure.n_v], z.structure)
         consistency_ok &= abs(cd.minimum / 2.0 - d) <= 1e-12
         if 2**B >= 3:
@@ -265,12 +265,11 @@ def test_criterion_10_anchor_table_voronoi(zopts):
     ok = True
     for B in range(1, 9):
         z = zopts[B]
-        state = ZOptDetectorState.from_constellation(z)
-        ok &= np.array_equal(state.anchor_table(), geometric_anchor_table(z))
+        ok &= np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
 
         # dense interior sampling labeled by the exhaustive detector
         s = z.structure
-        glrt = GlrtDetector(z.constellation)
+        glrt = GlrtDetector(z)
         det = ZoptDetector(z)
         edges = np.concatenate([[0.0], z.theta, [math.pi]])
         t_samples = []

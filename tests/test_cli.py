@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from grassbloch.channel import effective_chunk, make_detector
-from grassbloch.cli import MAX_SNR_POINTS, _load_for_detector, _parse_snr, main
+from grassbloch.cli import MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import InvalidInputError
+from grassbloch.formats import load_constellation
 
 
 def run(args):
@@ -324,9 +325,9 @@ class TestDetect:
     def test_rows_beyond_one_chunk_match_per_row(self, tmp_path):
         x = tmp_path / "z12.json"
         assert run(["construct", "--method", "z-opt", "-B", 12, "-o", x]) == 0
-        target, constellation = _load_for_detector(x, "zopt")
+        target = load_constellation(x)
         rows, N = 1100, 2
-        assert rows > effective_chunk(rows, len(constellation), N)
+        assert rows > effective_chunk(rows, len(target), N)
         rng = np.random.default_rng(12)
         vals = rng.standard_normal((rows, 4 * N))
         rx = tmp_path / "rx.csv"
@@ -351,6 +352,32 @@ class TestDetect:
         rx.write_text("1 0 0 0\n")
         assert run(["detect", "--constellation", out, "--detector", "zopt",
                     "--input", rx]) == 2
+
+
+class TestLayerAnglesMustMatchCodewords:
+    # angles shifted but still increasing: before the loader rebuilt the
+    # codewords from them, zopt silently disagreed with glrt on such a file
+    @pytest.fixture()
+    def shifted_file(self, tmp_path):
+        good = tmp_path / "z6.json"
+        assert run(["construct", "--method", "z-opt", "-B", 6, "-o", good]) == 0
+        data = json.loads(good.read_text())
+        data["zopt"]["theta"] = [t + 0.07 for t in data["zopt"]["theta"]]
+        bad = tmp_path / "z6_shifted.json"
+        bad.write_text(json.dumps(data))
+        return bad
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--detector", "zopt", "--input", "RX"],
+        ["simulate", "--detector", "zopt", "--snr", "10", "--trials", 500],
+        ["bench", "--detectors", "glrt,zopt", "--trials", 2000, "-N", 2],
+    ])
+    def test_exit_3(self, tmp_path, shifted_file, capsys, argv):
+        rx = tmp_path / "rx.csv"
+        rx.write_text("1 0 0.3 0.1\n")
+        argv = [rx if a == "RX" else a for a in argv]
+        assert run(argv[:1] + ["--constellation", shifted_file] + argv[1:]) == 3
+        assert "differ" in capsys.readouterr().err
 
 
 def test_explicit_report_path(tmp_path):

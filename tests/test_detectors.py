@@ -8,17 +8,17 @@ from grassbloch.channel import bench_detectors, make_detector
 from grassbloch.detectors import (
     GlrtDetector,
     SoptDetector,
-    ZOptDetectorState,
     ZoptDetector,
     _checked,
     azimuth_region,
+    cell_vertex,
     polar_region,
     rough_estimate,
 )
 from grassbloch.errors import DegenerateInputError, InvalidInputError
 from grassbloch.geometry import Constellation, canonicalize_array
 from grassbloch.packing import exact_packing
-from grassbloch.zopt import build_z_opt, layer_azimuths, zopt_structure
+from grassbloch.zopt import ZOptConstellation, build_z_opt, layer_azimuths, zopt_structure
 
 
 def noiseless_observation(codeword_row, h=0.8 - 0.6j, N=1):
@@ -155,13 +155,10 @@ class TestAnchorClosedForm:
     @pytest.mark.parametrize("B", list(range(1, 9)))
     def test_matches_geometry(self, B):
         z = build_z_opt(B)
-        state = ZOptDetectorState.from_constellation(z)
-        assert np.array_equal(state.anchor_table(), geometric_anchor_table(z))
+        assert np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
 
     def test_first_cell_anchor_b4(self):
-        z = build_z_opt(4)
-        state = ZOptDetectorState.from_constellation(z)
-        assert int(state.anchor_index(1, 0)) == 1
+        assert int(ZoptDetector(build_z_opt(4)).anchor_index(1, 0)) == 1
 
 
 class TestCandidateOffsets:
@@ -169,22 +166,18 @@ class TestCandidateOffsets:
     def test_offset_is_distance_to_anchor_azimuth(self, B):
         # the azimuth offset used in the candidate metric must equal the
         # angular distance from the query to the anchor codeword's own azimuth
-        from grassbloch.detectors import _candidate_azimuth_offset
-
         z = build_z_opt(B)
         s = z.structure
-        state = ZOptDetectorState.from_constellation(z)
-        arr = z.constellation.array
+        arr = z.array
         h = math.pi / s.z_max
         rng = np.random.default_rng(B)
         for j0 in range(2 * s.z_max):
             phi_z = (j0 + rng.uniform(0.05, 0.95)) * h
             for ic in range(1, s.l + 1):
-                got = float(_candidate_azimuth_offset(
-                    np.asarray([ic]), np.asarray([j0]), s.z_max, s.l,
-                    s.half_layers, np.asarray([phi_z])
-                )[0])
-                anchor = int(state.anchor_index(ic, j0)) - 1
+                index, a = cell_vertex(np.asarray([ic]), np.asarray([j0]), s.z_max,
+                                       s.l, s.half_layers)
+                got = abs(phi_z - float(a[0]) * h)
+                anchor = int(index[0]) - 1
                 c1 = arr[anchor, 1]
                 phi_anchor = float(np.angle(c1) % (2.0 * math.pi))
                 gap = abs(phi_z - phi_anchor)
@@ -197,7 +190,7 @@ class TestZoptDetector:
     def test_noiseless_exact_recovery(self, B):
         z = build_z_opt(B)
         det = ZoptDetector(z)
-        pts = z.constellation.array
+        pts = z.array
         rng = np.random.default_rng(B)
         h = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
         Y = math.sqrt(2.0) * pts[:, :, None] * h[:, None, None]
@@ -211,7 +204,7 @@ class TestZoptDetector:
         # a tie there is resolved by arithmetic noise, not by either rule)
         for B in (3, 4, 5, 7):
             z = build_z_opt(B)
-            glrt = GlrtDetector(z.constellation)
+            glrt = GlrtDetector(z)
             det = ZoptDetector(z)
             thetas = np.linspace(0.0213, math.pi - 0.0131, 40)
             phis = np.linspace(0.0137, 2.0 * math.pi - 0.0119, 80)
@@ -228,14 +221,34 @@ class TestZoptDetector:
 
     def test_functional_entry(self):
         z = build_z_opt(4)
-        res = ZoptDetector(z).detect(noiseless_observation(z.constellation.array[5]))
+        res = ZoptDetector(z).detect(noiseless_observation(z.array[5]))
         assert res.index == 5
         assert res.distance_evals <= 4
 
     def test_state_requires_sorted_theta(self):
         s = zopt_structure(4)
         with pytest.raises(InvalidInputError):
-            ZOptDetectorState(s, np.array([1.0, 0.5, 2.0, 2.5]))
+            ZOptConstellation(s, np.array([1.0, 0.5, 2.0, 2.5]))
+
+    @pytest.mark.parametrize("B", list(range(4, 17)))
+    def test_state_is_structure_and_angles(self, B):
+        # the paper's O(sqrt(C)) detector state: nothing the detector holds,
+        # however deeply, is an array or tuple longer than the l layers
+        z = build_z_opt(B)
+        assert isinstance(z, Constellation)
+        det = ZoptDetector(z)
+        l = z.structure.l
+        stack = list(vars(det).values())
+        while stack:
+            v = stack.pop()
+            assert not isinstance(v, Constellation)
+            if isinstance(v, np.ndarray):
+                assert v.size <= l
+            elif isinstance(v, (tuple, list)):
+                assert len(v) <= l
+                stack.extend(v)
+            elif hasattr(v, "__dict__"):
+                stack.extend(vars(v).values())
 
 
 class TestMakeDetector:
@@ -255,7 +268,7 @@ class TestRejectedObservations:
     def test_non_finite(self, tag):
         z = build_z_opt(4)
         det = make_detector(tag, z)
-        Ys = np.tile(noiseless_observation(z.constellation.array[1], N=2), (3, 1, 1))
+        Ys = np.tile(noiseless_observation(z.array[1], N=2), (3, 1, 1))
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             Ys_bad = Ys.copy()
             Ys_bad[1, 0, 1] = bad
@@ -267,7 +280,7 @@ class TestRejectedObservations:
     @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
     def test_zero_row_in_batch(self, tag):
         z = build_z_opt(4)
-        Ys = np.tile(noiseless_observation(z.constellation.array[1], N=2), (3, 1, 1))
+        Ys = np.tile(noiseless_observation(z.array[1], N=2), (3, 1, 1))
         Ys[2] = 0.0
         with pytest.raises(DegenerateInputError):
             make_detector(tag, z).detect_batch(Ys)
@@ -288,7 +301,7 @@ class TestExtremeScale:
     def test_power_of_two_scaling(self, tag):
         z = build_z_opt(6)
         rng = np.random.default_rng(12)
-        rows = z.constellation.array[rng.integers(0, len(z.constellation), 64)]
+        rows = z.array[rng.integers(0, len(z), 64)]
         Ys = np.stack([noiseless_observation(r, h=complex(*rng.standard_normal(2)), N=3)
                        for r in rows])
         Ys += 0.3 * (rng.standard_normal(Ys.shape) + 1j * rng.standard_normal(Ys.shape))

@@ -6,10 +6,9 @@ import pytest
 
 from grassbloch.builders import build_s_opt
 from grassbloch.channel import run_ser
-from grassbloch.errors import FormatError, InvalidInputError
+from grassbloch.errors import FormatError
 from grassbloch.formats import (
     FORMAT_VERSION,
-    RunConfig,
     config_hash,
     constellation_from_dict,
     constellation_to_dict,
@@ -19,7 +18,8 @@ from grassbloch.formats import (
     write_csv,
 )
 from grassbloch.packing import exact_packing
-from grassbloch.zopt import build_z_opt
+from grassbloch.geometry import Constellation
+from grassbloch.zopt import ZOptConstellation, build_z_opt
 
 
 class TestConstellationJson:
@@ -27,8 +27,8 @@ class TestConstellationJson:
         x = build_s_opt(exact_packing(4))
         path = tmp_path / "c.json"
         save_constellation(path, x, seed=7)
-        back, zopt = load_constellation(path)
-        assert zopt is None
+        back = load_constellation(path)
+        assert type(back) is Constellation
         assert back.method == "s-opt" and len(back) == 4
         assert np.allclose(back.array, x.array)
 
@@ -36,13 +36,47 @@ class TestConstellationJson:
         z = build_z_opt(5)
         path = tmp_path / "z.json"
         save_constellation(path, z, seed=0)
-        back, zback = load_constellation(path)
-        assert zback is not None
-        assert zback.structure.B == 5
-        assert np.allclose(zback.theta, z.theta)
+        back = load_constellation(path)
+        assert isinstance(back, ZOptConstellation)
+        assert back.structure.B == 5
+        assert np.allclose(back.theta, z.theta)
         # the writer still emits the layer offsets; the reader ignores them
         assert json.loads(path.read_text())["zopt"]["layer_offsets"] == [0, 4, 12, 20, 28]
-        assert np.allclose(back.array, z.constellation.array)
+        assert np.allclose(back.array, z.array)
+
+    @pytest.mark.parametrize("B", list(range(1, 17)))
+    def test_layered_rows_rebuild_bitwise(self, B):
+        # the loader rebuilds the codewords from the angles; for every file
+        # this program writes they equal the saved rows bit for bit
+        z = build_z_opt(B)
+        back = constellation_from_dict(json.loads(json.dumps(constellation_to_dict(z))))
+        assert back.array.tobytes() == z.array.tobytes()
+        assert back.theta.tobytes() == z.theta.tobytes()
+
+    @pytest.mark.parametrize("shift", [0.05, 0.1])
+    def test_layer_block_perturbed_theta(self, shift):
+        # angles still increasing, but they no longer realize the codewords
+        d = constellation_to_dict(build_z_opt(6))
+        d["zopt"]["theta"] = [t + shift for t in d["zopt"]["theta"]]
+        with pytest.raises(FormatError, match="differ"):
+            constellation_from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [("method", "s-opt"), ("B", 2)])
+    def test_layer_block_needs_zopt_header(self, key, value):
+        d = constellation_to_dict(build_z_opt(3))
+        d[key] = value
+        with pytest.raises(FormatError, match="needs method 'z-opt' and B=3"):
+            constellation_from_dict(d)
+
+    @pytest.mark.parametrize("moved, loads", [(1e-13, True), (1e-11, False)])
+    def test_layer_block_row_tolerance(self, moved, loads):
+        d = constellation_to_dict(build_z_opt(6))
+        d["codewords"][17][3] += moved
+        if loads:
+            assert constellation_from_dict(d).array.tobytes() == build_z_opt(6).array.tobytes()
+        else:
+            with pytest.raises(FormatError, match="differ"):
+                constellation_from_dict(d)
 
     def test_required_header_fields(self):
         x = build_s_opt(exact_packing(4))
@@ -142,7 +176,7 @@ class TestConstellationJson:
         x = build_s_opt(exact_packing(12))
         path = tmp_path / "c12.json"
         save_constellation(path, x)
-        back, _ = load_constellation(path)
+        back = load_constellation(path)
         assert len(back) == 12
         assert back.B == pytest.approx(math.log2(12))
 
@@ -175,31 +209,3 @@ class TestConfigHash:
     def test_sensitive(self):
         assert config_hash({"a": 1}) != config_hash({"a": 2})
 
-
-class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig("simulate", {"constellation": "x.json", "detector": "glrt",
-                                     "snr_db": [0, 10], "trials": 100, "N": 2,
-                                     "seed": 1})
-        back = RunConfig.from_json(cfg.to_json())
-        assert back == cfg
-        assert back.hash == cfg.hash
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RunConfig("simulate", {"detector": "glrt", "turbo": True})
-
-    def test_unknown_command(self):
-        with pytest.raises(InvalidInputError):
-            RunConfig("deploy", {})
-
-    def test_unknown_top_level_rejected(self):
-        blob = json.dumps({"command": "bound", "params": {}, "extra": 1})
-        with pytest.raises(FormatError):
-            RunConfig.from_json(blob)
-
-    def test_future_version_rejected(self):
-        blob = json.dumps({"format_version": FORMAT_VERSION + 1,
-                           "command": "bound", "params": {}})
-        with pytest.raises(FormatError):
-            RunConfig.from_json(blob)

@@ -18,7 +18,6 @@ from grassbloch.geometry import (
     codeword_to_bloch,
     euclidean_distance,
     fejes_toth_bound,
-    min_chordal_distance,
     min_chordal_distance_array,
     pairwise_min_bloch_dot,
 )
@@ -240,7 +239,7 @@ def rows_of(codewords):
 class TestConstellation:
     def test_min_distance_poles(self):
         x = Constellation([[1.0, 0.0], [0.0, 1.0]], "external", 1)
-        assert min_chordal_distance(x) == pytest.approx(1.0, abs=1e-15)
+        assert x.min_chordal_distance == pytest.approx(1.0, abs=1e-15)
 
     def test_duplicate_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -271,7 +270,7 @@ class TestConstellation:
             chordal_distance(a, b)
             for i, a in enumerate(cws) for b in cws[i + 1:]
         )
-        assert min_chordal_distance(x) == pytest.approx(brute, abs=1e-12)
+        assert x.min_chordal_distance == pytest.approx(brute, abs=1e-12)
 
     def test_bloch_array_matches_scalar(self):
         cws = random_codewords(10, seed=9)
@@ -419,7 +418,7 @@ class TestClosestPairSweep:
 
     @pytest.mark.parametrize("B", range(4, 13))
     def test_zopt_layers_share_z(self, B):
-        self.check(bloch_array(build_z_opt(B).constellation.array))
+        self.check(bloch_array(build_z_opt(B).array))
 
     @pytest.mark.parametrize("z", [0.0, 0.3, -0.95])
     def test_psk_ring(self, z):

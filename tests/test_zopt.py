@@ -144,7 +144,7 @@ class TestCandidateDistances:
             free = z.theta[: z.structure.n_v]
             cd = candidate_distances(free, z.structure)
             assert cd.minimum / 2.0 == pytest.approx(
-                z.constellation.min_chordal_distance, abs=1e-12
+                z.min_chordal_distance, abs=1e-12
             )
 
 
@@ -202,13 +202,13 @@ class TestDiagLowerRoot:
 class TestClosedForms:
     def test_b1(self):
         z = build_z_opt(1)
-        assert z.constellation.min_chordal_distance == pytest.approx(1.0, abs=1e-9)
+        assert z.min_chordal_distance == pytest.approx(1.0, abs=1e-9)
         assert z.theta[0] == pytest.approx(math.pi / 2.0, abs=1e-15)
 
     def test_b2_tetrahedron(self):
         z = build_z_opt(2)
         assert z.theta[0] == pytest.approx(math.atan(math.sqrt(2.0)), abs=1e-12)
-        assert z.constellation.min_chordal_distance == pytest.approx(
+        assert z.min_chordal_distance == pytest.approx(
             math.sqrt(6.0) / 3.0, abs=1e-9
         )
 
@@ -217,7 +217,7 @@ class TestClosedForms:
         assert z.theta[0] == pytest.approx(
             math.atan(math.sqrt(2.0 * math.sqrt(2.0))), abs=1e-12
         )
-        assert z.constellation.min_chordal_distance == pytest.approx(
+        assert z.min_chordal_distance == pytest.approx(
             ANTIPRISM_D, abs=1e-9
         )
 
@@ -241,7 +241,7 @@ class TestOptimizer:
     def test_b4_ratio_window(self):
         z = build_z_opt(4)
         bound = fejes_toth_bound(16)
-        d = z.constellation.min_chordal_distance
+        d = z.min_chordal_distance
         assert 0.9 * bound <= d <= bound
 
     def test_objective_equals_built_minimum(self):
@@ -249,7 +249,7 @@ class TestOptimizer:
         free = z.theta[: z.structure.n_v]
         cd = candidate_distances(free, z.structure)
         assert cd.minimum / 2.0 == pytest.approx(
-            z.constellation.min_chordal_distance, abs=1e-12
+            z.min_chordal_distance, abs=1e-12
         )
 
     def test_variable_count_matches_table(self):
@@ -320,7 +320,7 @@ class TestRealization:
 
     def test_codewords_layer_major(self):
         z = build_z_opt(4)
-        arr = z.constellation.array
+        arr = z.array
         s = z.structure
         for m in range(1, s.l + 1):
             lo = z.structure.layer_offsets[m - 1]
@@ -339,3 +339,12 @@ class TestRealization:
     def test_out_of_range(self):
         with pytest.raises(UnsupportedError):
             build_z_opt(0)
+
+    def test_structure_and_theta_read_only(self):
+        z = build_z_opt(4)
+        with pytest.raises(ValueError):
+            z.theta[0] = 0.1
+        with pytest.raises(AttributeError):
+            z.theta = z.theta[::-1]
+        with pytest.raises(AttributeError):
+            z.structure = zopt_structure(5)
