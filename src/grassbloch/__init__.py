@@ -7,17 +7,7 @@ and one transmit antenna.
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    BlochPoint,
-    Codeword,
-    Constellation,
-    SphericalAngles,
-    angles_to_codeword,
-    chordal_distance,
-    codeword_to_bloch,
-    euclidean_distance,
-    fejes_toth_bound,
-)
+from .geometry import Constellation, fejes_toth_bound
 from .packing import PackingConfig, PackingSet, exact_packing, load_packing, optimize_packing
 from .zopt import (
     CandidateDistances,

@@ -13,7 +13,12 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Constellation, canonicalize_array, min_chordal_distance_array
+from .geometry import (
+    Constellation,
+    angles_to_codewords,
+    canonicalize_array,
+    min_chordal_distance_array,
+)
 from .packing import PackingConfig, PackingSet, optimize_packing
 
 
@@ -21,21 +26,12 @@ from .packing import PackingConfig, PackingSet, optimize_packing
 # sphere-packing constructions
 
 
-def packing_to_codewords(points3: np.ndarray) -> np.ndarray:
-    """Map unit sphere points to codewords through their spherical angles."""
-    pts = np.asarray(points3, dtype=np.float64)
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
-    half = theta / 2.0
-    out = np.empty((len(pts), 2), dtype=np.complex128)
-    out[:, 0] = np.cos(half)
-    out[:, 1] = np.sin(half) * np.exp(1j * phi)
-    return out
-
-
 def build_s_opt(p: PackingSet, method: str = "s-opt") -> Constellation:
     """Codewords whose Bloch points are exactly the packing's points."""
-    return Constellation(packing_to_codewords(p.points), method)
+    pts = np.asarray(p.points, dtype=np.float64)
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
+    return Constellation(angles_to_codewords(theta, phi), method)
 
 
 def build_man_opt(C: int, seed: int = 0, config: PackingConfig | None = None) -> Constellation:

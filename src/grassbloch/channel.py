@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .detectors import GlrtDetector, SoptDetector, ZoptDetector
+from .detectors import MAX_BLOCK_ENTRIES, GlrtDetector, SoptDetector, ZoptDetector
 from .errors import InvalidInputError
 from .zopt import ZOptConstellation
 
@@ -73,10 +73,10 @@ def _thread_count(threads: int | None) -> int:
 
 
 def effective_chunk(chunk: int, C: int, N: int) -> int:
-    """Rows per detector call: at most `chunk`, and at most about 4M entries
-    in a batch's (rows, C) GLRT score matrix or (rows, 4N) received reals,
-    but never capped below 256 rows."""
-    cap = max(256, (1 << 22) // max(C, 4 * N))
+    """Rows per detector call: at most `chunk`, and at most
+    `MAX_BLOCK_ENTRIES` entries in a batch's (rows, C) GLRT scores or
+    (rows, 4N) received reals, but never capped below 256 rows."""
+    cap = max(256, MAX_BLOCK_ENTRIES // max(C, 4 * N))
     return max(1, min(chunk, cap))
 
 
@@ -156,15 +156,17 @@ def _run_point(detectors, points, seed, snr_index, sigma2, trials, N, chunk, thr
 
 def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
             chunk: int = 8192, threads: int | None = None) -> SerCurve:
-    """Symbol error rate sweep, bitwise reproducible from its arguments."""
+    """Symbol error rate sweep, bitwise reproducible from its arguments.
+
+    `detector` is a tag from `DETECTOR_TAGS`.
+    """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if N < 1:
         raise InvalidInputError("need at least one receive antenna")
     snr_db = [float(s) for s in snr_db]
     sigma2s = [_noise_variance(s) for s in snr_db]
-    tag = detector if isinstance(detector, str) else type(detector).__name__
-    det = make_detector(detector, x) if isinstance(detector, str) else detector
+    det = make_detector(detector, x)
     points = x.array
     chunk = effective_chunk(chunk, len(points), N)
     threads = _thread_count(threads)
@@ -184,7 +186,7 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
         mean_distance_evals=tuple(mean_ev),
         mean_comparisons=tuple(mean_cp),
         seed=seed,
-        detector=tag,
+        detector=detector,
         N=N,
         method=x.method,
         C=len(x),
@@ -209,14 +211,14 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
                     threads: int | None = None) -> list[BenchReport]:
     """Run the identical trial stream through every detector and compare.
 
-    The first detector is the reference for the mismatch column; with
-    equivalent detectors that column stays zero on every trial.
+    `detectors` lists tags from `DETECTOR_TAGS`. The first is the reference
+    for the mismatch column; with equivalent detectors that column stays zero
+    on every trial.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     sigma2 = _noise_variance(snr_db)
-    dets = [make_detector(d, x) if isinstance(d, str) else d for d in detectors]
-    tags = [d if isinstance(d, str) else type(d).__name__ for d in detectors]
+    dets = [make_detector(tag, x) for tag in detectors]
     points = x.array
     chunk = effective_chunk(chunk, len(points), N)
     err, ev, cp, max_ev, mism = _run_point(
@@ -224,7 +226,7 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
     )
     return [
         BenchReport(
-            detector=tags[k],
+            detector=detectors[k],
             trials=trials,
             errors=int(err[k]),
             mean_distance_evals=ev[k] / trials,

@@ -1,8 +1,8 @@
 """Command-line surface: construct, evaluate, bound, simulate, bench, detect.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure. The GRASSBLOCH_THREADS environment variable sets the default worker
-count for the simulator.
+failure or out of memory. The GRASSBLOCH_THREADS environment variable sets
+the default worker count for the simulator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .builders import (
     build_s_opt,
     exp_map_constellation,
 )
-from .channel import DETECTOR_TAGS, bench_detectors, effective_chunk, make_detector, run_ser
+from .channel import DETECTOR_TAGS, bench_detectors, make_detector, run_ser
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -52,6 +52,8 @@ from .zopt import build_z_opt
 METHODS = tuple(m for m in METHOD_TAGS if m != "external")
 #: most SNR points a 'start:stop:step' range may expand to
 MAX_SNR_POINTS = 10_000
+#: largest `construct -B`: 2^30 codewords already take 16 GiB
+MAX_BITS = 30
 
 
 def _parse_snr(spec: str):
@@ -86,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a constellation and write it as JSON")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--bits", "-B", type=int, required=True, help="bits per symbol")
+    p.add_argument("--bits", "-B", type=int, required=True,
+                   help=f"bits per symbol, 1..{MAX_BITS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--packing-file", help="sphere packing table for s-opt")
     p.add_argument("--alpha", type=float, default=1e-2,
@@ -147,8 +150,10 @@ def _packing_config(args):
 
 def _construct(args) -> int:
     B = args.bits
-    if B < 1:
-        raise InvalidInputError("bits must be >= 1")
+    if not 1 <= B <= MAX_BITS:
+        raise InvalidInputError(
+            f"bits must lie in 1..{MAX_BITS} (2^{MAX_BITS} codewords take 16 GiB)"
+        )
     C = 2**B
     seed = args.seed
     structure = None
@@ -319,14 +324,9 @@ def _read_blocks(path) -> np.ndarray:
 def _detect(args) -> int:
     constellation = load_constellation(args.constellation)
     det = make_detector(args.detector, constellation)
-    Ys = _read_blocks(args.input)
-    n, _, N = Ys.shape
-    chunk = effective_chunk(n, len(constellation), N)
-    rows = []
-    for lo in range(0, n, chunk):
-        idx, evals, comps = det.detect_batch(Ys[lo:lo + chunk])
-        rows += [[lo + t, i, e, c] for t, (i, e, c) in
-                 enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
+    idx, evals, comps = det.detect_batch(_read_blocks(args.input))
+    rows = [[t, i, e, c] for t, (i, e, c) in
+            enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
     cfg_hash = config_hash({"command": "detect", "params": {
         "constellation": args.constellation, "detector": args.detector,
         "input": args.input, "output": args.output}})
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
+    except MemoryError:
+        print("error: out of memory; try a smaller problem", file=sys.stderr)
+        return 4
     except (DegenerateInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

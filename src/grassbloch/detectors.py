@@ -30,6 +30,10 @@ from .zopt import ZOptConstellation, diagonal_chord
 
 TWO_PI = 2.0 * math.pi
 
+#: most entries in one (rows, C) block of GLRT scores; the simulator sizes
+#: its trial chunks by the same cap
+MAX_BLOCK_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -125,7 +129,11 @@ def _score_matrix_parts(points: np.ndarray) -> np.ndarray:
 
 
 class GlrtDetector:
-    """argmax over the constellation of ||Y^H x||^2, evaluated for every codeword."""
+    """argmax over the constellation of ||Y^H x||^2, evaluated for every codeword.
+
+    A batch is scored in blocks of at most `MAX_BLOCK_ENTRIES` scores, so its
+    memory stays bounded however many rows it holds.
+    """
 
     def __init__(self, constellation: Constellation):
         if len(constellation) == 0:
@@ -136,12 +144,13 @@ class GlrtDetector:
     def detect_batch(self, Ys: np.ndarray):
         g00, g11, g01 = _gram_parts(_checked(Ys))
         A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
-        scores = A @ self._parts
-        idx = np.argmax(scores, axis=1)
         C = self._parts.shape[1]
-        n = len(Ys)
-        counts = np.full(n, C, dtype=np.int64)
-        return idx, counts.copy(), counts.copy()
+        step = max(1, MAX_BLOCK_ENTRIES // C)
+        idx = np.empty(len(A), dtype=np.intp)
+        for lo in range(0, len(A), step):
+            idx[lo:lo + step] = np.argmax(A[lo:lo + step] @ self._parts, axis=1)
+        counts = np.full(len(A), C, dtype=np.int64)
+        return idx, counts, counts.copy()
 
     def detect(self, Y) -> DetectionResult:
         idx, evals, comps = self.detect_batch(_as_batch(Y))

@@ -5,27 +5,20 @@ the global phase is removed so the first entry is real and nonnegative, and at
 the south pole (first entry zero) the second entry is made real positive so
 serialization is deterministic. Each such line corresponds to a unit vector on
 the Bloch sphere, and the chordal distance between two lines is exactly half
-the Euclidean distance between their Bloch points. All types are immutable and
-all operations are pure functions.
+the Euclidean distance between their Bloch points.
 
-A `Constellation` is its read-only (C, 2) complex array, and the array
-kernels below do all the work. `Codeword`, `BlochPoint`, `SphericalAngles`
-and their scalar functions are helpers for one point at a time; the tests use
-them as independent references for the array kernels.
+Every operation is an array kernel over many points at once: codewords are
+(n, 2) complex rows, Bloch points (n, 3) real rows, and spherical angles a
+pair of (n,) arrays. A `Constellation` is its read-only (C, 2) array.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-
-#: codeword norms must match unity this tightly before distance ops accept them
-NORM_TOL = 1e-9
 
 METHOD_TAGS = (
     "s-opt",
@@ -37,131 +30,10 @@ METHOD_TAGS = (
     "external",
 )
 
-TWO_PI = 2.0 * math.pi
-
 #: unit axis (12, 15, 16) / 25 of the closest-pair sweep; it is generic, so
 #: the rings of equal z and the other symmetric sets the builders make spread
 #: out along it, where a coordinate axis would stack them
 _SWEEP_AXIS = (0.48, 0.6, 0.64)
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """One point of G(2,1): unit-norm 2-vector with the global phase removed."""
-
-    c0: complex
-    c1: complex
-
-    def __post_init__(self):
-        c0 = complex(self.c0)
-        c1 = complex(self.c1)
-        if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
-            raise InvalidInputError("codeword has non-finite entries")
-        norm2 = abs(c0) ** 2 + abs(c1) ** 2
-        if abs(norm2 - 1.0) > 1e-10:
-            raise InvalidInputError(f"codeword norm^2 = {norm2!r} is not 1")
-        if abs(c0.imag) > 1e-10 or c0.real < -1e-10:
-            raise InvalidInputError("codeword is not canonical: c0 must be real >= 0")
-        object.__setattr__(self, "c0", complex(max(c0.real, 0.0), 0.0))
-        object.__setattr__(self, "c1", c1)
-
-    @classmethod
-    def from_vector(cls, v) -> "Codeword":
-        """Normalize an arbitrary nonzero 2-vector onto G(2,1) in canonical form."""
-        v0, v1 = complex(v[0]), complex(v[1])
-        n = math.hypot(abs(v0), abs(v1))
-        if n == 0.0:
-            raise DegenerateInputError("cannot canonicalize the zero vector")
-        if v0 == 0:
-            # south pole: all phases of c1 are the same line; store it real.
-            return cls(0.0, abs(v1) / n)
-        phase = v0 / abs(v0)
-        return cls(abs(v0) / n, v1 * phase.conjugate() / n)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class BlochPoint:
-    """Unit vector in real 3-space."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > 1e-10:
-            raise InvalidInputError(f"Bloch point norm^2 = {n2!r} is not 1")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class SphericalAngles:
-    """Polar angle in [0, pi] and azimuth in [0, 2*pi); azimuth is 0 at the poles."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise InvalidInputError(f"theta = {self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise InvalidInputError(f"phi = {self.phi!r} outside [0, 2*pi)")
-        if self.theta in (0.0, math.pi):
-            object.__setattr__(self, "phi", 0.0)
-
-
-def chordal_distance(a: Codeword, b: Codeword) -> float:
-    """Distance between two lines: sqrt(1 - |<a, b>|^2), clamped into [0, 1]."""
-    va, vb = a.vector, b.vector
-    _check_unit(va)
-    _check_unit(vb)
-    inner = np.vdot(va, vb)
-    radicand = 1.0 - min(abs(inner) ** 2, 1.0)
-    return math.sqrt(max(radicand, 0.0))
-
-
-def euclidean_distance(p: BlochPoint, q: BlochPoint) -> float:
-    """Straight-line distance between two points of the unit sphere."""
-    return math.sqrt(
-        (p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2
-    )
-
-
-def angles_to_codeword(a: SphericalAngles) -> Codeword:
-    """Map spherical angles to the codeword (cos(theta/2), e^{j phi} sin(theta/2))."""
-    half = 0.5 * a.theta
-    s = math.sin(half)
-    if s == 0.0:
-        return Codeword(1.0, 0.0)
-    return Codeword(math.cos(half), cmath.exp(1j * a.phi) * s)
-
-
-def codeword_to_bloch(c: Codeword) -> tuple[BlochPoint, SphericalAngles]:
-    """Invert angles_to_codeword; azimuth is reported as 0 at either pole."""
-    z1 = c.c0.real
-    if z1 < -NORM_TOL:
-        raise InvalidInputError(f"c0 = {z1!r} is negative beyond tolerance")
-    z1 = min(max(z1, 0.0), 1.0)
-    theta = 2.0 * math.acos(z1)
-    if c.c1 == 0 or theta == 0.0:
-        theta, phi = 0.0, 0.0
-    else:
-        phi = cmath.phase(c.c1) % TWO_PI
-        if phi >= TWO_PI:
-            phi = 0.0
-    point = BlochPoint(
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    )
-    return point, SphericalAngles(theta, phi)
 
 
 def fejes_toth_bound(C: int) -> float:
@@ -181,9 +53,9 @@ def fejes_toth_bound(C: int) -> float:
 class Constellation:
     """Ordered distinct codewords, stored as a read-only (C, 2) complex array.
 
-    Rows follow the `Codeword` rules: finite, unit norm and c0 real and
-    nonnegative, within 1e-10; c0 is stored clamped exactly as `Codeword`
-    stores it. B is the bit load log2(C); it is fractional for the few point
+    Each row must be finite, with |c0|^2 + |c1|^2 within 1e-10 of 1 and c0
+    real and nonnegative within 1e-10; c0 is stored as its real part, a
+    negative one as 0. B is the bit load log2(C); it is fractional for the few point
     counts (packing-derived sets such as C = 3 or 12) that are not powers of two.
     """
 
@@ -243,14 +115,8 @@ class Constellation:
 # array helpers shared by the builders, detectors and simulator
 
 
-def _check_unit(v: np.ndarray) -> None:
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > NORM_TOL:
-        raise InvalidInputError(f"vector norm {n!r} deviates from 1 beyond {NORM_TOL}")
-
-
 def _canonical_rows(points: np.ndarray) -> None:
-    """Check (C, 2) rows against the `Codeword` rules and clamp c0 in place."""
+    """Check (C, 2) rows against the `Constellation` rules and clamp c0 in place."""
     if not np.isfinite(points).all():
         bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
         raise InvalidInputError(f"codeword {bad} has non-finite entries")
@@ -262,13 +128,23 @@ def _canonical_rows(points: np.ndarray) -> None:
         raise InvalidInputError(f"codeword {bad} norm^2 = {float(norm2[bad])!r} is not 1")
     if np.any((np.abs(c0.imag) > 1e-10) | (c0.real < -1e-10)):
         raise InvalidInputError("codeword is not canonical: c0 must be real >= 0")
-    # max(re, 0.0) as Codeword takes it: only a negative value becomes 0, -0.0 stays
+    # max(re, 0.0): only a negative value becomes 0, -0.0 stays
     points[:, 0] = np.where(c0.real < 0.0, 0.0, c0.real)
 
 
 def _has_duplicate_rows(arr: np.ndarray) -> bool:
     view = np.round(arr.view(np.float64).reshape(len(arr), -1), 9)
     return len(np.unique(view, axis=0)) != len(arr)
+
+
+def angles_to_codewords(theta, phi) -> np.ndarray:
+    """(n, 2) codeword rows (cos(theta/2), e^{j phi} sin(theta/2)) for polar
+    angles theta and azimuths phi, both of shape (n,)."""
+    half = np.asarray(theta, dtype=np.float64) / 2.0
+    out = np.empty((len(half), 2), dtype=np.complex128)
+    out[:, 0] = np.cos(half)
+    out[:, 1] = np.sin(half) * np.exp(1j * np.asarray(phi, dtype=np.float64))
+    return out
 
 
 def bloch_array(points: np.ndarray) -> np.ndarray:

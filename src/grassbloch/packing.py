@@ -261,7 +261,7 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
     nominal = math.sqrt(8.0 * math.pi / (math.sqrt(3.0) * C))
     best_points, best_f = None, -1.0
     for start in range(max(cfg.starts, 1)):
-        key = rng.stream_key(seed, 0x5048, start)
+        key = rng.stream_key_vec(seed, 0x5048, start)
         noise = rng.complex_normal(key, 2 * np.arange(3 * C, dtype=np.uint64)).real
         noise = noise.reshape(C, 3) * (_INIT_NOISE * nominal)
         pts = _renormalize(base + _project_tangent(base, noise))

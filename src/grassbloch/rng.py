@@ -3,8 +3,7 @@
 Every draw is a pure function of (seed, stream words..., counter), built on the
 splitmix64 finalizer. Trials, SNR points and draw slots each get their own
 substream, so results do not depend on batch size, worker count or evaluation
-order. The scalar path uses Python integers masked to 64 bits; the vector path
-uses wrapping uint64 numpy arrays. Both produce identical values.
+order. All of it runs on wrapping uint64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,11 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_STREAM_SALT = 0xD1B54A32D192ED03
-
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_SALT = np.uint64(_STREAM_SALT)
+_U_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_U_SALT = np.uint64(0xD1B54A32D192ED03)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
@@ -28,14 +24,6 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / float(1 << 53)
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    x = (x + _GOLDEN) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
-
-
 def _mix64_vec(x: np.ndarray) -> np.ndarray:
     x = x + _U_GOLDEN
     x = (x ^ (x >> _U30)) * _M1
@@ -43,30 +31,29 @@ def _mix64_vec(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _U31)
 
 
-def stream_key(seed: int, *words: int) -> int:
-    """Derive a 64-bit substream key from a seed and stream coordinates."""
-    key = mix64(seed & _MASK)
-    for w in words:
-        key = mix64((key ^ ((w & _MASK) * _STREAM_SALT & _MASK)) & _MASK)
-    return key
+def _word(w: int) -> np.ndarray:
+    """An integer, masked to 64 bits, as a 1-element uint64 array."""
+    return np.array([int(w) & _MASK], dtype=np.uint64)
 
 
 def stream_key_vec(seed: int, *words) -> np.ndarray:
-    """Vectorized stream_key; each of `words` may be an int or uint64 array.
+    """Derive 64-bit substream keys from a seed and stream coordinates.
 
-    Matches stream_key bit for bit: leading integer words fold through the
-    exact scalar path and only array words switch to wrapping uint64 math.
+    Each of `words` may be an int or a uint64 array, and the keys broadcast
+    over the array words. Integer words fold as 1-element arrays, so wrapping
+    uint64 math gives the same bits as the 64-bit masked integer recurrence.
+    When every word is an int, the key is a single np.uint64.
     """
-    key = mix64(seed & _MASK)
-    out = None
+    key = _mix64_vec(_word(seed))
+    scalar = True
     for w in words:
-        if out is None and isinstance(w, (int, np.integer)):
-            key = mix64((key ^ ((int(w) & _MASK) * _STREAM_SALT & _MASK)) & _MASK)
+        if isinstance(w, (int, np.integer)):
+            w = _word(w)
         else:
-            w_arr = np.asarray(w, dtype=np.uint64)
-            base = np.uint64(key) if out is None else out
-            out = _mix64_vec(base ^ (w_arr * _U_SALT))
-    return np.uint64(key) if out is None else out
+            w = np.asarray(w, dtype=np.uint64)
+            scalar = False
+        key = _mix64_vec(key ^ (w * _U_SALT))
+    return key[0] if scalar else key
 
 
 def raw(key, counter) -> np.ndarray:

@@ -36,26 +36,26 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .geometry import Constellation
+from .geometry import Constellation, angles_to_codewords
 
-# layer structure per bit count: l, layer sizes, z_max, n_v
+# layer sizes per bit count, top layer first
 _STRUCTURE_TABLE = {
-    1: (1, (2,), 2, 1),
-    2: (2, (2, 2), 2, 1),
-    3: (2, (4, 4), 4, 1),
-    4: (4, (4,) * 4, 4, 2),
-    5: (5, (4, 8, 8, 8, 4), 8, 2),
-    6: (8, (8,) * 8, 8, 4),
-    7: (10, (8, 8) + (16,) * 6 + (8, 8), 16, 5),
-    8: (16, (16,) * 16, 16, 8),
-    9: (32, (16,) * 32, 16, 16),
-    10: (32, (32,) * 32, 32, 16),
-    11: (64, (32,) * 64, 32, 32),
-    12: (64, (64,) * 64, 64, 32),
-    13: (128, (64,) * 128, 64, 64),
-    14: (128, (128,) * 128, 128, 64),
-    15: (256, (128,) * 256, 128, 128),
-    16: (256, (256,) * 256, 256, 128),
+    1: (2,),
+    2: (2, 2),
+    3: (4, 4),
+    4: (4,) * 4,
+    5: (4, 8, 8, 8, 4),
+    6: (8,) * 8,
+    7: (8, 8) + (16,) * 6 + (8, 8),
+    8: (16,) * 16,
+    9: (16,) * 32,
+    10: (32,) * 32,
+    11: (32,) * 64,
+    12: (64,) * 64,
+    13: (64,) * 128,
+    14: (128,) * 128,
+    15: (128,) * 256,
+    16: (256,) * 256,
 }
 
 _CLOSED_FORM_THETA = {
@@ -67,20 +67,34 @@ _CLOSED_FORM_THETA = {
 
 @dataclass(frozen=True)
 class ZOptStructure:
-    """Layer bookkeeping for one bit count."""
+    """Layer bookkeeping for one bit count: B and the layer sizes Z_l."""
 
     B: int
-    C: int
-    l: int
     Z_l: tuple
-    z_max: int
-    n_v: int
 
     def __post_init__(self):
-        if sum(self.Z_l) != self.C or self.C != 2**self.B:
+        if sum(self.Z_l) != 2**self.B:
             raise InvalidInputError("layer sizes must sum to 2^B")
-        if max(self.Z_l) != self.z_max:
-            raise InvalidInputError("z_max must be the largest layer")
+
+    @property
+    def C(self) -> int:
+        return 2**self.B
+
+    @property
+    def l(self) -> int:
+        """Number of layers."""
+        return len(self.Z_l)
+
+    @property
+    def z_max(self) -> int:
+        """Size of the largest layer."""
+        return max(self.Z_l)
+
+    @property
+    def n_v(self) -> int:
+        """Free polar angles: one per upper-half layer (an odd middle layer
+        sits on the equator), and at least one."""
+        return max(1, self.l // 2)
 
     @property
     def half_layers(self) -> int:
@@ -127,8 +141,7 @@ class ZOptStructure:
 def zopt_structure(B: int) -> ZOptStructure:
     if B not in _STRUCTURE_TABLE:
         raise UnsupportedError(f"B={B} outside the supported range 1..16")
-    l, Z_l, z_max, n_v = _STRUCTURE_TABLE[B]
-    return ZOptStructure(B=B, C=2**B, l=l, Z_l=Z_l, z_max=z_max, n_v=n_v)
+    return ZOptStructure(B=B, Z_l=_STRUCTURE_TABLE[B])
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +338,9 @@ def layer_azimuths(s: ZOptStructure, layer: int) -> np.ndarray:
 
 
 def realize_codewords(theta: np.ndarray, s: ZOptStructure) -> np.ndarray:
-    """Codeword array in layer-major order for the given polar angles."""
-    rows = []
-    for m in range(1, s.l + 1):
-        half = theta[m - 1] / 2.0
-        phis = layer_azimuths(s, m)
-        c0 = math.cos(half)
-        c1 = math.sin(half) * np.exp(1j * phis)
-        rows.append(np.column_stack([np.full(len(phis), c0, dtype=np.complex128), c1]))
-    return np.vstack(rows)
+    """(C, 2) codeword rows in layer-major order for the given polar angles."""
+    phi = np.concatenate([layer_azimuths(s, m) for m in range(1, s.l + 1)])
+    return angles_to_codewords(np.repeat(theta, s.Z_l), phi)
 
 
 class ZOptConstellation(Constellation):

@@ -6,9 +6,9 @@ import pytest
 from grassbloch import rng
 from grassbloch.builders import build_s_opt
 from grassbloch.channel import _trial_batch, bench_detectors, run_ser
+from grassbloch.detectors import GlrtDetector
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import ser_curve_to_json
-from grassbloch.geometry import Codeword
 from grassbloch.packing import exact_packing
 from grassbloch.zopt import build_z_opt
 
@@ -33,14 +33,14 @@ class TestTransmit:
     def test_average_power(self):
         # E||Y||_F^2 = 2N + 2N sigma^2
         N, sigma2, trials = 2, 0.5, 100000
-        x = Codeword(1.0 / math.sqrt(2), 1j / math.sqrt(2))
+        x = np.array([1.0, 1j]) / math.sqrt(2)
         total = 0.0
         keys = rng.stream_key_vec(123, 0, np.arange(trials, dtype=np.uint64))
         h_ctr = 1 + 2 * np.arange(N, dtype=np.uint64)
         H = rng.complex_normal(keys[:, None], h_ctr[None, :])
         w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64).reshape(2, N)
         W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :], variance=sigma2)
-        Y = math.sqrt(2.0) * x.vector[None, :, None] * H[:, None, :] + W
+        Y = math.sqrt(2.0) * x[None, :, None] * H[:, None, :] + W
         power = np.mean(np.sum(np.abs(Y) ** 2, axis=(1, 2)))
         expected = 2 * N + 2 * N * sigma2
         assert abs(power - expected) / expected < 0.02
@@ -98,6 +98,14 @@ class TestRunSer:
         x = build_s_opt(exact_packing(4))
         with pytest.raises(InvalidInputError):
             run_ser(x, "other", [0.0], trials=10)
+
+    def test_detector_objects_rejected(self):
+        # both entry points take tags from DETECTOR_TAGS, never detector objects
+        x = build_s_opt(exact_packing(4))
+        with pytest.raises(InvalidInputError):
+            run_ser(x, GlrtDetector(x), [0.0], trials=10)
+        with pytest.raises(InvalidInputError):
+            bench_detectors(x, [GlrtDetector(x)], trials=10)
 
     def test_symbol_usage_uniform(self):
         # chi-squared style check on the symbol sampler over one big point

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from grassbloch.channel import effective_chunk, make_detector
-from grassbloch.cli import MAX_SNR_POINTS, _parse_snr, main
+from grassbloch import cli
+from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import load_constellation
 
@@ -107,6 +108,26 @@ class TestConstruct:
                     "--starts", 1, "--phase1-iters", 60, "--phase2-sweeps", 80]) == 0
         report = json.loads((tmp_path / "m.json.report.json").read_text())
         assert report["C"] == 16 and report["d_min"] > 0.3
+
+
+    @pytest.mark.parametrize("method, B", [
+        ("exp-map", 101), ("s-opt", 101), ("man-opt", 101), ("exp-map", 2000),
+    ])
+    def test_bits_beyond_limit_usage_error(self, tmp_path, capsys, method, B):
+        out = tmp_path / "x.json"
+        assert run(["construct", "--method", method, "-B", B, "-o", out]) == 2
+        assert f"1..{MAX_BITS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "exp_map_constellation", exhausted)
+        out = tmp_path / "x.json"
+        assert run(["construct", "--method", "exp-map", "-B", 4, "-o", out]) == 4
+        assert "error: out of memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

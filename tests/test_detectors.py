@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ class TestGlrt:
         x = build_s_opt(exact_packing(12))
         res = GlrtDetector(x).detect(noiseless_observation(x.array[3]))
         assert res.distance_evals == 12 and res.comparisons == 12
+
+    def test_score_memory_is_bounded(self):
+        # 4096 rows at C = 4096: one (rows, C) score matrix would take 128 MiB
+        det = GlrtDetector(build_z_opt(12))
+        Ys = np.random.default_rng(40).standard_normal((4096, 2, 2, 2)) @ [1.0, 1j]
+        tracemalloc.start()
+        try:
+            idx, evals, comps = det.detect_batch(Ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        want = [det.detect(Y) for Y in Ys]
+        assert idx.tolist() == [r.index for r in want]
+        assert evals.tolist() == [r.distance_evals for r in want]
+        assert comps.tolist() == [r.comparisons for r in want]
 
 
 class TestSopt:

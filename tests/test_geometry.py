@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -7,18 +8,13 @@ import pytest
 from grassbloch import geometry
 from grassbloch.errors import DegenerateInputError, InvalidInputError
 from grassbloch.geometry import (
-    BlochPoint,
-    Codeword,
     Constellation,
-    SphericalAngles,
-    angles_to_codeword,
+    angles_to_codewords,
     bloch_array,
     canonicalize_array,
-    chordal_distance,
-    codeword_to_bloch,
-    euclidean_distance,
     fejes_toth_bound,
     min_chordal_distance_array,
+    min_euclidean_distance_array,
     pairwise_min_bloch_dot,
 )
 from grassbloch.zopt import build_z_opt, realize_codewords, zopt_structure
@@ -26,135 +22,150 @@ from grassbloch.zopt import build_z_opt, realize_codewords, zopt_structure
 R2 = 1.0 / math.sqrt(2.0)
 
 
-def random_codewords(n, seed=0):
+def random_angles(n, seed=0):
     rng = np.random.default_rng(seed)
     theta = np.arccos(rng.uniform(-1.0, 1.0, n))
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    return [angles_to_codeword(SphericalAngles(t, p)) for t, p in zip(theta, phi)]
+    return theta, phi
+
+
+def random_codewords(n, seed=0):
+    return angles_to_codewords(*random_angles(n, seed))
+
+
+def sphere_points(theta, phi):
+    """The reference Bloch points: unit vectors at polar angle theta, azimuth phi."""
+    return np.column_stack([np.sin(theta) * np.cos(phi),
+                            np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+def chordal(a, b):
+    """The reference chordal distance sqrt(1 - |<a, b>|^2) of two unit 2-vectors."""
+    inner = abs(np.vdot(a, b))
+    return math.sqrt(max(1.0 - min(inner * inner, 1.0), 0.0))
+
+
+def pair(a, b):
+    return np.array([a, b], dtype=np.complex128)
 
 
 class TestCodeword:
+    """The row rules a `Constellation` enforces, and canonical form."""
+
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidInputError):
-            Codeword(0.5, 0.5)
+            Constellation([[0.5, 0.5], [0.0, 1.0]], "external", 1)
 
     def test_rejects_non_canonical_phase(self):
         with pytest.raises(InvalidInputError):
-            Codeword(1j, 0.0)
+            Constellation([[1j, 0.0], [0.0, 1.0]], "external", 1)
 
     def test_from_vector_canonicalizes(self):
-        c = Codeword.from_vector([2j, 2j])
-        assert c.c0 == pytest.approx(R2, abs=1e-15)
-        assert c.c1 == pytest.approx(R2, abs=1e-15)
+        c = canonicalize_array([[2j, 2j]])[0]
+        assert c[0] == pytest.approx(R2, abs=1e-15)
+        assert c[1] == pytest.approx(R2, abs=1e-15)
 
     def test_from_vector_pole_phase(self):
-        c = Codeword.from_vector([0.0, 5j])
-        assert c.c0 == 0.0
-        assert c.c1 == 1.0
+        c = canonicalize_array([[0.0, 5j]])[0]
+        assert c[0] == 0.0
+        assert c[1] == 1.0
 
 
 class TestChordalDistance:
+    """min_chordal_distance_array on a pair is that pair's chordal distance."""
+
     def test_identical(self):
-        a = Codeword(1.0, 0.0)
-        assert chordal_distance(a, a) == 0.0
+        assert min_chordal_distance_array(pair([1.0, 0.0], [1.0, 0.0])) == 0.0
 
     def test_orthogonal(self):
-        assert chordal_distance(Codeword(1.0, 0.0), Codeword(0.0, 1.0)) == 1.0
+        assert min_chordal_distance_array(pair([1.0, 0.0], [0.0, 1.0])) == 1.0
 
     def test_half_power(self):
-        d = chordal_distance(Codeword(1.0, 0.0), Codeword(R2, R2))
+        d = min_chordal_distance_array(pair([1.0, 0.0], [R2, R2]))
         assert d == pytest.approx(R2, abs=1e-12)
 
     def test_symmetric(self):
         a, b = random_codewords(2, seed=3)
-        assert chordal_distance(a, b) == chordal_distance(b, a)
-
-    def test_rejects_bad_norm(self):
-        good = Codeword(1.0, 0.0)
-        bad = Codeword(1.0, 0.0)
-        object.__setattr__(bad, "c1", 1e-4 + 0j)
-        with pytest.raises(InvalidInputError):
-            chordal_distance(good, bad)
+        d = min_chordal_distance_array(pair(a, b))
+        assert d == min_chordal_distance_array(pair(b, a))
+        assert d == pytest.approx(chordal(a, b), abs=1e-12)
 
 
 class TestEuclideanDistance:
+    """min_euclidean_distance_array on a pair is that pair's distance."""
+
     def test_zero(self):
-        p = BlochPoint(0.0, 0.0, 1.0)
-        assert euclidean_distance(p, p) == 0.0
+        assert min_euclidean_distance_array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]) == 0.0
 
     def test_antipodal(self):
-        assert euclidean_distance(BlochPoint(0, 0, 1), BlochPoint(0, 0, -1)) == 2.0
+        assert min_euclidean_distance_array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]) == 2.0
 
     def test_orthogonal_axes(self):
-        d = euclidean_distance(BlochPoint(1, 0, 0), BlochPoint(0, 1, 0))
+        d = min_euclidean_distance_array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert d == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 class TestSphericalAngles:
     def test_pole_azimuth_normalized(self):
-        assert SphericalAngles(0.0, 1.3).phi == 0.0
-        assert SphericalAngles(math.pi, 2.0).phi == 0.0
-        assert SphericalAngles(1.0, 2.0).phi == 2.0
-
-    def test_range_validation(self):
-        with pytest.raises(InvalidInputError):
-            SphericalAngles(-0.1, 0.0)
-        with pytest.raises(InvalidInputError):
-            SphericalAngles(1.0, 2.0 * math.pi)
+        # at either pole the azimuth names no other line
+        north = angles_to_codewords([0.0, 0.0], [1.3, 0.0])
+        assert north.tobytes() == angles_to_codewords([0.0] * 2, [0.0] * 2).tobytes()
+        assert (north[0, 0], north[0, 1]) == (1.0, 0.0)
+        south = bloch_array(angles_to_codewords([math.pi] * 2, [2.0, 0.0]))
+        assert south == pytest.approx(np.array([[0.0, 0.0, -1.0]] * 2), abs=1e-12)
+        assert angles_to_codewords([1.0], [2.0])[0, 1] == pytest.approx(
+            cmath.exp(2j) * math.sin(0.5), abs=1e-15)
 
 
 class TestAnglesToCodeword:
     def test_north_pole(self):
-        c = angles_to_codeword(SphericalAngles(0.0, 0.0))
-        assert (c.c0, c.c1) == (1.0, 0.0)
+        c = angles_to_codewords([0.0], [0.0])[0]
+        assert (c[0], c[1]) == (1.0, 0.0)
 
     def test_equator_phi0(self):
-        c = angles_to_codeword(SphericalAngles(math.pi / 2.0, 0.0))
-        assert c.c0 == pytest.approx(R2, abs=1e-15)
-        assert c.c1 == pytest.approx(R2, abs=1e-15)
+        c = angles_to_codewords([math.pi / 2.0], [0.0])[0]
+        assert c[0] == pytest.approx(R2, abs=1e-15)
+        assert c[1] == pytest.approx(R2, abs=1e-15)
 
     def test_equator_phi_quarter(self):
-        c = angles_to_codeword(SphericalAngles(math.pi / 2.0, math.pi / 2.0))
-        assert c.c1 == pytest.approx(R2 * 1j, abs=1e-15)
+        c = angles_to_codewords([math.pi / 2.0], [math.pi / 2.0])[0]
+        assert c[1] == pytest.approx(R2 * 1j, abs=1e-15)
 
 
 class TestCodewordToBloch:
+    """bloch_array maps codeword rows to their Bloch points."""
+
     def test_north_pole(self):
-        point, ang = codeword_to_bloch(Codeword(1.0, 0.0))
-        assert (point.x, point.y, point.z) == (0.0, 0.0, 1.0)
-        assert ang.theta == 0.0 and ang.phi == 0.0
+        assert bloch_array(pair([1.0, 0.0], [1.0, 0.0]))[0].tolist() == [0.0, 0.0, 1.0]
 
     def test_south_pole_phi_zero(self):
-        point, ang = codeword_to_bloch(Codeword(0.0, 1.0))
-        assert point.z == pytest.approx(-1.0, abs=1e-12)
-        assert ang.theta == pytest.approx(math.pi, abs=1e-12)
-        assert ang.phi == 0.0
+        p = bloch_array(pair([0.0, 1.0], [1.0, 0.0]))[0]
+        assert p == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
 
     def test_equator_imaginary(self):
-        point, ang = codeword_to_bloch(Codeword(R2, R2 * 1j))
-        assert (point.x, point.y, point.z) == pytest.approx((0, 1, 0), abs=1e-12)
-        assert ang.theta == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert ang.phi == pytest.approx(math.pi / 2.0, abs=1e-12)
+        p = bloch_array(pair([R2, R2 * 1j], [1.0, 0.0]))[0]
+        assert p == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_round_trip_on_angles(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            ang = SphericalAngles(rng.uniform(0.05, math.pi - 0.05),
-                                  rng.uniform(0.0, 2.0 * math.pi))
-            _, back = codeword_to_bloch(angles_to_codeword(ang))
-            assert back.theta == pytest.approx(ang.theta, abs=1e-12)
-            assert back.phi == pytest.approx(ang.phi, abs=1e-12)
+        theta = rng.uniform(0.05, math.pi - 0.05, 200)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 200)
+        p = bloch_array(angles_to_codewords(theta, phi))
+        assert np.allclose(p, sphere_points(theta, phi), rtol=0.0, atol=1e-12)
+        back_theta = np.arccos(p[:, 2])
+        back_phi = np.arctan2(p[:, 1], p[:, 0]) % (2.0 * math.pi)
+        assert np.allclose(back_theta, theta, rtol=0.0, atol=1e-12)
+        assert np.allclose(back_phi, phi, rtol=0.0, atol=1e-12)
 
 
 class TestDistanceIdentity:
     def test_euclidean_is_twice_chordal(self):
         cws = random_codewords(400, seed=11)
         for a, b in zip(cws[::2], cws[1::2]):
-            pa, _ = codeword_to_bloch(a)
-            pb, _ = codeword_to_bloch(b)
-            d_e = euclidean_distance(pa, pb)
-            d_c = chordal_distance(a, b)
+            d_e = min_euclidean_distance_array(bloch_array(pair(a, b)))
+            d_c = min_chordal_distance_array(pair(a, b))
             assert abs(d_e - 2.0 * d_c) <= 1e-12
+            assert abs(d_c - chordal(a, b)) <= 1e-12
 
 
 class TestFejesTothBound:
@@ -203,37 +214,31 @@ class TestFejesTothBound:
 
 
 class TestNormalizeReceived:
-    """Codeword.from_vector projects a received 2-vector onto G(2,1)."""
+    """canonicalize_array projects received 2-vectors onto G(2,1)."""
 
     def test_common_phase(self):
-        c = Codeword.from_vector([2j, 2j])
-        assert c.c0 == pytest.approx(R2, abs=1e-15)
-        assert c.c1 == pytest.approx(R2, abs=1e-15)
+        c = canonicalize_array([[2j, 2j]])[0]
+        assert c[0] == pytest.approx(R2, abs=1e-15)
+        assert c[1] == pytest.approx(R2, abs=1e-15)
 
     def test_real_axis(self):
-        c = Codeword.from_vector([3.0, 0.0])
-        assert (c.c0, c.c1) == (1.0, 0.0)
+        c = canonicalize_array([[3.0, 0.0]])[0]
+        assert (c[0], c[1]) == (1.0, 0.0)
 
     def test_zero_first_entry(self):
-        c = Codeword.from_vector([0.0, 5j])
-        assert (c.c0, c.c1) == (0.0, 1.0)
+        c = canonicalize_array([[0.0, 5j]])[0]
+        assert (c[0], c[1]) == (0.0, 1.0)
 
     def test_zero_vector(self):
         with pytest.raises(DegenerateInputError):
-            Codeword.from_vector([0.0, 0.0])
+            canonicalize_array([[0.0, 0.0]])
 
     def test_idempotent_on_canonical(self):
-        c = Codeword(0.6, 0.8j)
-        again = Codeword.from_vector([c.c0, c.c1])
-        assert again.c0 == c.c0 and again.c1 == c.c1
-        for cw in random_codewords(50, seed=23):
-            back = Codeword.from_vector([cw.c0, cw.c1])
-            assert abs(back.c0 - cw.c0) <= 1e-15
-            assert abs(back.c1 - cw.c1) <= 1e-15
-
-
-def rows_of(codewords):
-    return np.array([c.vector for c in codewords])
+        again = canonicalize_array([[0.6, 0.8j]])[0]
+        assert again[0] == 0.6 and again[1] == 0.8j
+        cws = random_codewords(50, seed=23)
+        back = canonicalize_array(cws)
+        assert np.abs(back - cws).max() <= 1e-15
 
 
 class TestConstellation:
@@ -251,41 +256,48 @@ class TestConstellation:
 
     def test_size_must_match_bits(self):
         with pytest.raises(InvalidInputError):
-            Constellation(rows_of(random_codewords(3, seed=2)), "external", 2)
+            Constellation(random_codewords(3, seed=2), "external", 2)
 
     def test_shape_must_be_rows_of_two(self):
         with pytest.raises(InvalidInputError):
             Constellation(np.ones((4, 3)), "external", 2)
 
     def test_array_is_read_only(self):
-        x = Constellation(rows_of(random_codewords(4, seed=1)), "external", 2)
+        x = Constellation(random_codewords(4, seed=1), "external", 2)
         assert x.array.dtype == np.complex128 and x.array.shape == (4, 2)
         with pytest.raises(ValueError):
             x.array[0, 0] = 1.0
 
     def test_array_matches_scalar_distances(self):
         cws = random_codewords(24, seed=5)
-        x = Constellation(rows_of(cws), "external", None)
+        x = Constellation(cws, "external", None)
         brute = min(
-            chordal_distance(a, b)
+            chordal(a, b)
             for i, a in enumerate(cws) for b in cws[i + 1:]
         )
         assert x.min_chordal_distance == pytest.approx(brute, abs=1e-12)
 
     def test_bloch_array_matches_scalar(self):
-        cws = random_codewords(10, seed=9)
-        arr = bloch_array(np.array([c.vector for c in cws]))
-        for row, c in zip(arr, cws):
-            p, _ = codeword_to_bloch(c)
-            assert np.allclose(row, [p.x, p.y, p.z], atol=1e-12)
+        theta, phi = random_angles(10, seed=9)
+        arr = bloch_array(angles_to_codewords(theta, phi))
+        assert np.allclose(arr, sphere_points(theta, phi), rtol=0.0, atol=1e-12)
 
 
 def codeword_row(row):
-    """The scalar reference: Codeword's stored vector, or None if it refuses the row."""
-    try:
-        return Codeword(row[0], row[1]).vector
-    except InvalidInputError:
+    """The scalar reference rule: the row as stored, or None if it is refused.
+
+    A row is accepted when both entries are finite, |c0|^2 + |c1|^2 is within
+    1e-10 of 1, and c0 is real and nonnegative within 1e-10; c0 is then
+    stored as max(Re c0, 0).
+    """
+    c0, c1 = complex(row[0]), complex(row[1])
+    if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
         return None
+    if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-10:
+        return None
+    if abs(c0.imag) > 1e-10 or c0.real < -1e-10:
+        return None
+    return np.array([complex(max(c0.real, 0.0), 0.0), c1], dtype=np.complex128)
 
 
 def scaled(row, norm2):
@@ -294,7 +306,7 @@ def scaled(row, norm2):
 
 
 class TestConstellationRows:
-    """The vectorized row check and clamp against the scalar Codeword rules."""
+    """The vectorized row check and clamp against the scalar row rule."""
 
     @pytest.mark.parametrize("row, accepted", [
         ((-1e-11, 1.0), True),
@@ -346,8 +358,7 @@ def test_bound_sanity_for_constructed_sets():
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         theta = np.arccos(np.clip(pts[:, 2], -1, 1))
         phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
-        cws = [angles_to_codeword(SphericalAngles(t, p)) for t, p in zip(theta, phi)]
-        arr = np.array([c.vector for c in cws])
+        arr = angles_to_codewords(theta, phi)
         assert min_chordal_distance_array(arr) <= fejes_toth_bound(C) + 1e-9
 
 

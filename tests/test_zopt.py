@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from grassbloch.errors import InvalidInputError, UnsupportedError
 from grassbloch.geometry import fejes_toth_bound
 from grassbloch.zopt import (
+    ZOptStructure,
     _diag_lower_root,
     _greedy_feasible,
     build_z_opt,
@@ -57,6 +59,25 @@ class TestStructureTable:
             s = zopt_structure(B)
             assert sum(s.Z_l) == 2**B
             assert s.z_max == max(s.Z_l)
+
+    def test_rows_derive_from_layer_sizes(self):
+        # (l, z_max, n_v) per B written out: an oracle independent of the properties
+        listed = {
+            1: (1, 2, 1), 2: (2, 2, 1), 3: (2, 4, 1), 4: (4, 4, 2), 5: (5, 8, 2),
+            6: (8, 8, 4), 7: (10, 16, 5), 8: (16, 16, 8), 9: (32, 16, 16),
+            10: (32, 32, 16), 11: (64, 32, 32), 12: (64, 64, 32),
+            13: (128, 64, 64), 14: (128, 128, 64), 15: (256, 128, 128),
+            16: (256, 256, 128),
+        }
+        assert [f.name for f in dataclasses.fields(ZOptStructure)] == ["B", "Z_l"]
+        for B, row in listed.items():
+            s = zopt_structure(B)
+            assert (s.l, s.z_max, s.n_v) == row
+            assert s.C == 2**B
+
+    def test_sizes_must_sum_to_two_to_the_b(self):
+        with pytest.raises(InvalidInputError):
+            ZOptStructure(B=3, Z_l=(4, 2))
 
     def test_half_layer_shape(self):
         # B = 5 has halved caps (one half ring per pole), B = 7 doubled caps
