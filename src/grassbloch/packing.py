@@ -127,12 +127,22 @@ class PackingConfig:
     `phase2_sweeps` sweeps: every point whose nearest neighbor sits near the
     global minimum moves away from its near-critical neighbors, and a step is
     kept only when the global minimum improves. Each of `starts` restarts
-    perturbs the spiral start differently.
+    perturbs the spiral start differently. `starts` must be at least 1 and
+    the two phase budgets at least 0.
     """
 
     starts: int = 4
     phase1_iters: int = 500
     phase2_sweeps: int = 2000
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise InvalidInputError(f"starts must be >= 1, got {self.starts}")
+        if self.phase1_iters < 0 or self.phase2_sweeps < 0:
+            raise InvalidInputError(
+                "phase1_iters and phase2_sweeps must be >= 0, got "
+                f"{self.phase1_iters} and {self.phase2_sweeps}"
+            )
 
 
 def fibonacci_points(C: int) -> np.ndarray:
@@ -144,10 +154,21 @@ def fibonacci_points(C: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    dots = np.clip(points @ points.T, -1.0, 1.0)
-    np.fill_diagonal(dots, 1.0)
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
+def _pairwise_distances(points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean distances of unit rows into the (C, C) buffer `out`, inf on
+    the diagonal.
+
+    `points @ points.T` keeps the transposed view, so the product goes to the
+    BLAS rank-k update and comes out exactly symmetric. After the clip to
+    [-1, 1], 2 - 2 dot is never negative.
+    """
+    np.matmul(points, points.T, out=out)
+    np.clip(out, -1.0, 1.0, out=out)
+    out *= 2.0
+    np.subtract(2.0, out, out=out)
+    np.sqrt(out, out=out)
+    np.fill_diagonal(out, np.inf)
+    return out
 
 
 def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
@@ -158,9 +179,8 @@ def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
     C * (C - 1) / 2 by construction: the objective touches every pair.
     """
     n = len(points)
-    d = _pairwise_distances(points)
-    iu = np.triu_indices(n, k=1)
-    vals = d[iu]
+    d = _pairwise_distances(points, np.empty((n, n)))
+    vals = d[np.triu_indices(n, k=1)]
     dmin = vals.min()
     total = np.exp(-(vals - dmin) / eps).sum()
     return float(dmin - eps * math.log(total)), n * (n - 1) // 2
@@ -177,20 +197,22 @@ def _renormalize(points: np.ndarray) -> np.ndarray:
 def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     n = len(points)
     decay = (_EPS_FINAL / _EPS_START) ** (1.0 / max(cfg.phase1_iters - 1, 1))
-    d = _pairwise_distances(points)
-    np.fill_diagonal(d, np.inf)
+    d = _pairwise_distances(points, np.empty((n, n)))
+    w = np.empty_like(d)
     eps = _EPS_START * float(d.min())
-    for _ in range(cfg.phase1_iters):
-        d = _pairwise_distances(points)
-        np.fill_diagonal(d, np.inf)
+    for i in range(cfg.phase1_iters):
+        if i:
+            _pairwise_distances(points, d)
         dmin = float(d.min())
-        w = np.exp(-(d - dmin) / eps)
-        np.fill_diagonal(w, 0.0)
+        np.subtract(dmin, d, out=w)
+        w /= eps
+        np.exp(w, out=w)  # 0 on the diagonal
         w /= w.sum()
-        # ascent direction of the softened minimum: repel along near-critical pairs
-        inv = np.where(d > 0, 1.0 / d, 0.0)
-        coef = w * inv
-        g = points * coef.sum(axis=1)[:, None] - coef @ points
+        # ascent direction of the softened minimum: repel along near-critical
+        # pairs with weight w / d; d becomes 1 / d, 0 where d is 0
+        np.divide(1.0, d, out=d, where=d > 0)
+        w *= d
+        g = points * w.sum(axis=1)[:, None] - w @ points
         g = _project_tangent(points, g)
         gmax = float(np.abs(g).max())
         if gmax > 0:
@@ -204,28 +226,29 @@ def _maximin_polish(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
 
     The active-pair slack tracks the step size, so as steps shrink only the
     pairs that truly attain the minimum keep steering the configuration.
-    A step is kept only when the global minimum improves.
+    A step is kept only when the global minimum improves; the trial's
+    distances then become the current ones, so each sweep builds at most one
+    distance matrix.
     """
+    n = len(points)
     step = _PHASE2_STEP
-    d = _pairwise_distances(points)
-    np.fill_diagonal(d, np.inf)
+    d = _pairwise_distances(points, np.empty((n, n)))
+    trial_d = np.empty_like(d)
+    w = np.empty_like(d)
     best_f = float(d.min())
-    best_points = points.copy()
     for _ in range(cfg.phase2_sweeps):
         if step < _MIN_STEP:
             break
-        d = _pairwise_distances(best_points)
-        np.fill_diagonal(d, np.inf)
-        f = float(d.min())
         nn = d.min(axis=1)
         slack = min(0.05, max(2.0 * step, 1e-12))
-        active = nn <= f * (1.0 + slack)
-        near = d <= (nn * (1.0 + slack))[:, None]
-        weight = np.where(np.isfinite(d) & near,
-                          (nn * (1.0 + slack))[:, None] - d, 0.0)
-        inv = np.where(weight > 0, weight / np.maximum(d, 1e-15), 0.0)
-        g = best_points * inv.sum(axis=1)[:, None] - inv @ best_points
-        g = _project_tangent(best_points, g)
+        active = nn <= best_f * (1.0 + slack)
+        # weight (reach - d) / d on the pairs closer than the row's reach; a
+        # pair at d = 0 has reach 0 and drops out, as does the diagonal
+        np.subtract((nn * (1.0 + slack))[:, None], d, out=w)
+        np.divide(w, d, out=w, where=w > 0)
+        np.maximum(w, 0.0, out=w)
+        g = points * w.sum(axis=1)[:, None] - w @ points
+        g = _project_tangent(points, g)
         norms = np.linalg.norm(g, axis=1)
         move = active & (norms > 0)
         if not np.any(move):
@@ -233,17 +256,15 @@ def _maximin_polish(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
             continue
         g[move] /= norms[move][:, None]
         g[~move] = 0.0
-        trial = _renormalize(best_points + (step * f) * g)
-        dt = _pairwise_distances(trial)
-        np.fill_diagonal(dt, np.inf)
-        ft = float(dt.min())
+        trial = _renormalize(points + (step * best_f) * g)
+        ft = float(_pairwise_distances(trial, trial_d).min())
         if ft > best_f:
-            best_points = trial
-            best_f = ft
+            points, best_f = trial, ft
+            d, trial_d = trial_d, d
             step = min(step * 1.3, _PHASE2_STEP)
         else:
             step *= 0.5
-    return best_points
+    return points
 
 
 def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None) -> PackingSet:
@@ -260,7 +281,7 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
     base = fibonacci_points(C)
     nominal = math.sqrt(8.0 * math.pi / (math.sqrt(3.0) * C))
     best_points, best_f = None, -1.0
-    for start in range(max(cfg.starts, 1)):
+    for start in range(cfg.starts):
         key = rng.stream_key_vec(seed, 0x5048, start)
         noise = rng.complex_normal(key, 2 * np.arange(3 * C, dtype=np.uint64)).real
         noise = noise.reshape(C, 3) * (_INIT_NOISE * nominal)

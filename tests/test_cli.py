@@ -109,6 +109,14 @@ class TestConstruct:
         report = json.loads((tmp_path / "m.json.report.json").read_text())
         assert report["C"] == 16 and report["d_min"] > 0.3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--starts", -3), ("--starts", 0), ("--phase1-iters", -5), ("--phase2-sweeps", -1),
+    ])
+    def test_invalid_optimizer_budget_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.json"
+        assert run(["construct", "--method", "s-opt", "-B", 5, flag, value, "-o", out]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method, B", [
         ("exp-map", 101), ("s-opt", 101), ("man-opt", 101), ("exp-map", 2000),
