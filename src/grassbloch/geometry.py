@@ -159,61 +159,78 @@ def bloch_array(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_min_bloch_dot(points: np.ndarray) -> float:
-    """Maximum dot product over distinct pairs of an (n, 3) array of vectors.
+def pairwise_min_bloch_dot(points: np.ndarray) -> tuple[float, float]:
+    """Closest pair of an (n, 3) array of vectors: the maximum dot product
+    over distinct pairs, and the least |p - q| over the pairs whose dot lies
+    within rounding of that maximum.
 
     An exact closest-pair sweep in O(n) memory. The points are sorted by
     their projection t on `_SWEEP_AXIS`, and offset k pairs each point with
     the k-th next one. Since |u . (p - q)| <= |p - q| for a unit u, a pair
-    whose dot beats the best so far lies within sqrt(2 r^2 - 2 best) in t,
-    r the largest norm; the sorted gaps t[i + k] - t[i] only grow with k, so
-    the sweep stops at the first offset whose smallest gap exceeds that
-    reach. The rounding margin on the reach can only make it look further.
-    Time is O(n log n) plus O(n) per offset, O(n^2) at worst, when all the
-    points project close together.
+    whose dot comes within `tol` of the best so far lies within
+    sqrt(2 r^2 - 2 (best - tol)) in t, r the largest norm; the sorted gaps
+    t[i + k] - t[i] only grow with k, so the sweep stops at the first offset
+    whose smallest gap exceeds that reach. The rounding margin on the reach
+    can only make it look further. Time is O(n log n) plus O(n) per offset,
+    O(n^2) at worst, when all the points project close together.
 
     Each dot is x x' + y y' + z z' summed in that order, so the result does
-    not depend on the BLAS build. Fewer than two points give -1.
+    not depend on the BLAS build. For unit vectors the distance is the
+    minimum pairwise distance: taken from the coordinates' differences, its
+    error stays near 1e-16 absolute, where sqrt(2 - 2 dot) loses 1e-16 / d^2
+    relative. Fewer than two points give (-1, inf), a NaN point (nan, nan).
     """
     p = np.asarray(points, dtype=np.float64)
     n = len(p)
     if n < 2:
-        return -1.0
+        return -1.0, math.inf
     ux, uy, uz = _SWEEP_AXIS
     t = p[:, 0] * ux + p[:, 1] * uy + p[:, 2] * uz
     order = np.argsort(t)
     t = t[order]
     x, y, z = np.ascontiguousarray(p[order].T)
     r2 = float(np.max(x * x + y * y + z * z))
-    best = -1.0
+    # above twice the rounding error of a three-term dot (1.5 eps r^2), so
+    # the truly closest pair is a candidate whichever pair rounds to the best
+    tol = 4.0 * np.finfo(np.float64).eps * r2
+    best = -math.inf
+    found = []  # (offset, first indices, their dots) of candidate pairs
     for k in range(1, n):
-        reach = math.sqrt(max(2.0 * r2 - 2.0 * best, 0.0)) * (1.0 + 1e-6) + 1e-12
+        reach = math.sqrt(max(2.0 * r2 - 2.0 * (best - tol), 0.0)) * (1.0 + 1e-6) + 1e-12
         if float(np.min(t[k:] - t[:-k])) > reach:
             break
         dots = x[:-k] * x[k:] + y[:-k] * y[k:] + z[:-k] * z[k:]
-        best = max(best, float(dots.max()))
-    return best
+        top = float(dots.max())
+        if math.isnan(top):
+            return math.nan, math.nan
+        if top >= best - tol:
+            best = max(best, top)
+            i = np.flatnonzero(dots >= best - tol)
+            found.append((k, i, dots[i]))
+    i = np.concatenate([i for _, i, _ in found])
+    j = i + np.concatenate([np.full(len(i), k) for k, i, _ in found])
+    keep = np.concatenate([dots for _, _, dots in found]) >= best - tol
+    i, j = i[keep], j[keep]
+    dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+    return best, math.sqrt(float(np.min(dx * dx + dy * dy + dz * dz)))
 
 
 def min_chordal_distance_array(points: np.ndarray) -> float:
     """Minimum pairwise chordal distance for an (n, 2) array of unit 2-vectors.
 
-    Uses |<x_i, x_j>|^2 = (1 + r_i . r_j) / 2 on the Bloch sphere, so the
-    result is exactly half the minimum Euclidean distance between the points'
-    Bloch images.
+    The chordal distance of two lines is exactly half the Euclidean distance
+    between their Bloch points, since |<x_i, x_j>|^2 = (1 + r_i . r_j) / 2.
     """
     if len(points) < 2:
         raise InvalidInputError("need at least two codewords")
-    dot = pairwise_min_bloch_dot(bloch_array(points))
-    return math.sqrt(max(0.0, (1.0 - min(dot, 1.0)) / 2.0))
+    return pairwise_min_bloch_dot(bloch_array(points))[1] / 2.0
 
 
 def min_euclidean_distance_array(points3: np.ndarray) -> float:
     """Minimum pairwise Euclidean distance for an (n, 3) array of unit vectors."""
     if len(points3) < 2:
         raise InvalidInputError("need at least two points")
-    dot = pairwise_min_bloch_dot(np.asarray(points3, dtype=np.float64))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * min(dot, 1.0)))
+    return pairwise_min_bloch_dot(points3)[1]
 
 
 def canonicalize_array(points: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from grassbloch.geometry import (
     min_euclidean_distance_array,
     pairwise_min_bloch_dot,
 )
+from grassbloch.builders import exp_map_psk
 from grassbloch.zopt import build_z_opt, realize_codewords, zopt_structure
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -89,6 +90,13 @@ class TestChordalDistance:
         d = min_chordal_distance_array(pair(a, b))
         assert d == min_chordal_distance_array(pair(b, a))
         assert d == pytest.approx(chordal(a, b), abs=1e-12)
+
+
+def test_small_chordal_distance_to_full_precision():
+    # adjacent codewords of 2048-PSK on the equator lie sin(pi / 2048) apart;
+    # sqrt((1 - dot) / 2) read 7.3e-11 relative low here
+    d = exp_map_psk(2048).min_chordal_distance
+    assert abs(d / math.sin(math.pi / 2048) - 1.0) <= 1e-12
 
 
 class TestEuclideanDistance:
@@ -380,6 +388,16 @@ def reference_max_dot(points):
     return best
 
 
+def reference_min_distance(points):
+    """All-pairs minimum of |p - q|, each summed as dx^2 + dy^2 + dz^2."""
+    best = math.inf
+    for i in range(len(points) - 1):
+        diff = points[i + 1:] - points[i]
+        best = min(best, float(np.min(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+                                      + diff[:, 2] * diff[:, 2])))
+    return math.sqrt(best)
+
+
 def unit_rows(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v, axis=1)[:, None]
@@ -419,8 +437,9 @@ def antipodal(n, seed):
 class TestClosestPairSweep:
     def check(self, points):
         points = np.ascontiguousarray(points, dtype=np.float64)
-        got = pairwise_min_bloch_dot(points)
-        assert abs(got - reference_max_dot(points)) <= 1e-15
+        dot, dist = pairwise_min_bloch_dot(points)
+        assert abs(dot - reference_max_dot(points)) <= 1e-15
+        assert dist == reference_min_distance(points)
 
     @pytest.mark.parametrize("C", [2, 3, 4, 7, 33, 256, 1000, 3000])
     def test_uniform(self, C):
@@ -450,7 +469,7 @@ class TestClosestPairSweep:
                           axis_circle(np.array([math.pi / M]), 0.2 + delta)])
         pts = np.vstack([axis_circle(ring, -0.5), axis_circle(ring, 0.2), pair])
         expected = float(pair[0] @ pair[1])
-        assert pairwise_min_bloch_dot(pts) == pytest.approx(expected, abs=1e-15)
+        assert pairwise_min_bloch_dot(pts)[0] == pytest.approx(expected, abs=1e-15)
         self.check(pts)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -468,8 +487,14 @@ class TestClosestPairSweep:
         self.check(psk_ring(3, 0.2))
 
     def test_fewer_than_two_points(self):
-        assert pairwise_min_bloch_dot(np.empty((0, 3))) == -1.0
-        assert pairwise_min_bloch_dot(np.array([[0.0, 0.0, 1.0]])) == -1.0
+        assert pairwise_min_bloch_dot(np.empty((0, 3))) == (-1.0, math.inf)
+        assert pairwise_min_bloch_dot(np.array([[0.0, 0.0, 1.0]])) == (-1.0, math.inf)
+
+    def test_nan_point(self):
+        pts = uniform_points(20, seed=4)
+        pts[7, 1] = np.nan
+        dot, dist = pairwise_min_bloch_dot(pts)
+        assert math.isnan(dot) and math.isnan(dist)
 
     def test_memory_stays_linear(self):
         # a layered set of C = 16384 codewords; the all-pairs scan peaked near
