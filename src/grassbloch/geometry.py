@@ -161,8 +161,9 @@ def bloch_array(points: np.ndarray) -> np.ndarray:
 
 def pairwise_min_bloch_dot(points: np.ndarray) -> tuple[float, float]:
     """Closest pair of an (n, 3) array of vectors: the maximum dot product
-    over distinct pairs, and the least |p - q| over the pairs whose dot lies
-    within rounding of that maximum.
+    over distinct pairs, and the least |p - q| over pairs whose dot came
+    within rounding of the best one when they were scanned, a set that
+    holds every pair within rounding of the maximum.
 
     An exact closest-pair sweep in O(n) memory. The points are sorted by
     their projection t on `_SWEEP_AXIS`, and offset k pairs each point with
@@ -193,11 +194,10 @@ def pairwise_min_bloch_dot(points: np.ndarray) -> tuple[float, float]:
     # above twice the rounding error of a three-term dot (1.5 eps r^2), so
     # the truly closest pair is a candidate whichever pair rounds to the best
     tol = 4.0 * np.finfo(np.float64).eps * r2
-    best = -math.inf
-    found = []  # (offset, first indices, their dots) of candidate pairs
+    best, sq = -math.inf, math.inf
     for k in range(1, n):
         reach = math.sqrt(max(2.0 * r2 - 2.0 * (best - tol), 0.0)) * (1.0 + 1e-6) + 1e-12
-        if float(np.min(t[k:] - t[:-k])) > reach:
+        if float((t[k:] - t[:-k]).min()) > reach:
             break
         dots = x[:-k] * x[k:] + y[:-k] * y[k:] + z[:-k] * z[k:]
         top = float(dots.max())
@@ -206,13 +206,9 @@ def pairwise_min_bloch_dot(points: np.ndarray) -> tuple[float, float]:
         if top >= best - tol:
             best = max(best, top)
             i = np.flatnonzero(dots >= best - tol)
-            found.append((k, i, dots[i]))
-    i = np.concatenate([i for _, i, _ in found])
-    j = i + np.concatenate([np.full(len(i), k) for k, i, _ in found])
-    keep = np.concatenate([dots for _, _, dots in found]) >= best - tol
-    i, j = i[keep], j[keep]
-    dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
-    return best, math.sqrt(float(np.min(dx * dx + dy * dy + dz * dz)))
+            dx, dy, dz = x[i] - x[i + k], y[i] - y[i + k], z[i] - z[i + k]
+            sq = min(sq, float((dx * dx + dy * dy + dz * dz).min()))
+    return best, math.sqrt(sq)
 
 
 def min_chordal_distance_array(points: np.ndarray) -> float:

@@ -180,7 +180,8 @@ def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
     """
     n = len(points)
     d = _pairwise_distances(points, np.empty((n, n)))
-    vals = d[np.triu_indices(n, k=1)]
+    iu = np.triu_indices(n, k=1)
+    vals = d[iu]
     dmin = vals.min()
     total = np.exp(-(vals - dmin) / eps).sum()
     return float(dmin - eps * math.log(total)), n * (n - 1) // 2
