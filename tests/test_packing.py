@@ -125,8 +125,9 @@ class TestOptimizePacking:
         assert peak <= 4.5 * C * C * 8
 
 
-# The dense optimizer as it was before it moved to preallocated buffers; the
-# buffered one in `packing` must reproduce its points bit for bit.
+# Dense reference for the two optimizer phases: fresh arrays for every step
+# and a new distance matrix for every sweep. The buffered phases in `packing`
+# must reproduce its points bit for bit.
 
 
 def reference_pairwise_distances(points):
