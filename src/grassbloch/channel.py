@@ -74,8 +74,9 @@ def _thread_count(threads: int | None) -> int:
 
 def effective_chunk(chunk: int, C: int, N: int) -> int:
     """Rows per detector call: at most `chunk`, and at most
-    `MAX_BLOCK_ENTRIES` entries in a batch's (rows, C) GLRT scores or
-    (rows, 4N) received reals, but never capped below 256 rows."""
+    `MAX_BLOCK_ENTRIES` entries in a batch's (rows, C) or (rows, 4N) arrays,
+    but never capped below 256 rows. The GLRT detector scores a chunk in
+    smaller cache-sized blocks of its own."""
     cap = max(256, MAX_BLOCK_ENTRIES // max(C, 4 * N))
     return max(1, min(chunk, cap))
 

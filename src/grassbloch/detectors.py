@@ -30,9 +30,14 @@ from .zopt import ZOptConstellation, diagonal_chord
 
 TWO_PI = 2.0 * math.pi
 
-#: most entries in one (rows, C) block of GLRT scores; the simulator sizes
-#: its trial chunks by the same cap
+#: most entries in the arrays of one trial chunk; the simulator sizes its
+#: chunks by this cap
 MAX_BLOCK_ENTRIES = 1 << 22
+
+#: most entries in one (rows, C) block of GLRT scores: 1 MiB of float64, so
+#: a block stays in L2 cache between the product that writes it and the
+#: argmax that reads it
+_GLRT_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ def _score_matrix_parts(points: np.ndarray) -> np.ndarray:
 class GlrtDetector:
     """argmax over the constellation of ||Y^H x||^2, evaluated for every codeword.
 
-    A batch is scored in blocks of at most `MAX_BLOCK_ENTRIES` scores, so its
+    A batch is scored in cache-sized blocks of at most 2**17 scores, so its
     memory stays bounded however many rows it holds.
     """
 
@@ -145,7 +150,7 @@ class GlrtDetector:
         g00, g11, g01 = _gram_parts(_checked(Ys))
         A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
         C = self._parts.shape[1]
-        step = max(1, MAX_BLOCK_ENTRIES // C)
+        step = max(1, _GLRT_BLOCK_ENTRIES // C)
         idx = np.empty(len(A), dtype=np.intp)
         for lo in range(0, len(A), step):
             idx[lo:lo + step] = np.argmax(A[lo:lo + step] @ self._parts, axis=1)

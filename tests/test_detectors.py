@@ -11,6 +11,8 @@ from grassbloch.detectors import (
     SoptDetector,
     ZoptDetector,
     _checked,
+    _gram_parts,
+    _score_matrix_parts,
     azimuth_region,
     cell_vertex,
     polar_region,
@@ -79,11 +81,24 @@ class TestGlrt:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 4 * 2**20
         want = [det.detect(Y) for Y in Ys]
         assert idx.tolist() == [r.index for r in want]
         assert evals.tolist() == [r.distance_evals for r in want]
         assert comps.tolist() == [r.comparisons for r in want]
+
+
+    @pytest.mark.parametrize("B, rows", [(6, 2 * 2048 + 5), (9, 1000), (12, 1000)])
+    def test_blocks_match_one_product(self, B, rows):
+        # block sizes 2048, 256 and 32 rows; no row count is a multiple
+        x = build_z_opt(B)
+        Ys = np.random.default_rng(B).standard_normal((rows, 2, 2, 2)) @ [1.0, 1j]
+        g00, g11, g01 = _gram_parts(Ys)
+        A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
+        want = np.argmax(A @ _score_matrix_parts(x.array), axis=1)
+        idx, evals, comps = GlrtDetector(x).detect_batch(Ys)
+        assert np.array_equal(idx, want)
+        assert evals.tolist() == comps.tolist() == [len(x)] * rows
 
 
 class TestSopt:
