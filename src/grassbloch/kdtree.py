@@ -1,5 +1,14 @@
 """Balanced space-partitioning tree for exact nearest-neighbor search in 3-space.
 
+The tree is built level by level with no recursion. A segment of more than
+leaf_size points splits on the axis of its widest spread, after a stable sort
+on that axis, at its middle point; every point at or beyond the split value
+goes right. One level's spreads come from `reduceat` over its segments and
+one `lexsort` on (segment, coordinate) sorts all of them. The node arrays are
+numbered in pre-order: a segment's subtree size depends only on its point
+count, so a right child's id is its parent's plus one plus the size of the
+left subtree.
+
 Queries return exactly what a linear scan would, including the tie rule (equal
 distances resolve to the lowest point index), and report how many point
 distances and scalar comparisons each lookup performed.
@@ -23,6 +32,26 @@ from .errors import InvalidInputError
 _BIG = np.iinfo(np.int64).max
 
 
+def _subtree_counts(n: int, leaf_size: int) -> np.ndarray:
+    """Nodes in the subtree over a segment of s points, at index s, for every
+    segment size the build of n points meets (zero elsewhere).
+
+    A segment of s > leaf_size points splits into s // 2 and s - s // 2, so
+    each level holds at most two sizes.
+    """
+    levels = [{n}]
+    while True:
+        below = {h for s in levels[-1] if s > leaf_size for h in (s // 2, s - s // 2)}
+        if not below:
+            break
+        levels.append(below)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for sizes in reversed(levels):
+        for s in sizes:
+            counts[s] = 1 if s <= leaf_size else 1 + counts[s // 2] + counts[s - s // 2]
+    return counts
+
+
 class KDTree:
     def __init__(self, points, leaf_size: int = 8):
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -32,62 +61,76 @@ class KDTree:
             raise InvalidInputError("leaf_size must be >= 1")
         self.points = points
         self.leaf_size = leaf_size
-        self._perm = np.arange(len(points))
+        n = len(points)
+        counts = _subtree_counts(n, leaf_size)
+        n_nodes = int(counts[n])
+        perm = np.arange(n)
         # node arrays; leaves carry (start, end) into _perm, internals a split
-        self._split_dim = []
-        self._split_val = []
-        self._left = []
-        self._right = []
-        self._start = []
-        self._end = []
-        self._depth = 0
-        self._root = self._build(0, len(points), 0)
-        self._split_dim = np.asarray(self._split_dim, dtype=np.int64)
-        self._split_val = np.asarray(self._split_val, dtype=np.float64)
-        self._left = np.asarray(self._left, dtype=np.int64)
-        self._right = np.asarray(self._right, dtype=np.int64)
-        self._start = np.asarray(self._start, dtype=np.int64)
-        self._end = np.asarray(self._end, dtype=np.int64)
+        split_dim = np.full(n_nodes, -1, dtype=np.int64)
+        split_val = np.full(n_nodes, -1.0)
+        left = np.full(n_nodes, -1, dtype=np.int64)
+        right = np.full(n_nodes, -1, dtype=np.int64)
+        start = np.full(n_nodes, -1, dtype=np.int64)
+        end = np.full(n_nodes, -1, dtype=np.int64)
+        # one level's segments [lo, hi) of _perm and their pre-order node ids
+        lo = np.zeros(1, dtype=np.int64)
+        hi = np.full(1, n, dtype=np.int64)
+        node = np.zeros(1, dtype=np.int64)
+        depth = 0
+        while True:
+            leaf = hi - lo <= leaf_size
+            start[node[leaf]] = lo[leaf]
+            end[node[leaf]] = hi[leaf]
+            inner = ~leaf
+            if not inner.any():
+                break
+            lo, hi, node = lo[inner], hi[inner], node[inner]
+            # a padding row lets a segment end at n in reduceat's bounds
+            coords = np.vstack([points[perm], points[:1]])
+            bounds = np.column_stack([lo, hi]).ravel()
+            spread = (np.maximum.reduceat(coords, bounds)[::2]
+                      - np.minimum.reduceat(coords, bounds)[::2])
+            dim = np.argmax(spread, axis=1)
+            # stable sort of every segment on its split coordinate at once
+            size = hi - lo
+            seg = np.repeat(np.arange(len(lo)), size)
+            pos = np.arange(len(seg)) + np.repeat(lo - np.cumsum(size) + size, size)
+            sub = perm[pos]
+            perm[pos] = sub[np.lexsort((points[sub, dim[seg]], seg))]
+            mid = lo + size // 2
+            # everything at or beyond the split value lives in the right subtree
+            split_dim[node] = dim
+            split_val[node] = points[perm[mid], dim]
+            left[node] = node + 1
+            right[node] = node + 1 + counts[size // 2]
+            # children stay in position order, so reduceat's gaps hold leaves only
+            lo = np.column_stack([lo, mid]).ravel()
+            hi = np.column_stack([mid, hi]).ravel()
+            node = np.column_stack([left[node], right[node]]).ravel()
+            depth += 1
+        self._perm = perm
+        self._depth = depth
+        self._root = 0
+        self._split_dim = split_dim
+        self._split_val = split_val
+        self._left = left
+        self._right = right
+        self._start = start
+        self._end = end
         # leaf tables, one row per node: point indices padded with _BIG and
         # coordinates padded with +inf, so padding never wins a distance
-        n_nodes = len(self._split_dim)
-        self._count = np.where(self._split_dim < 0, self._end - self._start, 0)
+        self._count = np.where(split_dim < 0, end - start, 0)
         self._leaf_idx = np.full((n_nodes, leaf_size), _BIG, dtype=np.int64)
         self._leaf_pts = np.full((n_nodes, leaf_size, points.shape[1]), np.inf)
-        for node in np.flatnonzero(self._split_dim < 0):
-            idx = self._perm[self._start[node]:self._end[node]]
-            self._leaf_idx[node, :len(idx)] = idx
-            self._leaf_pts[node, :len(idx)] = points[idx]
+        # pre-order meets the leaves left to right, so they tile _perm in order
+        leaves = np.flatnonzero(split_dim < 0)
+        row = np.repeat(leaves, self._count[leaves])
+        col = np.arange(n) - start[row]
+        self._leaf_idx[row, col] = perm
+        self._leaf_pts[row, col] = points[perm]
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def _new_node(self) -> int:
-        for arr in (self._split_dim, self._split_val, self._left,
-                    self._right, self._start, self._end):
-            arr.append(-1)
-        return len(self._split_dim) - 1
-
-    def _build(self, lo: int, hi: int, depth: int) -> int:
-        node = self._new_node()
-        self._depth = max(self._depth, depth)
-        if hi - lo <= self.leaf_size:
-            self._start[node] = lo
-            self._end[node] = hi
-            return node
-        sub = self._perm[lo:hi]
-        coords = self.points[sub]
-        spread = coords.max(axis=0) - coords.min(axis=0)
-        dim = int(np.argmax(spread))
-        order = np.argsort(coords[:, dim], kind="stable")
-        self._perm[lo:hi] = sub[order]
-        mid = (hi - lo) // 2
-        # everything at or beyond the split value lives in the right subtree
-        self._split_dim[node] = dim
-        self._split_val[node] = self.points[self._perm[lo + mid], dim]
-        self._left[node] = self._build(lo, lo + mid, depth + 1)
-        self._right[node] = self._build(lo + mid, hi, depth + 1)
-        return node
 
     def query(self, q):
         """Nearest neighbor for each row of q.

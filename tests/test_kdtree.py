@@ -3,12 +3,16 @@ import pytest
 
 from grassbloch.errors import InvalidInputError
 from grassbloch.kdtree import _BIG, KDTree
+from grassbloch.zopt import build_z_opt
 
 
 def sphere_points(n, seed):
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((n, 3))
     return p / np.linalg.norm(p, axis=1)[:, None]
+
+
+SIZES = [(1, 1), (5, 2), (64, 8), (300, 8), (300, 1), (4096, 16)]
 
 
 def linear_scan(points, queries):
@@ -65,15 +69,93 @@ def reference_query(tree, q):
     return best_idx, best_d2, evals, comps
 
 
+def reference_build(points, leaf_size):
+    """The recursive one-node-at-a-time build the level-by-level one replaces.
+
+    Nodes are numbered in pre-order. A segment of more than leaf_size points
+    splits on its widest axis after a stable sort, at its middle point.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    perm = np.arange(len(points))
+    nodes = []  # [split_dim, split_val, left, right, start, end]
+    depth = 0
+
+    def build(lo, hi, d):
+        nonlocal depth
+        node = len(nodes)
+        nodes.append([-1, -1.0, -1, -1, -1, -1])
+        depth = max(depth, d)
+        if hi - lo <= leaf_size:
+            nodes[node][4:] = [lo, hi]
+            return node
+        sub = perm[lo:hi]
+        coords = points[sub]
+        dim = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
+        perm[lo:hi] = sub[np.argsort(coords[:, dim], kind="stable")]
+        mid = (hi - lo) // 2
+        nodes[node][:2] = [dim, points[perm[lo + mid], dim]]
+        nodes[node][2] = build(lo, lo + mid, d + 1)
+        nodes[node][3] = build(lo + mid, hi, d + 1)
+        return node
+
+    build(0, len(points), 0)
+    cols = list(zip(*nodes))
+    out = {"_perm": perm, "_depth": depth}
+    for name, col, dtype in zip(
+        ["_split_dim", "_split_val", "_left", "_right", "_start", "_end"],
+        cols, [np.int64, np.float64] + [np.int64] * 4,
+    ):
+        out[name] = np.asarray(col, dtype=dtype)
+    leaf = out["_split_dim"] < 0
+    out["_count"] = np.where(leaf, out["_end"] - out["_start"], 0)
+    out["_leaf_idx"] = np.full((len(nodes), leaf_size), _BIG, dtype=np.int64)
+    out["_leaf_pts"] = np.full((len(nodes), leaf_size, points.shape[1]), np.inf)
+    for node in np.flatnonzero(leaf):
+        idx = perm[out["_start"][node]:out["_end"][node]]
+        out["_leaf_idx"][node, :len(idx)] = idx
+        out["_leaf_pts"][node, :len(idx)] = points[idx]
+    return out
+
+
+def assert_same_build(points, leaf_size):
+    tree = KDTree(points, leaf_size=leaf_size)
+    assert tree._root == 0
+    for name, want in reference_build(points, leaf_size).items():
+        got = getattr(tree, name)
+        assert np.asarray(got).dtype == np.asarray(want).dtype, name
+        assert np.array_equal(got, want), name
+    return tree
+
+
+@pytest.mark.parametrize("n,leaf", SIZES + [(8, 8), (7, 8), (9, 8), (33, 1), (101, 3),
+                                            (1023, 8), (4097, 8)])
+def test_build_matches_reference(n, leaf):
+    assert_same_build(sphere_points(n, seed=n), leaf)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 3, 8])
+def test_build_with_tied_split_coordinates(leaf):
+    # integer grids: ties on every axis, whole segments with zero spread on
+    # some axes, and duplicate points
+    g = np.random.default_rng(leaf).integers(-2, 3, (301, 3)).astype(np.float64)
+    assert_same_build(g, leaf)
+    assert_same_build(np.concatenate([g, g]), leaf)
+    assert_same_build(np.zeros((37, 3)), leaf)
+
+
+@pytest.mark.parametrize("B", [6, 9, 12])
+def test_build_on_zopt_bloch_points(B):
+    # each ring of a layered set holds several rounded z values, so the splits
+    # on z meet ties and near-ties
+    assert_same_build(build_z_opt(B).bloch, 8)
+
+
 def assert_same_as_reference(tree, q):
     got = tree.query(q)
     want = reference_query(tree, q)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     return got
-
-
-SIZES = [(1, 1), (5, 2), (64, 8), (300, 8), (300, 1), (4096, 16)]
 
 
 @pytest.mark.parametrize("n,leaf", SIZES)
@@ -121,7 +203,7 @@ def test_duplicate_coordinates_on_split_axis():
     # many points sharing coordinates stress the plane bookkeeping
     base = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0],
                      [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    tree = KDTree(base, leaf_size=1)
+    tree = assert_same_build(base, 1)
     q = sphere_points(200, seed=3)
     assert np.array_equal(assert_same_as_reference(tree, q)[0], linear_scan(base, q))
 
