@@ -133,8 +133,14 @@ def _canonical_rows(points: np.ndarray) -> None:
 
 
 def _has_duplicate_rows(arr: np.ndarray) -> bool:
+    """Whether two rows agree in every entry rounded to 9 decimals.
+
+    A lexicographic sort puts equal rows next to each other; float `==`
+    keeps -0.0 equal to 0.0.
+    """
     view = np.round(arr.view(np.float64).reshape(len(arr), -1), 9)
-    return len(np.unique(view, axis=0)) != len(arr)
+    view = view[np.lexsort(view.T)]
+    return bool((view[1:] == view[:-1]).all(axis=1).any())
 
 
 def angles_to_codewords(theta, phi) -> np.ndarray:

@@ -510,3 +510,46 @@ class TestClosestPairSweep:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def reference_has_duplicate_rows(arr):
+    view = np.round(arr.view(np.float64).reshape(len(arr), -1), 9)
+    return len(np.unique(view, axis=0)) != len(arr)
+
+
+def bloch_to_codewords(points):
+    theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+    return angles_to_codewords(theta, np.arctan2(points[:, 1], points[:, 0]))
+
+
+class TestDuplicateRows:
+    def check(self, arr, expected):
+        arr = np.ascontiguousarray(arr, dtype=np.complex128)
+        assert reference_has_duplicate_rows(arr) is expected
+        assert geometry._has_duplicate_rows(arr) is expected
+
+    @pytest.mark.parametrize("shift, duplicate", [(1e-10, True), (1e-8, False)])
+    @pytest.mark.parametrize("col", range(4))
+    def test_rounding_to_nine_decimals(self, shift, col, duplicate):
+        rows = random_codewords(40, seed=col).view(np.float64)
+        extra = np.array([[0.6, 0.0, 0.48, 0.64]])
+        twin = extra.copy()
+        twin[0, col] += shift
+        self.check(np.vstack([rows[:20], extra, rows[20:], twin]).view(np.complex128),
+                   duplicate)
+
+    def test_negative_zero_equals_zero(self):
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, -0.0],
+                         [0.6, 0.0, 0.0, 0.8], [0.0, 0.0, 1.0, 0.0]])
+        self.check(rows.view(np.complex128), True)
+        self.check(rows[:3].view(np.complex128), False)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_duplicates(self, seed):
+        self.check(bloch_to_codewords(near_duplicates(300, seed)), True)
+        self.check(bloch_to_codewords(uniform_points(300, seed)), False)
+
+    def test_zopt_b14(self):
+        arr = build_z_opt(14).array
+        self.check(arr, False)
+        self.check(np.vstack([arr, arr[9000:9001]]), True)
