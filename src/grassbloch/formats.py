@@ -78,9 +78,10 @@ def constellation_to_dict(x, seed=None, extra_config=None) -> dict:
 
 
 def save_constellation(path, x, seed=None, extra_config=None) -> None:
+    # json.dumps takes the C encoder; json.dump to a file would not
+    text = json.dumps(constellation_to_dict(x, seed=seed, extra_config=extra_config))
     with open(path, "w") as fh:
-        json.dump(constellation_to_dict(x, seed=seed, extra_config=extra_config), fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def constellation_from_dict(data, path=None):

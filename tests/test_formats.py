@@ -44,6 +44,17 @@ class TestConstellationJson:
         assert json.loads(path.read_text())["zopt"]["layer_offsets"] == [0, 4, 12, 20, 28]
         assert np.allclose(back.array, z.array)
 
+    @pytest.mark.parametrize("make", [lambda: build_s_opt(exact_packing(12)),
+                                      lambda: build_z_opt(9)])
+    def test_file_bytes_match_streamed_encoder(self, tmp_path, make):
+        x = make()
+        path = tmp_path / "c.json"
+        save_constellation(path, x, seed=4, extra_config={"starts": 1})
+        with open(tmp_path / "want.json", "w") as fh:
+            json.dump(constellation_to_dict(x, seed=4, extra_config={"starts": 1}), fh)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+
     @pytest.mark.parametrize("B", list(range(1, 17)))
     def test_layered_rows_rebuild_bitwise(self, B):
         # the loader rebuilds the codewords from the angles; for every file
