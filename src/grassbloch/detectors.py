@@ -30,8 +30,8 @@ from .zopt import ZOptConstellation, diagonal_chord
 
 TWO_PI = 2.0 * math.pi
 
-#: most entries in the arrays of one trial chunk; the simulator sizes its
-#: chunks by this cap
+#: most entries, rows x max(C, 4N), in one trial chunk; the simulator sizes
+#: its chunks by this cap
 MAX_BLOCK_ENTRIES = 1 << 22
 
 #: most entries in one (rows, C) block of GLRT scores: 1 MiB of float64, so
