@@ -17,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .detectors import MAX_BLOCK_ENTRIES, GlrtDetector, SoptDetector, ZoptDetector
+from .detectors import GlrtDetector, SoptDetector, ZoptDetector
 from .errors import InvalidInputError
 from .zopt import ZOptConstellation
 
 DETECTOR_TAGS = ("glrt", "sopt", "zopt")
 
 _THREADS_ENV = "GRASSBLOCH_THREADS"
+
+#: most entries, rows x 4N, in one trial chunk's arrays
+MAX_BLOCK_ENTRIES = 1 << 22
 
 
 def make_detector(tag: str, x):
@@ -72,13 +75,21 @@ def _thread_count(threads: int | None) -> int:
         return 1
 
 
-def effective_chunk(chunk: int, C: int, N: int) -> int:
+def effective_chunk(chunk: int, N: int) -> int:
     """Rows per detector call: at most `chunk`, and at most
-    `MAX_BLOCK_ENTRIES` entries in a batch's (rows, C) or (rows, 4N) arrays,
-    but never capped below 256 rows. The GLRT detector scores a chunk in
-    smaller cache-sized blocks of its own."""
-    cap = max(256, MAX_BLOCK_ENTRIES // max(C, 4 * N))
+    `MAX_BLOCK_ENTRIES` entries in a batch's (rows, 4N) arrays, but never
+    capped below 256 rows. The constellation size plays no part: the GLRT
+    detector scores a chunk in cache-sized blocks of its own."""
+    cap = max(256, MAX_BLOCK_ENTRIES // (4 * N))
     return max(1, min(chunk, cap))
+
+
+def _check_run(trials: int, N: int) -> None:
+    """Reject trial and antenna counts no run can use."""
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
+    if N < 1:
+        raise InvalidInputError("need at least one receive antenna")
 
 
 def _noise_variance(snr_db) -> float:
@@ -161,15 +172,12 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
 
     `detector` is a tag from `DETECTOR_TAGS`.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    if N < 1:
-        raise InvalidInputError("need at least one receive antenna")
+    _check_run(trials, N)
     snr_db = [float(s) for s in snr_db]
     sigma2s = [_noise_variance(s) for s in snr_db]
     det = make_detector(detector, x)
     points = x.array
-    chunk = effective_chunk(chunk, len(points), N)
+    chunk = effective_chunk(chunk, N)
     threads = _thread_count(threads)
     errors, mean_ev, mean_cp = [], [], []
     for snr_index, sigma2 in enumerate(sigma2s):
@@ -216,12 +224,11 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
     for the mismatch column; with equivalent detectors that column stays zero
     on every trial.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    _check_run(trials, N)
     sigma2 = _noise_variance(snr_db)
     dets = [make_detector(tag, x) for tag in detectors]
     points = x.array
-    chunk = effective_chunk(chunk, len(points), N)
+    chunk = effective_chunk(chunk, N)
     err, ev, cp, max_ev, mism = _run_point(
         dets, points, seed, 0, sigma2, trials, N, chunk, _thread_count(threads)
     )

@@ -256,8 +256,6 @@ def _bound(args) -> int:
 
 
 def _simulate(args) -> int:
-    if args.trials < 1:
-        raise InvalidInputError("trials must be >= 1")
     snr = _parse_snr(args.snr)
     if not snr:
         raise InvalidInputError("empty SNR list")
@@ -272,8 +270,6 @@ def _simulate(args) -> int:
 
 
 def _bench(args) -> int:
-    if args.trials < 1:
-        raise InvalidInputError("trials must be >= 1")
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
     if not tags:
         raise InvalidInputError("need at least one detector")

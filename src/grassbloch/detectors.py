@@ -26,13 +26,9 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import Constellation, bloch_array
 from .kdtree import KDTree
-from .zopt import ZOptConstellation, diagonal_chord
+from .zopt import ZOptConstellation, ZOptStructure, diagonal_chord
 
 TWO_PI = 2.0 * math.pi
-
-#: most entries, rows x max(C, 4N), in one trial chunk; the simulator sizes
-#: its chunks by this cap
-MAX_BLOCK_ENTRIES = 1 << 22
 
 #: most entries in one (rows, C) block of GLRT scores: 1 MiB of float64, so
 #: a block stays in L2 cache between the product that writes it and the
@@ -211,51 +207,24 @@ def _region_comparisons(l: int) -> int:
     return max(1, math.ceil(math.log2(l + 1)))
 
 
-def _ring_step(ic, l: int, half_layers: int):
-    """Sectors between neighboring points of 1-based layer ic.
-
-    Full rings step 2 sectors of pi/z_max per point; the `half_layers` cap
-    rings at each pole (0 uniform, 1 halved, 2 doubled caps) hold z_max/2
-    points and step 4. Uniform structures get the scalar 2.
-    """
-    if not half_layers:
-        return 2
-    return np.where((ic <= half_layers) | (ic > l - half_layers), 4, 2)
-
-
-def _nearest_vertex(ic, j0, m):
-    """(k, a) for layer ic's point nearest the centre of sector j0.
-
-    k is the point's number within its layer (k may equal the ring size,
-    which wraps to 0) and a its azimuth in sectors. Odd layers start at
-    azimuth 0 and even layers at one sector, so a = b + m*k with k the
-    nearest integer to (j0 + 1/2 - b) / m, which is never a tie.
-    """
-    b = 1 - ic % 2
-    k = (2 * j0 + 1 - 2 * b + m) // (2 * m)
-    return k, b + m * k
-
-
-def cell_vertex(i, j0, z_max: int, l: int, half_layers: int):
+def cell_vertex(i, j0, s: ZOptStructure):
     """(index, a) of the codeword anchored to grid cell (i, j0).
 
     `i` is the polar region in [0, l]; `j0` the azimuth sector in
     [0, 2*z_max). For i >= 1 the anchor is the point of layer i azimuthally
     nearest sector j0; region 0 borrows layer 1. index is the anchor's
     closed-form codeword index (1-based) and a its azimuth in sectors of
-    pi/z_max. `half_layers` rings of z_max/2 points sit in each polar cap,
-    where the nearest point snaps to sector 4k (odd layers) or 4k + 1 (even
-    layers); every other layer holds z_max.
+    pi/z_max. Both follow from the layer's entries in `s.layer_table`: a ring
+    of Z points steps m = 2*z_max // Z sectors, odd layers start at azimuth 0
+    and even layers at b = 1 sector, so a = b + m*k with k the nearest integer
+    to (j0 + 1/2 - b) / m, which is never a tie. k = Z wraps to the layer's
+    first point: index = layer_offsets[layer] + k mod Z + 1.
     """
     layer = np.maximum(np.asarray(i, dtype=np.int64), 1)
-    m = _ring_step(layer, l, half_layers)
-    k, a = _nearest_vertex(layer, np.asarray(j0, dtype=np.int64), m)
-    index = (layer - 1) * z_max + k % (2 * z_max // m) + 1
-    if half_layers:
-        halves_above = (np.minimum(layer - 1, half_layers)
-                        + np.maximum(layer - 1 - (l - half_layers), 0))
-        index -= halves_above * (z_max // 2)
-    return index, a
+    size, m, first = (t[layer - 1] for t in s.layer_table)
+    b = 1 - (layer & 1)
+    k = (2 * np.asarray(j0, dtype=np.int64) + 1 - 2 * b + m) // (2 * m)
+    return first + k % size + 1, b + m * k
 
 
 class ZoptDetector:
@@ -263,7 +232,9 @@ class ZoptDetector:
 
     Holds only the layer structure and the l polar angles of a
     `ZOptConstellation`, never its codeword array: the closed-form
-    cell-to-index map names the winning codeword.
+    cell-to-index map (`cell_vertex`, one gather from the structure's
+    per-layer table) names the winning codeword. It works for every shape
+    `ZOptStructure` accepts, whatever the number of half rings per cap.
     """
 
     def __init__(self, z: ZOptConstellation):
@@ -272,8 +243,7 @@ class ZoptDetector:
 
     def anchor_index(self, i, j0):
         """1-based codeword index anchored to grid cell (i, j0)."""
-        s = self.structure
-        return cell_vertex(i, j0, s.z_max, s.l, s.half_layers)[0]
+        return cell_vertex(i, j0, self.structure)[0]
 
     def anchor_table(self) -> np.ndarray:
         """(l+1, 2*z_max) table of anchor indices for every grid cell."""
@@ -296,7 +266,7 @@ class ZoptDetector:
         cand = np.clip(i[:, None] + np.array([-1, 0, 1, 2]), 1, s.l)
         dup = np.zeros_like(cand, dtype=bool)
         dup[:, 1:] = cand[:, 1:] == cand[:, :-1]
-        anchors, a = cell_vertex(cand, j0[:, None], s.z_max, s.l, s.half_layers)
+        anchors, a = cell_vertex(cand, j0[:, None], s)
         dphi = np.abs(phi_z[:, None] - a * (math.pi / s.z_max))
         d = diagonal_chord(self.theta[cand - 1], theta_z[:, None], dphi)
         d[dup] = np.inf

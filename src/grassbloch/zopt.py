@@ -13,7 +13,7 @@ Two rows put rings of z_max / 2 points in the polar caps, where a full ring
 would crowd the pole. B = 5 has halved caps: one half ring per cap and an
 equator layer. B = 7 has doubled caps: two half rings per cap, no equator
 layer, ten layers (8, 8, 16, 16, 16, 16, 16, 16, 8, 8). The cap shape is read
-off the layer sizes (`ZOptStructure.half_layers`), never off B.
+off the layer sizes `Z_l`, never off B, so caps of any k half rings work alike.
 
 Why B = 7 uses doubled caps: the greedy bisection below reaches the exact
 optimum of a given structure, and searching it over every mirror-symmetric
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,18 +68,34 @@ _CLOSED_FORM_THETA = {
 
 @dataclass(frozen=True)
 class ZOptStructure:
-    """Layer bookkeeping for one bit count: B and the layer sizes Z_l."""
+    """Layer sizes Z_l, top layer first; B and C follow from their sum.
 
-    B: int
+    Only the shapes the optimizer and the layered detector handle are
+    accepted: 2^B points in all, on rings of z_max = 2^m >= 2 points between
+    equal polar caps of k >= 0 rings of z_max / 2 points. Anything else,
+    non-integers aside (TypeError), raises InvalidInputError.
+    """
+
     Z_l: tuple
 
     def __post_init__(self):
-        if sum(self.Z_l) != 2**self.B:
-            raise InvalidInputError("layer sizes must sum to 2^B")
+        Z_l = tuple(map(operator.index, self.Z_l))
+        object.__setattr__(self, "Z_l", Z_l)
+        z_max = max(Z_l, default=0)
+        cap = (z_max // 2,) * (Z_l.count(z_max // 2) // 2)
+        if not (min(Z_l, default=0) >= 2 and z_max & (z_max - 1) == 0
+                and Z_l == cap + (z_max,) * (len(Z_l) - 2 * len(cap)) + cap
+                and self.C & (self.C - 1) == 0):
+            raise InvalidInputError(f"layer sizes {list(Z_l)} are not 2^B points in rings of "
+                                    "z_max = 2^m >= 2 between equal caps of z_max / 2 rings")
+
+    @property
+    def B(self) -> int:
+        return self.C.bit_length() - 1
 
     @property
     def C(self) -> int:
-        return 2**self.B
+        return sum(self.Z_l)
 
     @property
     def l(self) -> int:
@@ -95,14 +112,6 @@ class ZOptStructure:
         """Free polar angles: one per upper-half layer (an odd middle layer
         sits on the equator), and at least one."""
         return max(1, self.l // 2)
-
-    @property
-    def half_layers(self) -> int:
-        """Rings of z_max / 2 points in each polar cap: 0 uniform, 1 halved, 2 doubled caps."""
-        n = 0
-        while n < self.l // 2 and 2 * self.Z_l[n] == self.z_max:
-            n += 1
-        return n
 
     @property
     def equator(self) -> bool:
@@ -123,9 +132,10 @@ class ZOptStructure:
     def candidate_count(self) -> int:
         """Distance evaluations per objective call.
 
-        2*n_v for uniform rows, 2*n_v + 3 for halved caps (B = 5), 2*n_v + 1
-        for doubled caps (B = 7). A single equatorial ring (B = 1) has only
-        its in-layer distance.
+        2*n_v for uniform rows. With k >= 1 half rings per cap, two in-layer
+        distances count (the top ring's and the first full ring's): 2*n_v + 1,
+        or 2*n_v + 3 with an equator layer (B = 5 has k = 1, B = 7 has k = 2).
+        A single equatorial ring (B = 1) has only its in-layer distance.
         """
         if self.l == 1:
             return 1
@@ -137,11 +147,22 @@ class ZOptStructure:
         """Index of each layer's first codeword."""
         return tuple(itertools.accumulate(self.Z_l[:-1], initial=0))
 
+    @cached_property
+    def layer_table(self) -> tuple:
+        """Read-only int64 arrays over the l layers, for gathers by layer:
+        ring size, sectors of pi/z_max between neighboring points
+        (2*z_max // size) and index of the layer's first codeword."""
+        size = np.array(self.Z_l, dtype=np.int64)
+        table = (size, 2 * self.z_max // size, np.array(self.layer_offsets, dtype=np.int64))
+        for t in table:
+            t.setflags(write=False)
+        return table
+
 
 def zopt_structure(B: int) -> ZOptStructure:
     if B not in _STRUCTURE_TABLE:
         raise UnsupportedError(f"B={B} outside the supported range 1..16")
-    return ZOptStructure(B=B, Z_l=_STRUCTURE_TABLE[B])
+    return ZOptStructure(_STRUCTURE_TABLE[B])
 
 
 # ---------------------------------------------------------------------------

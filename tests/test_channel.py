@@ -133,3 +133,11 @@ class TestBench:
         z = build_z_opt(6)
         rep = bench_detectors(z, ["glrt"], trials=777, N=1, seed=2)
         assert rep[0].mean_distance_evals == 64.0
+
+    @pytest.mark.parametrize("trials, N", [(10, 0), (10, -1), (0, 1)])
+    def test_counts_checked(self, trials, N):
+        z = build_z_opt(6)
+        with pytest.raises(InvalidInputError):
+            bench_detectors(z, ["glrt"], trials=trials, N=N)
+        with pytest.raises(InvalidInputError):
+            run_ser(z, "glrt", [0.0], trials=trials, N=N)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from grassbloch.channel import effective_chunk, make_detector
-from grassbloch import cli
+from grassbloch.channel import make_detector
+from grassbloch import cli, detectors
 from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import load_constellation
@@ -275,6 +275,11 @@ class TestBench:
                     "--trials", 10]) == 2
         assert "gives no finite noise variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_antenna_count_usage_error(self, zopt_file, capsys, n):
+        assert run(["bench", "--constellation", zopt_file, "--trials", 10, "-N", n]) == 2
+        assert "need at least one receive antenna" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_round_trip(self, tmp_path, zopt_file):
@@ -356,7 +361,7 @@ class TestDetect:
         assert run(["construct", "--method", "z-opt", "-B", 12, "-o", x]) == 0
         target = load_constellation(x)
         rows, N = 1100, 2
-        assert rows > effective_chunk(rows, len(target), N)
+        assert rows * len(target) > detectors._GLRT_BLOCK_ENTRIES
         rng = np.random.default_rng(12)
         vals = rng.standard_normal((rows, 4 * N))
         rx = tmp_path / "rx.csv"

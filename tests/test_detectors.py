@@ -21,7 +21,18 @@ from grassbloch.detectors import (
 from grassbloch.errors import DegenerateInputError, InvalidInputError
 from grassbloch.geometry import Constellation, canonicalize_array
 from grassbloch.packing import exact_packing
-from grassbloch.zopt import ZOptConstellation, build_z_opt, layer_azimuths, zopt_structure
+from grassbloch.zopt import (
+    ZOptConstellation,
+    ZOptStructure,
+    build_z_opt,
+    expand_theta,
+    layer_azimuths,
+    optimize_zopt,
+    zopt_structure,
+)
+
+#: searched structures with k half rings per cap: B = 9 (k = 3) and B = 11 (k = 7)
+K_CAP_ROWS = [(16,) * 3 + (32,) * 13 + (16,) * 3, (32,) * 7 + (64,) * 25 + (32,) * 7]
 
 
 def noiseless_observation(codeword_row, h=0.8 - 0.6j, N=1):
@@ -183,10 +194,64 @@ def geometric_anchor_table(z):
     return table
 
 
+def reference_half_layers(s):
+    """Rings of z_max / 2 points in each polar cap, counted from the top."""
+    n = 0
+    while n < s.l // 2 and 2 * s.Z_l[n] == s.z_max:
+        n += 1
+    return n
+
+
+def reference_ring_step(ic, l, half_layers):
+    """Sectors between neighboring points of 1-based layer ic: 4 in the
+    `half_layers` cap rings at each pole, 2 elsewhere."""
+    if not half_layers:
+        return 2
+    return np.where((ic <= half_layers) | (ic > l - half_layers), 4, 2)
+
+
+def reference_cell_vertex(i, j0, z_max, l, half_layers):
+    """The cell map written out per cap shape: the reference for `cell_vertex`.
+
+    Every layer above the anchor's counts z_max codewords, less z_max / 2
+    for each cap ring among them.
+    """
+    layer = np.maximum(np.asarray(i, dtype=np.int64), 1)
+    j0 = np.asarray(j0, dtype=np.int64)
+    m = reference_ring_step(layer, l, half_layers)
+    b = 1 - layer % 2
+    k = (2 * j0 + 1 - 2 * b + m) // (2 * m)
+    index = (layer - 1) * z_max + k % (2 * z_max // m) + 1
+    if half_layers:
+        halves_above = (np.minimum(layer - 1, half_layers)
+                        + np.maximum(layer - 1 - (l - half_layers), 0))
+        index -= halves_above * (z_max // 2)
+    return index, b + m * k
+
+
+def k_cap_constellation(Z_l):
+    s = ZOptStructure(Z_l)
+    return ZOptConstellation(s, expand_theta(optimize_zopt(s), s))
+
+
 class TestAnchorClosedForm:
     @pytest.mark.parametrize("B", list(range(1, 9)))
     def test_matches_geometry(self, B):
         z = build_z_opt(B)
+        assert np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
+
+    @pytest.mark.parametrize("Z_l", [zopt_structure(B).Z_l for B in range(1, 17)] + K_CAP_ROWS)
+    def test_matches_cap_shape_reference(self, Z_l):
+        s = ZOptStructure(Z_l)
+        ii, jj = np.meshgrid(np.arange(s.l + 1), np.arange(2 * s.z_max), indexing="ij")
+        index, a = cell_vertex(ii, jj, s)
+        ref_index, ref_a = reference_cell_vertex(ii, jj, s.z_max, s.l, reference_half_layers(s))
+        assert np.array_equal(index, ref_index)
+        assert np.array_equal(a, ref_a)
+
+    @pytest.mark.parametrize("Z_l", K_CAP_ROWS)
+    def test_k_cap_rows_match_geometry(self, Z_l):
+        z = k_cap_constellation(Z_l)
         assert np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
 
     def test_first_cell_anchor_b4(self):
@@ -206,8 +271,7 @@ class TestCandidateOffsets:
         for j0 in range(2 * s.z_max):
             phi_z = (j0 + rng.uniform(0.05, 0.95)) * h
             for ic in range(1, s.l + 1):
-                index, a = cell_vertex(np.asarray([ic]), np.asarray([j0]), s.z_max,
-                                       s.l, s.half_layers)
+                index, a = cell_vertex(np.asarray([ic]), np.asarray([j0]), s)
                 got = abs(phi_z - float(a[0]) * h)
                 anchor = int(index[0]) - 1
                 c1 = arr[anchor, 1]
@@ -281,6 +345,18 @@ class TestZoptDetector:
                 stack.extend(v)
             elif hasattr(v, "__dict__"):
                 stack.extend(vars(v).values())
+
+
+class TestKCapRows:
+    @pytest.mark.parametrize("Z_l", K_CAP_ROWS)
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    def test_zopt_matches_glrt(self, Z_l, snr_db):
+        z = k_cap_constellation(Z_l)
+        glrt, zopt = bench_detectors(z, ["glrt", "zopt"], trials=20000, N=1, seed=9,
+                                     snr_db=snr_db)
+        assert zopt.mismatches_vs_first == 0
+        assert zopt.max_distance_evals <= 4
+        assert zopt.errors == glrt.errors
 
 
 class TestMakeDetector:

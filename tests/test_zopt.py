@@ -23,6 +23,8 @@ from grassbloch.zopt import (
 
 ANTIPRISM_D = math.sqrt((4.0 - math.sqrt(2.0)) / 7.0)
 Z_MAX_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
+#: searched structures with k half rings per cap: B = 9 (k = 3) and B = 11 (k = 7)
+K_CAP_ROWS = [(16,) * 3 + (32,) * 13 + (16,) * 3, (32,) * 7 + (64,) * 25 + (32,) * 7]
 
 
 def reference_diag_lower_root(theta_prev, t, h):
@@ -69,29 +71,64 @@ class TestStructureTable:
             13: (128, 64, 64), 14: (128, 128, 64), 15: (256, 128, 128),
             16: (256, 256, 128),
         }
-        assert [f.name for f in dataclasses.fields(ZOptStructure)] == ["B", "Z_l"]
+        assert [f.name for f in dataclasses.fields(ZOptStructure)] == ["Z_l"]
         for B, row in listed.items():
             s = zopt_structure(B)
             assert (s.l, s.z_max, s.n_v) == row
-            assert s.C == 2**B
+            assert (s.B, s.C) == (B, 2**B)
 
     def test_sizes_must_sum_to_two_to_the_b(self):
         with pytest.raises(InvalidInputError):
-            ZOptStructure(B=3, Z_l=(4, 2))
+            ZOptStructure((4, 2))
 
     def test_half_layer_shape(self):
         # B = 5 has halved caps (one half ring per pole), B = 7 doubled caps
         # (two half rings per pole); every other row is uniform
         for B, n_half in ((5, 1), (7, 2)):
             s = zopt_structure(B)
-            assert s.half_layers == n_half
             cap = (s.z_max // 2,) * n_half
-            assert s.Z_l[:n_half] == s.Z_l[-n_half:] == cap
+            assert s.Z_l[:n_half + 1] == cap + (s.z_max,)
+            assert s.Z_l[-n_half:] == cap
             assert all(z == s.z_max for z in s.Z_l[n_half:-n_half])
         for B in set(range(1, 17)) - {5, 7}:
             s = zopt_structure(B)
-            assert len(set(s.Z_l)) == 1
-            assert s.half_layers == 0
+            assert set(s.Z_l) == {s.z_max}
+
+    @pytest.mark.parametrize("Z_l", [(2,), (4, 4), (2, 4, 2)] + K_CAP_ROWS)
+    def test_validator_accepts(self, Z_l):
+        s = ZOptStructure(Z_l)
+        assert s.Z_l == Z_l and s.C == 2**s.B == sum(Z_l)
+
+    @pytest.mark.parametrize("Z_l", [(2, 4, 2)] + K_CAP_ROWS)
+    def test_candidate_count_with_k_half_rings(self, Z_l):
+        s = ZOptStructure(Z_l)
+        assert s.candidate_count == 2 * s.n_v + 1 + 2 * s.equator
+        free = np.linspace(0.2, math.pi / 2 - 0.1, s.n_v)
+        assert candidate_distances(free, s).count == s.candidate_count
+
+    @pytest.mark.parametrize("Z_l", [
+        (2, 6, 6, 2),  # rings not powers of two
+        (2, 4, 8, 2),  # not mirror symmetric
+        (8, 4, 4),  # half rings at one pole only
+        (4, 2),  # neither symmetric nor a power-of-two total
+        (),  # no layers
+        (1, 1),  # rings of one point
+        (1, 2, 1),  # caps of one-point rings
+        (4, 8, 8, 4, 4, 8, 8, 4),  # half rings between full ones
+        (4, 8, 4, 4, 8, 4),  # the same, with a power-of-two total
+        (2, 8, 2),  # a cap ring below z_max / 2
+        (4, 4, 4),  # a total of 12
+    ])
+    def test_validator_rejects(self, Z_l):
+        with pytest.raises(InvalidInputError):
+            ZOptStructure(Z_l)
+
+    def test_sizes_become_python_ints(self):
+        s = ZOptStructure(np.array([4, 4]))
+        assert s.Z_l == (4, 4) and all(type(z) is int for z in s.Z_l)
+        assert s == zopt_structure(3)
+        with pytest.raises(TypeError):
+            ZOptStructure((4.0, 4.0))
 
     def test_out_of_range(self):
         with pytest.raises(UnsupportedError):
