@@ -166,34 +166,34 @@ def _run_point(detectors, points, seed, snr_index, sigma2, trials, N, chunk, thr
     return errors, evals, comps, max_evals, mismatch
 
 
+def _sweep(x, tags, snr_db, trials, N, seed, chunk, threads):
+    """`_run_point` totals of the detectors `tags` on `x` at each SNR in dB."""
+    _check_run(trials, N)
+    sigma2s = [_noise_variance(s) for s in snr_db]
+    dets = [make_detector(tag, x) for tag in tags]
+    chunk = effective_chunk(chunk, N)
+    threads = _thread_count(threads)
+    return [_run_point(dets, x.array, seed, snr_index, sigma2, trials, N, chunk, threads)
+            for snr_index, sigma2 in enumerate(sigma2s)]
+
+
 def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
             chunk: int = 8192, threads: int | None = None) -> SerCurve:
     """Symbol error rate sweep, bitwise reproducible from its arguments.
 
     `detector` is a tag from `DETECTOR_TAGS`.
     """
-    _check_run(trials, N)
     snr_db = [float(s) for s in snr_db]
-    sigma2s = [_noise_variance(s) for s in snr_db]
-    det = make_detector(detector, x)
-    points = x.array
-    chunk = effective_chunk(chunk, N)
-    threads = _thread_count(threads)
-    errors, mean_ev, mean_cp = [], [], []
-    for snr_index, sigma2 in enumerate(sigma2s):
-        err, ev, cp, _, _ = _run_point(
-            [det], points, seed, snr_index, sigma2, trials, N, chunk, threads
-        )
-        errors.append(int(err[0]))
-        mean_ev.append(ev[0] / trials)
-        mean_cp.append(cp[0] / trials)
+    # per SNR: errors, evaluations, comparisons, ... of the one detector
+    totals = _sweep(x, [detector], snr_db, trials, N, seed, chunk, threads)
+    errors = tuple(int(t[0][0]) for t in totals)
     return SerCurve(
         snr_db=tuple(snr_db),
         trials=trials,
-        errors=tuple(errors),
+        errors=errors,
         ser=tuple(e / trials for e in errors),
-        mean_distance_evals=tuple(mean_ev),
-        mean_comparisons=tuple(mean_cp),
+        mean_distance_evals=tuple(t[1][0] / trials for t in totals),
+        mean_comparisons=tuple(t[2][0] / trials for t in totals),
         seed=seed,
         detector=detector,
         N=N,
@@ -224,14 +224,8 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
     for the mismatch column; with equivalent detectors that column stays zero
     on every trial.
     """
-    _check_run(trials, N)
-    sigma2 = _noise_variance(snr_db)
-    dets = [make_detector(tag, x) for tag in detectors]
-    points = x.array
-    chunk = effective_chunk(chunk, N)
-    err, ev, cp, max_ev, mism = _run_point(
-        dets, points, seed, 0, sigma2, trials, N, chunk, _thread_count(threads)
-    )
+    ((err, ev, cp, max_ev, mism),) = _sweep(x, detectors, [snr_db], trials, N, seed,
+                                            chunk, threads)
     return [
         BenchReport(
             detector=detectors[k],
@@ -242,5 +236,5 @@ def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
             mean_comparisons=cp[k] / trials,
             mismatches_vs_first=int(mism[k]),
         )
-        for k in range(len(dets))
+        for k in range(len(detectors))
     ]

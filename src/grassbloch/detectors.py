@@ -97,17 +97,12 @@ def rough_estimate(Y) -> np.ndarray:
 
 def _bloch_of_raw(v: np.ndarray) -> np.ndarray:
     """Bloch points of unnormalized nonzero 2-vectors; phase-invariant."""
-    n2 = np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2
-    if np.any(n2 == 0.0):
-        raise DegenerateInputError("zero vector has no Bloch image")
-    return bloch_array(v) / n2[:, None]
+    return bloch_array(v) / (np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2)[:, None]
 
 
 def _angles_of_raw(v: np.ndarray):
     """Polar/azimuth angles of unnormalized nonzero 2-vectors."""
     n = np.sqrt(np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2)
-    if np.any(n == 0.0):
-        raise DegenerateInputError("zero vector has no angles")
     z0 = np.abs(v[:, 0]) / n
     theta = 2.0 * np.arccos(np.clip(z0, 0.0, 1.0))
     a0 = np.abs(v[:, 0])
@@ -254,13 +249,9 @@ class ZoptDetector:
         return self.anchor_index(ii, jj)
 
     def detect_batch(self, Ys: np.ndarray):
-        return self.detect_points(rough_estimate_batch(_checked(Ys)))
-
-    def detect_points(self, est: np.ndarray):
-        """Detect from raw (unnormalized) direction estimates, batched."""
         s = self.structure
-        theta_z, phi_z = _angles_of_raw(est)
-        n = len(est)
+        theta_z, phi_z = _angles_of_raw(rough_estimate_batch(_checked(Ys)))
+        n = len(theta_z)
         j0 = azimuth_region(phi_z, s.z_max)
         i = polar_region(theta_z, self.theta)
         cand = np.clip(i[:, None] + np.array([-1, 0, 1, 2]), 1, s.l)

@@ -4,8 +4,10 @@ Every file this package writes carries the tool version, a hash of the
 generating configuration and the seed, so any figure can be reproduced from
 its own header. Formats are versioned and readers reject files from a future
 major version. A constellation file with a `zopt` block loads as the
-`ZOptConstellation` its layer angles realize, and only if those codewords
-match the file's rows to within 1e-12 in every entry.
+`ZOptConstellation` that the block's layer sizes Z_l and angles theta
+realize. The rest of the block (B, C, l, z_max, n_v and the layer offsets)
+must be what those two determine, and the realized codewords must match the
+file's rows to within 1e-12 in every entry.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .channel import BenchReport, SerCurve
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError
 from .geometry import Constellation
-from .zopt import ZOptConstellation, zopt_structure
+from .zopt import ZOptConstellation, ZOptStructure, zopt_structure
 
 FORMAT_VERSION = 1
 
@@ -63,18 +65,17 @@ def constellation_to_dict(x, seed=None, extra_config=None) -> dict:
         "codewords": x.array.view(np.float64).reshape(len(x), 4).tolist(),
     }
     if isinstance(x, ZOptConstellation):
-        s = x.structure
-        data["zopt"] = {
-            "B": s.B,
-            "C": s.C,
-            "l": s.l,
-            "Z_l": list(s.Z_l),
-            "z_max": s.z_max,
-            "n_v": s.n_v,
-            "theta": [float(t) for t in x.theta],
-            "layer_offsets": list(s.layer_offsets),
-        }
+        data["zopt"] = _zopt_block(x)
     return data
+
+
+def _zopt_block(z: ZOptConstellation) -> dict:
+    """The `zopt` block of a layered constellation: its layer sizes and
+    angles, and what follows from them."""
+    s = z.structure
+    return {"B": s.B, "C": s.C, "l": s.l, "Z_l": list(s.Z_l), "z_max": s.z_max,
+            "n_v": s.n_v, "theta": [float(t) for t in z.theta],
+            "layer_offsets": list(s.layer_offsets)}
 
 
 def save_constellation(path, x, seed=None, extra_config=None) -> None:
@@ -87,9 +88,11 @@ def save_constellation(path, x, seed=None, extra_config=None) -> None:
 def constellation_from_dict(data, path=None):
     """Rebuild the Constellation from a JSON payload.
 
-    A payload with a `zopt` block gives the ZOptConstellation that its layer
-    angles realize; the payload's codeword rows must match those within
-    1e-12 in every entry.
+    A payload with a `zopt` block gives the ZOptConstellation that the block's
+    Z_l and theta realize. Every other field of the block must be what those
+    two determine, a `z-opt` file must carry its B's row of the structure
+    table, and the payload's codeword rows must match the realized ones
+    within 1e-12 in every entry.
     """
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object", path=path)
@@ -106,31 +109,27 @@ def constellation_from_dict(data, path=None):
         rows = rows.astype(np.float64, copy=False)
         if "zopt" not in data:
             return Constellation(rows.view(np.complex128), data["method"], data["B"])
-    except (TypeError, ValueError, InvalidInputError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad codeword data: {exc}", path=path) from exc
     zd = data["zopt"]
     try:
-        structure = zopt_structure(int(zd["B"]))
-        Z_l = tuple(int(z) for z in zd["Z_l"])
-        l = int(zd["l"])
-        theta = np.asarray(zd["theta"], dtype=np.float64)
+        s = ZOptStructure(zd["Z_l"])
+        # before realizing anything: a Z_l can claim 2^40 points
+        if s.C != len(rows):
+            raise ValueError(f"layer sizes sum to {s.C}, not the file's {len(rows)} codewords")
+        if (data["method"], data["B"]) != ("z-opt", s.B):
+            raise ValueError(f"a zopt block needs method 'z-opt' and B={s.B}, "
+                             f"not {data['method']!r} and B={data['B']!r}")
+        table = zopt_structure(s.B)
+        if s != table:
+            # e.g. a B = 7 file from before B = 7 moved to ten layers
+            raise ValueError(f"layer sizes {list(s.Z_l)} ({s.l} layers) do not match the "
+                             f"B={s.B} structure {list(table.Z_l)} ({table.l} layers); "
+                             "rebuild the constellation")
+        z = ZOptConstellation(s, zd["theta"])
+        if _zopt_block(z) != zd:
+            raise ValueError("its fields do not all follow from its Z_l and theta")
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
-    if structure.C != len(rows):
-        raise FormatError("layer sizes do not match the codeword count", path=path)
-    if (l, Z_l) != (structure.l, structure.Z_l):
-        # e.g. a B = 7 file from before B = 7 moved to ten layers
-        raise FormatError(
-            f"layer sizes {list(Z_l)} ({l} layers) do not match the B={structure.B} "
-            f"structure {list(structure.Z_l)} ({structure.l} layers); "
-            "rebuild the constellation", path=path)
-    if (data["method"], data["B"]) != ("z-opt", structure.B):
-        raise FormatError(
-            f"a zopt block needs method 'z-opt' and B={structure.B}, "
-            f"not {data['method']!r} and B={data['B']!r}", path=path)
-    try:
-        z = ZOptConstellation(structure, theta)
-    except InvalidInputError as exc:
         raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
     # the rebuilt rows are valid codewords, so matching them validates the file's
     gap = np.abs(z.array.view(np.float64).reshape(len(rows), 4) - rows).max(axis=1)
@@ -195,20 +194,22 @@ def ser_curve_rows(curve: SerCurve):
     return header, rows
 
 
+def _ser_curve_config(curve: SerCurve) -> dict:
+    """The SerCurve fields that its config hash covers."""
+    return {k: getattr(curve, k) for k in ("snr_db", "trials", "seed", "detector", "N",
+                                             "method", "C")}
+
+
 def ser_curve_to_csv(path_or_fh, curve: SerCurve) -> None:
     header, rows = ser_curve_rows(curve)
-    cfg = {k: v for k, v in asdict(curve).items()
-           if k in ("snr_db", "trials", "seed", "detector", "N", "method", "C")}
-    write_csv(path_or_fh, header, rows, seed=curve.seed, cfg=cfg)
+    write_csv(path_or_fh, header, rows, seed=curve.seed, cfg=_ser_curve_config(curve))
 
 
 def ser_curve_to_json(curve: SerCurve) -> dict:
     data = asdict(curve)
     data["format_version"] = FORMAT_VERSION
     data["tool_version"] = __version__
-    data["config_hash"] = config_hash(
-        {k: data[k] for k in ("snr_db", "trials", "seed", "detector", "N", "method", "C")}
-    )
+    data["config_hash"] = config_hash(_ser_curve_config(curve))
     return data
 
 

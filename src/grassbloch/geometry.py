@@ -71,7 +71,8 @@ class Constellation:
         if B is None:
             b = math.log2(C)
             B = int(round(b)) if abs(b - round(b)) < 1e-12 else b
-        if B < 1 or abs(2.0**B - C) > 1e-6:
+        # B < 64 keeps 2.0**B from overflowing; the negated test also rejects NaN
+        if isinstance(B, bool) or not (1 <= B < 64 and abs(2.0**B - C) <= 1e-6):
             raise InvalidInputError(
                 f"constellation must hold 2^B codewords; got {C} for B={B}"
             )

@@ -3,13 +3,14 @@
 Exact closed-form configurations are available for C in {2, 3, 4, 6, 8, 12};
 everything else goes through a two-phase maximin optimizer or is loaded from a
 packing table file (plain text, one "x y z" triple per line, '#' comments,
-optional leading point-count header).
+optional leading point-count header). Each of them gives a `PackingSet`,
+which computes its minimum pairwise distance from its points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +25,15 @@ _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class PackingSet:
-    """Unit vectors on the sphere plus their cached minimum pairwise distance."""
+    """Distinct unit vectors on the sphere, (n, 3) with n >= 2, and the
+    minimum pairwise distance they determine.
+
+    Points more than 1e-9 off unit norm, or two points within 1e-9 of each
+    other, raise InvalidInputError.
+    """
 
     points: np.ndarray
-    source: str  # exact | optimized | file
-    min_distance: float
+    min_distance: float = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -37,25 +42,21 @@ class PackingSet:
         norms = np.linalg.norm(pts, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # also rejects NaN
             raise InvalidInputError("packing points must be unit vectors")
-        recomputed = min_euclidean_distance_array(pts)
-        if not abs(recomputed - self.min_distance) <= 1e-12:
-            raise InvalidInputError(
-                f"cached min_distance {self.min_distance!r} != recomputed {recomputed!r}"
-            )
-        if recomputed <= 1e-9:
+        d_min = min_euclidean_distance_array(pts)
+        if d_min <= 1e-9:
             raise InvalidInputError("packing contains duplicate points")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "min_distance", d_min)
 
     @property
     def C(self) -> int:
         return len(self.points)
 
 
-def _make(points: np.ndarray, source: str) -> PackingSet:
+def _make(points: np.ndarray) -> PackingSet:
     points = np.asarray(points, dtype=np.float64)
-    points = points / np.linalg.norm(points, axis=1)[:, None]
-    return PackingSet(points, source, min_euclidean_distance_array(points))
+    return PackingSet(points / np.linalg.norm(points, axis=1)[:, None])
 
 
 def _antiprism_layers(theta: float, count: int, offset: float) -> np.ndarray:
@@ -100,7 +101,7 @@ def exact_packing(C: int) -> PackingSet:
         raise UnsupportedError(
             f"no closed form for C={C}; use optimize_packing or load_packing"
         )
-    return _make(pts, "exact")
+    return _make(pts)
 
 
 #: phase-1 temperature at the start and the end, as fractions of the running
@@ -278,7 +279,7 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
         raise InvalidInputError("need at least two points")
     cfg = config or PackingConfig()
     if C == 2:
-        return _make(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), "optimized")
+        return _make(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
     base = fibonacci_points(C)
     nominal = math.sqrt(8.0 * math.pi / (math.sqrt(3.0) * C))
     best_points, best_f = None, -1.0
@@ -292,16 +293,17 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
         f = min_euclidean_distance_array(pts)
         if f > best_f:
             best_points, best_f = pts, f
-    return _make(best_points, "optimized")
+    return _make(best_points)
 
 
 def load_packing(path) -> PackingSet:
     """Read a packing table file and validate it.
 
-    Entries may deviate from unit norm by at most 1e-6 and are renormalized;
-    larger deviations, duplicate points, parse failures and point-count
-    mismatches against an optional integer header are format errors carrying
-    the offending line number.
+    Entries may deviate from unit norm by at most 1e-6 and are renormalized.
+    Larger deviations and parse failures are format errors carrying the
+    offending line number; so are, without one, a point-count mismatch
+    against an optional integer header and whatever `PackingSet` rejects
+    (fewer than two points, duplicates).
     """
     rows = []
     header = None
@@ -334,13 +336,10 @@ def load_packing(path) -> PackingSet:
     if header is not None and header != len(rows):
         raise FormatError(f"header says {header} points but file holds {len(rows)}",
                           path=path, line=None)
-    if len(rows) < 2:
-        raise FormatError("packing needs at least two points", path=path, line=None)
-    pts = np.asarray(rows, dtype=np.float64)
-    d_min = min_euclidean_distance_array(pts)
-    if d_min <= 1e-9:
-        raise FormatError("duplicate points in packing file", path=path, line=None)
-    return PackingSet(pts, "file", d_min)
+    try:
+        return PackingSet(np.asarray(rows, dtype=np.float64))
+    except InvalidInputError as exc:
+        raise FormatError(str(exc), path=path) from exc
 
 
 def save_packing(path, packing: PackingSet) -> None:

@@ -394,6 +394,26 @@ class TestRejectedObservations:
             make_detector(tag, z).detect_batch(Ys)
 
 
+    @pytest.mark.parametrize("N", [1, 8])
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_every_entry_point(self, tag, N):
+        # the only public ways into a detector are detect and detect_batch
+        z = build_z_opt(5)
+        det = make_detector(tag, z)
+        Y = noiseless_observation(z.array[7], h=0.6 + 0.3j, N=N)
+        for bad, error in ((0.0, DegenerateInputError), (np.nan, InvalidInputError),
+                           (np.inf, InvalidInputError)):
+            Y_bad = Y * 0.0 if bad == 0.0 else np.where(np.arange(N) == 0, bad, Y)
+            with pytest.raises(error):
+                det.detect(Y_bad)
+            with pytest.raises(error):
+                det.detect_batch(np.stack([Y, Y_bad]))
+        tiny = Y * 1e-320  # subnormal entries, rescaled exactly before detection
+        want = det.detect(np.ldexp(tiny.real, 1070) + 1j * np.ldexp(tiny.imag, 1070))
+        assert det.detect(tiny) == want
+        assert det.detect_batch(tiny[None])[0][0] == want.index
+
+
 class TestExtremeScale:
     # unless rescaled, entries near 1e200 overflow the Gram matrix and entries
     # near 1e-170 underflow it

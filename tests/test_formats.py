@@ -19,7 +19,13 @@ from grassbloch.formats import (
 )
 from grassbloch.packing import exact_packing
 from grassbloch.geometry import Constellation
-from grassbloch.zopt import ZOptConstellation, build_z_opt
+from grassbloch.zopt import (
+    ZOptConstellation,
+    ZOptStructure,
+    build_z_opt,
+    expand_theta,
+    optimize_zopt,
+)
 
 
 class TestConstellationJson:
@@ -40,7 +46,7 @@ class TestConstellationJson:
         assert isinstance(back, ZOptConstellation)
         assert back.structure.B == 5
         assert np.allclose(back.theta, z.theta)
-        # the writer still emits the layer offsets; the reader ignores them
+        # the block repeats what Z_l determines; the reader checks it all
         assert json.loads(path.read_text())["zopt"]["layer_offsets"] == [0, 4, 12, 20, 28]
         assert np.allclose(back.array, z.array)
 
@@ -159,6 +165,63 @@ class TestConstellationJson:
         path = tmp_path / "z7old.json"
         path.write_text(json.dumps(d))
         with pytest.raises(FormatError, match=r"layer sizes \[8, 16, .*9 layers"):
+            load_constellation(path)
+        assert main(["evaluate", str(path)]) == 3
+
+    # B = 5: Z_l (4, 8, 8, 8, 4), C 32, l 5, z_max 8, n_v 2, offsets 0, 4, 12, 20, 28
+    @pytest.mark.parametrize("key, value", [
+        ("B", math.inf), ("l", math.inf), ("Z_l", [math.inf, 8, 8, 8, 4]),
+        ("C", 64), ("z_max", 4), ("n_v", 3), ("layer_offsets", [0, 4, 12, 20, 27]),
+        ("B", 6), ("l", 6),
+    ], ids=["B-inf", "l-inf", "Z_l-inf", "C", "z_max", "n_v", "layer_offsets", "B", "l"])
+    def test_layer_block_fields_checked(self, tmp_path, key, value):
+        from grassbloch.cli import main
+
+        d = constellation_to_dict(build_z_opt(5))
+        d["zopt"][key] = value
+        with pytest.raises(FormatError, match="layered-structure block"):
+            constellation_from_dict(json.loads(json.dumps(d)))
+        path = tmp_path / "z5.json"
+        path.write_text(json.dumps(d))
+        assert main(["evaluate", str(path)]) == 3
+
+    def test_layer_block_pinned_to_table(self, tmp_path):
+        # a valid k-cap structure at B = 9, but not the paper's row for B = 9
+        from grassbloch.cli import main
+
+        s = ZOptStructure((16,) * 3 + (32,) * 13 + (16,) * 3)
+        z = ZOptConstellation(s, expand_theta(optimize_zopt(s), s))
+        path = tmp_path / "kcap.json"
+        save_constellation(path, z)
+        with pytest.raises(FormatError, match=r"layer sizes \[16, 16, 16, 32, .*19 layers"):
+            load_constellation(path)
+        assert main(["evaluate", str(path)]) == 3
+
+    def test_layer_block_counted_before_realized(self, tmp_path, monkeypatch):
+        from grassbloch import zopt
+        from grassbloch.cli import main
+
+        def realize(*args):
+            raise AssertionError("realized a structure the file cannot hold")
+
+        d = constellation_to_dict(build_z_opt(3))  # 8 rows
+        d["zopt"]["Z_l"] = [2**19, 2**19]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d))
+        monkeypatch.setattr(zopt, "realize_codewords", realize)
+        with pytest.raises(FormatError, match="1048576"):
+            load_constellation(path)
+        assert main(["evaluate", str(path)]) == 3
+
+    @pytest.mark.parametrize("B", [math.nan, True, 2000])
+    def test_plain_file_bad_bits(self, tmp_path, B):
+        from grassbloch.cli import main
+
+        d = constellation_to_dict(build_s_opt(exact_packing(2)))
+        d["B"] = B
+        path = tmp_path / "badB.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(FormatError, match="2\\^B"):
             load_constellation(path)
         assert main(["evaluate", str(path)]) == 3
 

@@ -266,6 +266,12 @@ class TestConstellation:
         with pytest.raises(InvalidInputError):
             Constellation(random_codewords(3, seed=2), "external", 2)
 
+    @pytest.mark.parametrize("B", [math.nan, True, math.inf, 2000, 0])
+    def test_bits_must_be_a_bit_load(self, B):
+        # NaN passed a plain comparison; True == 1; 2.0**2000 overflows
+        with pytest.raises(InvalidInputError, match="2\\^B"):
+            Constellation([[1.0, 0.0], [0.0, 1.0]], "external", B)
+
     def test_shape_must_be_rows_of_two(self):
         with pytest.raises(InvalidInputError):
             Constellation(np.ones((4, 3)), "external", 2)

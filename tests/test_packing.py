@@ -238,25 +238,29 @@ def test_softmin_counts_all_pairs():
 
 
 class TestPackingSet:
-    def test_rejects_cached_mismatch(self):
-        pts = exact_packing(4).points
-        with pytest.raises(InvalidInputError):
-            PackingSet(pts, "exact", 1.0)
+    @pytest.mark.parametrize("make", [lambda: exact_packing(12).points,
+                                      lambda: fibonacci_points(50)])
+    def test_min_distance_is_derived(self, make):
+        p = make()
+        p = p / np.linalg.norm(p, axis=1)[:, None]
+        assert PackingSet(p).min_distance == min_euclidean_distance_array(p)
 
     def test_rejects_non_unit(self):
         pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
         with pytest.raises(InvalidInputError):
-            PackingSet(pts, "exact", 4.0)
+            PackingSet(pts)
 
     def test_rejects_nan_point(self):
         pts = exact_packing(4).points.copy()
         pts[1] = np.nan
         with pytest.raises(InvalidInputError):
-            PackingSet(pts, "exact", 2.0)
+            PackingSet(pts)
 
-    def test_rejects_nan_cached_distance(self):
-        with pytest.raises(InvalidInputError):
-            PackingSet(exact_packing(4).points, "exact", float("nan"))
+    def test_rejects_duplicate(self):
+        pts = exact_packing(4).points.copy()
+        pts[2] = pts[0]
+        with pytest.raises(InvalidInputError, match="duplicate"):
+            PackingSet(pts)
 
 
 class TestLoadPacking:
@@ -265,7 +269,6 @@ class TestLoadPacking:
         f.write_text("0 0 1\n0 0 -1\n")
         p = load_packing(f)
         assert p.C == 2 and p.min_distance == pytest.approx(2.0)
-        assert p.source == "file"
 
     def test_header_and_comments(self, tmp_path):
         f = tmp_path / "hdr.txt"
@@ -283,6 +286,14 @@ class TestLoadPacking:
         f.write_text("0 0 1\n0 0 1\n")
         with pytest.raises(FormatError):
             load_packing(f)
+
+    def test_duplicate_through_cli_exits_3(self, tmp_path):
+        from grassbloch.cli import main
+
+        f = tmp_path / "dup4.txt"
+        f.write_text("0 0 1\n0 0 -1\n1 0 0\n0 0 1\n")
+        assert main(["construct", "--method", "s-opt", "-B", "2", "--packing-file",
+                     str(f), "-o", str(tmp_path / "s.json")]) == 3
 
     def test_bad_norm_rejected_with_line(self, tmp_path):
         f = tmp_path / "norm.txt"
