@@ -33,7 +33,6 @@ from .detectors import (
     ZoptDetector,
     azimuth_region,
     polar_region,
-    rough_estimate,
 )
 from .channel import SerCurve, bench_detectors, run_ser
 

@@ -16,6 +16,7 @@ from .errors import InvalidInputError
 from .geometry import (
     Constellation,
     angles_to_codewords,
+    bloch_angles,
     canonicalize_array,
     min_chordal_distance_array,
 )
@@ -28,10 +29,7 @@ from .packing import PackingConfig, PackingSet, optimize_packing
 
 def build_s_opt(p: PackingSet, method: str = "s-opt") -> Constellation:
     """Codewords whose Bloch points are exactly the packing's points."""
-    pts = np.asarray(p.points, dtype=np.float64)
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
-    return Constellation(angles_to_codewords(theta, phi), method)
+    return Constellation(angles_to_codewords(*bloch_angles(p.points)), method)
 
 
 def build_man_opt(C: int, seed: int = 0, config: PackingConfig | None = None) -> Constellation:

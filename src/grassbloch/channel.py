@@ -66,13 +66,17 @@ class SerCurve:
 
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(_THREADS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """Workers for `threads`, else `GRASSBLOCH_THREADS`, in 1..CPU count.
+
+    The pool gets every chunk at once and may start a thread for each, so
+    the count is capped at the CPUs that could run them.
+    """
+    if threads is None:
+        try:
+            threads = int(os.environ.get(_THREADS_ENV, ""))
+        except ValueError:
+            threads = 1
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def effective_chunk(chunk: int, N: int) -> int:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure or out of memory. The GRASSBLOCH_THREADS environment variable sets
-the default worker count for the simulator.
+the default worker count for the simulator, capped at the CPU count.
 """
 
 from __future__ import annotations

@@ -1,18 +1,22 @@
 """Noncoherent detectors for G(2,1) constellations, with operation counters.
 
 Three detectors are provided. The exhaustive one maximizes ||Y^H x||^2 over
-all codewords. The tree-based one maps the received signal to the Bloch sphere
-and finds the Euclidean nearest neighbor there, which picks the same codeword
+all codewords. The two fast ones share one front end, `rough_estimate_batch`:
+the Bloch point of the dominant eigenvector of Y Y^H, in closed form from the
+Gram entries, so the products it forms reach the fourth powers of Y's
+entries. The tree-based detector finds that point's Euclidean nearest
+neighbor among the codewords' Bloch points, which picks the same codeword
 because chordal distance is half of Bloch Euclidean distance. The layered
-detector exploits the structure of layered-polygon constellations: the sphere
-splits into an angular grid, the grid cell of the received point narrows the
+detector exploits the structure of layered-polygon constellations: the
+point's angles name a cell of an angular grid, the cell narrows the
 candidates to at most four codewords, and a closed-form cell-to-index map
 turns the winning candidate into a codeword index. It takes a
 `ZOptConstellation` and keeps only its layer structure and l polar angles,
 the O(sqrt(C)) state, never the codeword array.
 
-Ties always resolve to the lowest codeword index. Each detector's single-row
-`detect` runs its batch implementation on one row, so scalar and vectorized
+Ties always resolve to the lowest codeword index. Every detector's
+single-row `detect` is one function, `_detect_one`, which runs the
+detector's batch implementation on one row, so scalar and vectorized
 detection are exactly the same computation.
 """
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import Constellation, bloch_array
+from .geometry import Constellation, bloch_angles
 from .kdtree import KDTree
 from .zopt import ZOptConstellation, ZOptStructure, diagonal_chord
 
@@ -43,6 +47,12 @@ class DetectionResult:
     comparisons: int
 
 
+def _detect_one(det, Y) -> DetectionResult:
+    """`detect` of every detector: its `detect_batch` on one 2xN observation."""
+    idx, evals, comps = det.detect_batch(_as_batch(Y))
+    return DetectionResult(int(idx[0]), int(evals[0]), int(comps[0]))
+
+
 # ---------------------------------------------------------------------------
 # rough estimation: collapse a 2xN observation to a single direction
 
@@ -57,59 +67,22 @@ def _gram_parts(Ys: np.ndarray):
     return g00, g11, g01
 
 
-def rough_estimate_batch(Ys: np.ndarray) -> np.ndarray:
-    """Dominant left singular vector for each (2, N) observation in the batch.
+def rough_estimate_batch(Ys) -> np.ndarray:
+    """(n, 3) unit Bloch points of the dominant direction of each (2, N)
+    observation in the batch.
 
-    Closed-form eigenvector of the 2x2 matrix Y Y^H. Degenerate spectra
-    (multiples of the identity) resolve to the first basis vector.
+    With G = Y Y^H, G - tr(G)/2 I = (r . sigma) / 2 over the Pauli matrices,
+    so r = (2 Re g01, -2 Im g01, g00 - g11) points at the Bloch point of G's
+    dominant eigenvector, and r / |r| is that point. A multiple of the
+    identity (r = 0) resolves to the north pole, the first basis vector.
     """
-    Ys = np.asarray(Ys, dtype=np.complex128)
-    n, _, N = Ys.shape
-    if N == 1:
-        return Ys[:, :, 0].copy()
-    g00, g11, g01 = _gram_parts(Ys)
-    delta = 0.5 * (g00 - g11)
-    r = np.sqrt(delta * delta + np.abs(g01) ** 2)
-    out = np.empty((n, 2), dtype=np.complex128)
-    # pick whichever component of the eigenvector is guaranteed away from zero
-    hi = delta >= 0.0
-    out[hi, 0] = r[hi] + delta[hi]
-    out[hi, 1] = np.conj(g01[hi])
-    lo = ~hi
-    out[lo, 0] = g01[lo]
-    out[lo, 1] = r[lo] - delta[lo]
-    diag = np.abs(g01) == 0.0
-    if np.any(diag):
-        first = g00 >= g11
-        out[diag & first] = (1.0, 0.0)
-        out[diag & ~first] = (0.0, 1.0)
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero observation has no dominant direction")
-    return out / norms[:, None]
-
-
-def rough_estimate(Y) -> np.ndarray:
-    """Single-observation front end; N = 1 passes the column through unchanged,
-    unless its entries are extreme enough to be rescaled by a power of two."""
-    return rough_estimate_batch(_checked(_as_batch(Y)))[0]
-
-
-def _bloch_of_raw(v: np.ndarray) -> np.ndarray:
-    """Bloch points of unnormalized nonzero 2-vectors; phase-invariant."""
-    return bloch_array(v) / (np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2)[:, None]
-
-
-def _angles_of_raw(v: np.ndarray):
-    """Polar/azimuth angles of unnormalized nonzero 2-vectors."""
-    n = np.sqrt(np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2)
-    z0 = np.abs(v[:, 0]) / n
-    theta = 2.0 * np.arccos(np.clip(z0, 0.0, 1.0))
-    a0 = np.abs(v[:, 0])
-    phase = np.where(a0 > 0, v[:, 0] / np.where(a0 > 0, a0, 1.0), 1.0)
-    phi = np.angle(v[:, 1] * np.conj(phase)) % TWO_PI
-    phi = np.where(phi >= TWO_PI, 0.0, phi)
-    return theta, phi
+    g00, g11, g01 = _gram_parts(_checked(Ys))
+    r = np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11])
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))
+    tie = norm == 0.0
+    r[tie] = (0.0, 0.0, 1.0)
+    norm[tie] = 1.0
+    return r / norm[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +121,7 @@ class GlrtDetector:
         counts = np.full(len(A), C, dtype=np.int64)
         return idx, counts, counts.copy()
 
-    def detect(self, Y) -> DetectionResult:
-        idx, evals, comps = self.detect_batch(_as_batch(Y))
-        return DetectionResult(int(idx[0]), int(evals[0]), int(comps[0]))
+    detect = _detect_one
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +139,10 @@ class SoptDetector:
         self.tree = KDTree(constellation.bloch)
 
     def detect_batch(self, Ys: np.ndarray):
-        est = rough_estimate_batch(_checked(Ys))
-        idx, _, evals, comps = self.tree.query(_bloch_of_raw(est))
+        idx, _, evals, comps = self.tree.query(rough_estimate_batch(Ys))
         return idx, evals, comps
 
-    def detect(self, Y) -> DetectionResult:
-        idx, evals, comps = self.detect_batch(_as_batch(Y))
-        return DetectionResult(int(idx[0]), int(evals[0]), int(comps[0]))
+    detect = _detect_one
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +218,7 @@ class ZoptDetector:
 
     def detect_batch(self, Ys: np.ndarray):
         s = self.structure
-        theta_z, phi_z = _angles_of_raw(rough_estimate_batch(_checked(Ys)))
+        theta_z, phi_z = bloch_angles(rough_estimate_batch(Ys))
         n = len(theta_z)
         j0 = azimuth_region(phi_z, s.z_max)
         i = polar_region(theta_z, self.theta)
@@ -267,9 +235,7 @@ class ZoptDetector:
         comps = np.full(n, _region_comparisons(s.l), dtype=np.int64) + evals - 1
         return best - 1, evals, comps
 
-    def detect(self, Y) -> DetectionResult:
-        idx, evals, comps = self.detect_batch(_as_batch(Y))
-        return DetectionResult(int(idx[0]), int(evals[0]), int(comps[0]))
+    detect = _detect_one
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +244,8 @@ class ZoptDetector:
 
 #: rows whose |entries| sum outside [2**-_SCALE_EXP, 2**_SCALE_EXP] are
 #: rescaled; inside, the fourth powers of entries that the rough estimate
-#: forms stay normal floats
+#: forms in |r|^2, the squared norm of its Gram-entry vector r, stay normal
+#: floats
 _SCALE_EXP = 200
 
 

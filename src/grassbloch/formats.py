@@ -117,7 +117,7 @@ def constellation_from_dict(data, path=None):
         # before realizing anything: a Z_l can claim 2^40 points
         if s.C != len(rows):
             raise ValueError(f"layer sizes sum to {s.C}, not the file's {len(rows)} codewords")
-        if (data["method"], data["B"]) != ("z-opt", s.B):
+        if (data["method"], data["B"], type(data["B"])) != ("z-opt", s.B, int):
             raise ValueError(f"a zopt block needs method 'z-opt' and B={s.B}, "
                              f"not {data['method']!r} and B={data['B']!r}")
         table = zopt_structure(s.B)
@@ -127,7 +127,8 @@ def constellation_from_dict(data, path=None):
                              f"B={s.B} structure {list(table.Z_l)} ({table.l} layers); "
                              "rebuild the constellation")
         z = ZOptConstellation(s, zd["theta"])
-        if _zopt_block(z) != zd:
+        # as JSON text, so a bool or a float does not pass for an int
+        if json.dumps(_zopt_block(z), sort_keys=True) != json.dumps(zd, sort_keys=True):
             raise ValueError("its fields do not all follow from its Z_l and theta")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc

@@ -166,6 +166,16 @@ def bloch_array(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def bloch_angles(points):
+    """Polar angles theta in [0, pi] and azimuths phi in [0, 2*pi) of an
+    (n, 3) array of unit Bloch points; inverse of `angles_to_codewords`
+    followed by `bloch_array`. An azimuth that rounds to 2*pi wraps to 0."""
+    p = np.asarray(points, dtype=np.float64)
+    theta = np.arccos(np.clip(p[:, 2], -1.0, 1.0))
+    phi = np.arctan2(p[:, 1], p[:, 0]) % (2.0 * math.pi)
+    return theta, np.where(phi >= 2.0 * math.pi, 0.0, phi)
+
+
 def pairwise_min_bloch_dot(points: np.ndarray) -> tuple[float, float]:
     """Closest pair of an (n, 3) array of vectors: the maximum dot product
     over distinct pairs, and the least |p - q| over pairs whose dot came

@@ -36,7 +36,7 @@ class PackingSet:
     min_distance: float = field(init=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)  # frozen below: not the caller's
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
             raise InvalidInputError("packing needs an (n, 3) array with n >= 2")
         norms = np.linalg.norm(pts, axis=1)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from grassbloch import rng
+from grassbloch import channel, rng
 from grassbloch.builders import build_s_opt
-from grassbloch.channel import _trial_batch, bench_detectors, run_ser
+from grassbloch.channel import _thread_count, _trial_batch, bench_detectors, run_ser
 from grassbloch.detectors import GlrtDetector
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import ser_curve_to_json
@@ -88,6 +88,19 @@ class TestRunSer:
         monkeypatch.setenv("GRASSBLOCH_THREADS", "1")
         b = run_ser(x, "glrt", [5.0], trials=2000, N=1, seed=1)
         assert a.errors == b.errors
+
+    def test_thread_count_capped_at_cpus(self, monkeypatch):
+        # the pool may start a thread per chunk, so no more workers than CPUs
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("GRASSBLOCH_THREADS", "100000")
+        assert _thread_count(None) == 4
+        assert _thread_count(100000) == 4
+        assert _thread_count(3) == 3
+        assert _thread_count(0) == 1
+        monkeypatch.setenv("GRASSBLOCH_THREADS", "two")
+        assert _thread_count(None) == 1
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: None)
+        assert _thread_count(8) == 1
 
     def test_trials_required(self):
         x = build_s_opt(exact_packing(4))

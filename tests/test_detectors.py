@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grassbloch import detectors
 from grassbloch.builders import build_s_opt
-from grassbloch.channel import bench_detectors, make_detector
+from grassbloch.channel import _trial_batch, bench_detectors, make_detector
 from grassbloch.detectors import (
     GlrtDetector,
     SoptDetector,
@@ -16,10 +17,10 @@ from grassbloch.detectors import (
     azimuth_region,
     cell_vertex,
     polar_region,
-    rough_estimate,
+    rough_estimate_batch,
 )
 from grassbloch.errors import DegenerateInputError, InvalidInputError
-from grassbloch.geometry import Constellation, canonicalize_array
+from grassbloch.geometry import Constellation, bloch_array, canonicalize_array
 from grassbloch.packing import exact_packing
 from grassbloch.zopt import (
     ZOptConstellation,
@@ -41,26 +42,141 @@ def noiseless_observation(codeword_row, h=0.8 - 0.6j, N=1):
     return math.sqrt(2.0) * x @ hrow
 
 
+def reference_rough_estimate_batch(Ys):
+    """The eigenvector front end that `rough_estimate_batch` replaced: the
+    reference for its decisions. Dominant left singular vector of each
+    checked (2, N) observation, unnormalized for N = 1."""
+    Ys = np.asarray(Ys, dtype=np.complex128)
+    n, _, N = Ys.shape
+    if N == 1:
+        return Ys[:, :, 0].copy()
+    g00, g11, g01 = _gram_parts(Ys)
+    delta = 0.5 * (g00 - g11)
+    r = np.sqrt(delta * delta + np.abs(g01) ** 2)
+    out = np.empty((n, 2), dtype=np.complex128)
+    hi = delta >= 0.0
+    out[hi, 0] = r[hi] + delta[hi]
+    out[hi, 1] = np.conj(g01[hi])
+    lo = ~hi
+    out[lo, 0] = g01[lo]
+    out[lo, 1] = r[lo] - delta[lo]
+    diag = np.abs(g01) == 0.0
+    if np.any(diag):
+        first = g00 >= g11
+        out[diag & first] = (1.0, 0.0)
+        out[diag & ~first] = (0.0, 1.0)
+    norms = np.linalg.norm(out, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateInputError("zero observation has no dominant direction")
+    return out / norms[:, None]
+
+
+def reference_bloch_of_raw(v):
+    """Bloch points of unnormalized nonzero 2-vectors: the old sopt query."""
+    return bloch_array(v) / (np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2)[:, None]
+
+
+def reference_angles_of_raw(v):
+    """Polar/azimuth angles of unnormalized nonzero 2-vectors: the old zopt input."""
+    n = np.sqrt(np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2)
+    z0 = np.abs(v[:, 0]) / n
+    theta = 2.0 * np.arccos(np.clip(z0, 0.0, 1.0))
+    a0 = np.abs(v[:, 0])
+    phase = np.where(a0 > 0, v[:, 0] / np.where(a0 > 0, a0, 1.0), 1.0)
+    phi = np.angle(v[:, 1] * np.conj(phase)) % (2.0 * math.pi)
+    phi = np.where(phi >= 2.0 * math.pi, 0.0, phi)
+    return theta, phi
+
+
+def external_constellation():
+    rng = np.random.default_rng(77)
+    raw = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+    return Constellation(canonicalize_array(raw), "external", 5)
+
+
 class TestRoughEstimate:
-    def test_single_column_passthrough(self):
-        y = np.array([[1.0], [1j]])
-        est = rough_estimate(y)
-        assert np.array_equal(est, y[:, 0])
+    def test_single_column(self):
+        y = np.array([[0.3 - 0.4j], [1j]])
+        est = rough_estimate_batch(y[None])
+        want = bloch_array((y[:, 0] / np.linalg.norm(y))[None])
+        assert np.allclose(est, want, rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(est[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_rank_one_recovery(self):
         x = np.array([0.6, 0.8j])
         Y = np.outer(x, [1.0, 2.0, -1j])
-        est = rough_estimate(Y)
-        inner = abs(np.vdot(est, x) / np.linalg.norm(x))
-        assert inner == pytest.approx(1.0, abs=1e-9)
+        u = np.linalg.svd(Y)[0][:, 0]
+        est = rough_estimate_batch(Y[None])
+        assert np.allclose(est, bloch_array(u[None]), rtol=0.0, atol=1e-12)
+
+    def test_noisy_matches_svd(self):
+        rng = np.random.default_rng(3)
+        Ys = rng.standard_normal((50, 2, 4, 2)) @ [1.0, 1j]
+        u = np.linalg.svd(Ys)[0][:, :, 0]
+        assert np.allclose(rough_estimate_batch(Ys), bloch_array(u), rtol=0.0, atol=1e-9)
 
     def test_identity_tie_rule(self):
-        est = rough_estimate(np.eye(2, dtype=complex))
-        assert np.array_equal(est, [1.0 + 0j, 0.0 + 0j])
+        est = rough_estimate_batch(np.eye(2, dtype=complex)[None])
+        assert est.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            rough_estimate(np.zeros((2, 2)))
+            rough_estimate_batch(np.zeros((1, 2, 2)))
+
+
+class TestFrontEndReference:
+    """sopt and zopt decide and count as they did with the eigenvector front end."""
+
+    @staticmethod
+    def observations(x, N, snr_db, trials=10000):
+        return _trial_batch(N * 100 + int(snr_db), 0, 0, trials, N, 10.0 ** (-snr_db / 10.0),
+                            x.array)[1]
+
+    @staticmethod
+    def check_sopt(det, Ys):
+        est = reference_rough_estimate_batch(_checked(Ys))
+        ref_idx, _, ref_evals, ref_comps = det.tree.query(reference_bloch_of_raw(est))
+        idx, evals, comps = det.detect_batch(Ys)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(comps, ref_comps)
+
+    @staticmethod
+    def check_zopt(det, Ys, monkeypatch):
+        got = det.detect_batch(Ys)
+        angles = reference_angles_of_raw(reference_rough_estimate_batch(_checked(Ys)))
+        with monkeypatch.context() as m:
+            m.setattr(detectors, "bloch_angles", lambda points: angles)
+            want = det.detect_batch(Ys)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("B", [4, 8, 12, "external"])
+    def test_sopt(self, B, N):
+        x = external_constellation() if B == "external" else build_z_opt(B)
+        det = SoptDetector(x)
+        for snr_db in (0.0, 20.0, 40.0):
+            self.check_sopt(det, self.observations(x, N, snr_db))
+
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("B", [4, 8, 12])
+    def test_zopt(self, B, N, monkeypatch):
+        z = build_z_opt(B)
+        det = ZoptDetector(z)
+        for snr_db in (0.0, 20.0, 40.0):
+            self.check_zopt(det, self.observations(z, N, snr_db), monkeypatch)
+
+    def test_exact_poles(self, monkeypatch):
+        # one row of Y is zero, so g01 is zero: both poles must read azimuth 0,
+        # as the eigenvector's (1, 0) and (0, 1) did, whatever the signs of Y
+        rows = [[-1.0, -2.0], [-1.0 + 1j, 2.0], [1.0, 2.0], [1j, -2.0]]
+        Ys = np.array([[r, [0.0, 0.0]] for r in rows] + [[[0.0, 0.0], r] for r in rows],
+                      dtype=np.complex128)
+        for B in (4, 12):
+            z = build_z_opt(B)
+            self.check_sopt(SoptDetector(z), Ys)
+            self.check_zopt(ZoptDetector(z), Ys, monkeypatch)
 
 
 class TestGlrt:
@@ -138,9 +254,7 @@ class TestSopt:
 
     def test_agrees_with_glrt_on_arbitrary_constellation(self):
         # the tree detector is not tied to any construction
-        rng = np.random.default_rng(77)
-        raw = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
-        x = Constellation(canonicalize_array(raw), "external", 5)
+        x = external_constellation()
         for N in (1, 2):
             rep = bench_detectors(x, ["glrt", "sopt"], trials=20000, N=N,
                                   seed=4, snr_db=8.0)

@@ -185,6 +185,37 @@ class TestConstellationJson:
         path.write_text(json.dumps(d))
         assert main(["evaluate", str(path)]) == 3
 
+    @pytest.mark.parametrize("B, key, value", [
+        (1, "B", True), (1, "l", True), (1, "n_v", True), (1, "layer_offsets", [False]),
+        (4, "B", 4.0), (4, "C", 16.0), (4, "l", 4.0), (4, "z_max", 4.0), (4, "n_v", 2.0),
+        (4, "Z_l", [4.0, 4, 4, 4]), (4, "layer_offsets", [0, 4.0, 8, 12]),
+    ])
+    def test_layer_block_ints_are_ints(self, tmp_path, B, key, value):
+        # equal by ==, but not what the writer writes
+        from grassbloch.cli import main
+
+        d = constellation_to_dict(build_z_opt(B))
+        assert d["zopt"][key] == value
+        d["zopt"][key] = value
+        with pytest.raises(FormatError, match="layered-structure block"):
+            constellation_from_dict(json.loads(json.dumps(d)))
+        path = tmp_path / "zint.json"
+        path.write_text(json.dumps(d))
+        assert main(["evaluate", str(path)]) == 3
+
+    @pytest.mark.parametrize("B, value", [(1, True), (4, 4.0)])
+    def test_layer_header_bits_are_int(self, tmp_path, B, value):
+        from grassbloch.cli import main
+
+        d = constellation_to_dict(build_z_opt(B))
+        d["B"] = value
+        with pytest.raises(FormatError, match=f"needs method 'z-opt' and B={B}"):
+            constellation_from_dict(json.loads(json.dumps(d)))
+        d["zopt"]["B"] = value  # header and block alike
+        path = tmp_path / "zhead.json"
+        path.write_text(json.dumps(d))
+        assert main(["evaluate", str(path)]) == 3
+
     def test_layer_block_pinned_to_table(self, tmp_path):
         # a valid k-cap structure at B = 9, but not the paper's row for B = 9
         from grassbloch.cli import main

@@ -10,6 +10,7 @@ from grassbloch.errors import DegenerateInputError, InvalidInputError
 from grassbloch.geometry import (
     Constellation,
     angles_to_codewords,
+    bloch_angles,
     bloch_array,
     canonicalize_array,
     fejes_toth_bound,
@@ -164,6 +165,30 @@ class TestCodewordToBloch:
         back_phi = np.arctan2(p[:, 1], p[:, 0]) % (2.0 * math.pi)
         assert np.allclose(back_theta, theta, rtol=0.0, atol=1e-12)
         assert np.allclose(back_phi, phi, rtol=0.0, atol=1e-12)
+
+
+class TestBlochAngles:
+    def test_round_trip(self):
+        theta, phi = random_angles(500, seed=8)
+        back_theta, back_phi = bloch_angles(bloch_array(angles_to_codewords(theta, phi)))
+        assert np.allclose(back_theta, theta, rtol=0.0, atol=1e-7)
+        assert np.allclose(back_phi, phi, rtol=0.0, atol=1e-7)
+        # the codewords they give are the same lines to rounding
+        again = angles_to_codewords(back_theta, back_phi)
+        assert np.abs(again - angles_to_codewords(theta, phi)).max() < 1e-12
+
+    def test_poles(self):
+        theta, phi = bloch_angles(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        assert theta.tolist() == [0.0, math.pi] and phi.tolist() == [0.0, 0.0]
+
+    def test_two_pi_wraps_to_zero(self):
+        # atan2 gives -1e-300, and -1e-300 mod 2 pi rounds to 2 pi
+        pts = np.array([[1.0, -1e-300, 0.0], [1.0, -1e-3, 0.0]])
+        assert float(np.arctan2(-1e-300, 1.0) % (2.0 * math.pi)) == 2.0 * math.pi
+        theta, phi = bloch_angles(pts)
+        assert phi[0] == 0.0
+        assert phi[1] == pytest.approx(2.0 * math.pi - math.atan(1e-3), abs=1e-12)
+        assert theta.tolist() == [math.pi / 2.0] * 2
 
 
 class TestDistanceIdentity:

@@ -263,6 +263,15 @@ class TestPackingSet:
             PackingSet(pts)
 
 
+    def test_caller_array_stays_writable(self):
+        p = exact_packing(6).points.copy()
+        packed = PackingSet(p)
+        assert p.flags.writeable
+        assert not packed.points.flags.writeable
+        p[0] = 0.0
+        assert packed.points[0].tolist() != [0.0, 0.0, 0.0]
+
+
 class TestLoadPacking:
     def test_two_antipodal(self, tmp_path):
         f = tmp_path / "two.txt"
