@@ -8,6 +8,7 @@ the default worker count for the simulator, capped at the CPU count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -78,7 +79,10 @@ def _parse_snr(spec: str):
         raise InvalidInputError(f"bad SNR spec {spec!r}: {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="grassbloch",
         description="Construct, evaluate and simulate G(2,1) constellations.",

@@ -2,12 +2,15 @@
 
 The tree is built level by level with no recursion. A segment of more than
 leaf_size points splits on the axis of its widest spread, after a stable sort
-on that axis, at its middle point; every point at or beyond the split value
-goes right. One level's spreads come from `reduceat` over its segments and
-one `lexsort` on (segment, coordinate) sorts all of them. The node arrays are
-numbered in pre-order: a segment's subtree size depends only on its point
-count, so a right child's id is its parent's plus one plus the size of the
-left subtree.
+on that axis, at its middle point, whose coordinate is the split value. Ties
+with the split value can fall on either side (the stable sort keeps equal
+coordinates in position order), so a split only promises left <= split <=
+right. One level's spreads come from `reduceat` over its segments. Every axis
+is ranked once, equal coordinates sharing a rank, so the stable sorts of all of
+one level's segments are one stable sort of the integer keys
+segment * n + rank. The node arrays are numbered in pre-order: a segment's
+subtree size depends only on its point count, so a right child's id is its
+parent's plus one plus the size of the left subtree.
 
 Queries return exactly what a linear scan would, including the tie rule (equal
 distances resolve to the lowest point index), and report how many point
@@ -17,10 +20,13 @@ A batch is searched in lockstep. Each query keeps an explicit stack of
 (node, bound) entries and every vectorized step pops one entry for every query
 whose stack is not empty. An entry is visited only while its bound does not
 exceed the query's best squared distance: the near child of a split is pushed
-with bound -inf, the far child with the squared distance to the splitting
-plane. Near is pushed last, so each query visits nodes in the depth-first
-order of the one-at-a-time walk, and its result and counters are those of
-that walk.
+with bound -inf, the far child with s^2, s being the query's offset from the
+split value along the split axis. s^2 bounds the far child's distances from
+below even with ties: a query at s < 0 goes left, and every right point lies
+at or above the split value; a query at s >= 0 goes right, and every left
+point lies at or below it. Near is pushed last, so each query visits nodes in
+the depth-first order of the one-at-a-time walk, and its result and counters
+are those of that walk.
 """
 
 from __future__ import annotations
@@ -55,8 +61,8 @@ def _subtree_counts(n: int, leaf_size: int) -> np.ndarray:
 class KDTree:
     def __init__(self, points, leaf_size: int = 8):
         points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2 or len(points) == 0:
-            raise InvalidInputError("need a nonempty (n, d) point array")
+        if points.ndim != 2 or len(points) == 0 or not np.isfinite(points).all():
+            raise InvalidInputError("need a nonempty (n, d) array of finite points")
         if leaf_size < 1:
             raise InvalidInputError("leaf_size must be >= 1")
         self.points = points
@@ -65,6 +71,16 @@ class KDTree:
         counts = _subtree_counts(n, leaf_size)
         n_nodes = int(counts[n])
         perm = np.arange(n)
+        # rank[k * n + i]: point i's dense rank along axis k. Both sorts of the
+        # build are stable: `Constellation`'s `lexsort` already runs numpy's
+        # stable sort code, and the default sorts would page in their own,
+        # which shows in peak RSS.
+        rank = np.empty((points.shape[1], n), dtype=np.int64)
+        for k, x in enumerate(points.T):
+            order = np.argsort(x, kind="stable")
+            x = x[order]
+            rank[k, order] = np.cumsum(np.concatenate([[False], x[1:] != x[:-1]]))
+        rank = rank.ravel()
         # node arrays; leaves carry (start, end) into _perm, internals a split
         split_dim = np.full(n_nodes, -1, dtype=np.int64)
         split_val = np.full(n_nodes, -1.0)
@@ -85,29 +101,30 @@ class KDTree:
             if not inner.any():
                 break
             lo, hi, node = lo[inner], hi[inner], node[inner]
-            # a padding row lets a segment end at n in reduceat's bounds
-            coords = np.vstack([points[perm], points[:1]])
-            bounds = np.column_stack([lo, hi]).ravel()
-            spread = (np.maximum.reduceat(coords, bounds)[::2]
-                      - np.minimum.reduceat(coords, bounds)[::2])
+            # the inner segments' points, gathered end to end
+            size = hi - lo
+            first = np.cumsum(size) - size
+            pos = np.arange(size.sum()) + np.repeat(lo - first, size)
+            sub = perm[pos]
+            coords = np.take(points, sub, axis=0)
+            spread = (np.maximum.reduceat(coords, first)
+                      - np.minimum.reduceat(coords, first))
+            del coords  # the level's largest temporary, freed before the sort
             dim = np.argmax(spread, axis=1)
             # stable sort of every segment on its split coordinate at once
-            size = hi - lo
-            seg = np.repeat(np.arange(len(lo)), size)
-            pos = np.arange(len(seg)) + np.repeat(lo - np.cumsum(size) + size, size)
-            sub = perm[pos]
-            perm[pos] = sub[np.lexsort((points[sub, dim[seg]], seg))]
+            key = rank[np.repeat(dim * n, size) + sub]
+            key += np.repeat(np.arange(len(lo)) * n, size)
+            perm[pos] = sub[np.argsort(key, kind="stable")]
             mid = lo + size // 2
-            # everything at or beyond the split value lives in the right subtree
             split_dim[node] = dim
             split_val[node] = points[perm[mid], dim]
             left[node] = node + 1
             right[node] = node + 1 + counts[size // 2]
-            # children stay in position order, so reduceat's gaps hold leaves only
             lo = np.column_stack([lo, mid]).ravel()
             hi = np.column_stack([mid, hi]).ravel()
             node = np.column_stack([left[node], right[node]]).ravel()
             depth += 1
+        del rank  # before the leaf tables, the build's largest arrays
         self._perm = perm
         self._depth = depth
         self._root = 0
@@ -127,7 +144,7 @@ class KDTree:
         row = np.repeat(leaves, self._count[leaves])
         col = np.arange(n) - start[row]
         self._leaf_idx[row, col] = perm
-        self._leaf_pts[row, col] = points[perm]
+        self._leaf_pts[row, col] = np.take(points, perm, axis=0)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -351,17 +351,17 @@ def optimize_zopt(s: ZOptStructure) -> np.ndarray:
 # constellation realization
 
 
-def layer_azimuths(s: ZOptStructure, layer: int) -> np.ndarray:
-    """Azimuths of the points in 1-based layer `layer` (offset alternates by parity)."""
-    z = s.Z_l[layer - 1]
-    base = 0.0 if layer % 2 == 1 else math.pi / s.z_max
-    return base + 2.0 * math.pi * np.arange(z) / z
-
-
 def realize_codewords(theta: np.ndarray, s: ZOptStructure) -> np.ndarray:
-    """(C, 2) codeword rows in layer-major order for the given polar angles."""
-    phi = np.concatenate([layer_azimuths(s, m) for m in range(1, s.l + 1)])
-    return angles_to_codewords(np.repeat(theta, s.Z_l), phi)
+    """(C, 2) codeword rows in layer-major order for the given polar angles.
+
+    Point j of 1-based layer m sits at azimuth base + 2 pi j / Z_m, where base
+    is 0 on odd layers and pi / z_max on even ones.
+    """
+    size, _, first = s.layer_table
+    base = np.arange(s.l) % 2 * (math.pi / s.z_max)
+    j = np.arange(s.C) - np.repeat(first, size)
+    phi = np.repeat(base, size) + 2.0 * math.pi * j / np.repeat(size, size)
+    return angles_to_codewords(np.repeat(theta, size), phi)
 
 
 class ZOptConstellation(Constellation):

@@ -22,6 +22,40 @@ def zopt_file(tmp_path):
     return out
 
 
+class TestSharedParser:
+    """`main` parses every call with the one parser `build_parser` caches."""
+
+    def run_calls(self, tmp_path, capsys):
+        """Exit code, stdout, stderr and written file of each call in turn."""
+        out = tmp_path / "z3.json"
+        rx = tmp_path / "rx.csv"
+        rx.write_text("0.5 0.1 -0.3 0.2\n1.0 0.0 0.0 1.0\n")
+        calls = [
+            ["construct", "--method", "z-opt", "-B", 3, "-o", out],
+            ["construct", "--method", "z-opt"],
+            ["--version"],
+            ["simulate", "--constellation", out, "--snr", "0,10", "--trials", 50],
+            ["detect", "--constellation", out, "--input", rx],
+        ]
+        got = []
+        for args in calls:
+            code = run(args)
+            std = capsys.readouterr()
+            got.append((code, std.out, std.err, out.read_bytes()))
+        out.unlink()
+        return got
+
+    def test_matches_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        shared = self.run_calls(tmp_path, capsys)
+        assert [g[0] for g in shared] == [0, 2, 0, 0, 0]
+        assert "usage:" in shared[1][2] and shared[2][1].strip() == cli.__version__
+        # every call builds its own parser
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert self.run_calls(tmp_path, capsys) == shared
+
+
 class TestParseSnr:
     def test_list(self):
         assert _parse_snr("0,10,20") == [0.0, 10.0, 20.0]

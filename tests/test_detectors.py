@@ -27,7 +27,6 @@ from grassbloch.zopt import (
     ZOptStructure,
     build_z_opt,
     expand_theta,
-    layer_azimuths,
     optimize_zopt,
     zopt_structure,
 )
@@ -298,7 +297,8 @@ def geometric_anchor_table(z):
     table = np.zeros((s.l + 1, 2 * s.z_max), dtype=np.int64)
     for i in range(s.l + 1):
         layer = max(i, 1)
-        phis = layer_azimuths(s, layer)
+        size = s.Z_l[layer - 1]
+        phis = (layer + 1) % 2 * h + 2.0 * math.pi * np.arange(size) / size
         for j0 in range(2 * s.z_max):
             center = (j0 + 0.5) * h
             gaps = np.abs(phis - center)

@@ -143,11 +143,46 @@ def test_build_with_tied_split_coordinates(leaf):
     assert_same_build(np.zeros((37, 3)), leaf)
 
 
-@pytest.mark.parametrize("B", [6, 9, 12])
+@pytest.mark.parametrize("B", [6, 9, 12, 14])
 def test_build_on_zopt_bloch_points(B):
     # each ring of a layered set holds several rounded z values, so the splits
     # on z meet ties and near-ties
     assert_same_build(build_z_opt(B).bloch, 8)
+
+
+def split_ties(tree):
+    """Check left <= split <= right along the split axis at every internal
+    node, and return how many left-subtree points equal their split value."""
+    ranges = {}
+    ties = 0
+    # children have larger pre-order ids than their parent
+    for node in range(len(tree._split_dim) - 1, -1, -1):
+        if tree._split_dim[node] < 0:
+            ranges[node] = (tree._start[node], tree._end[node])
+            continue
+        lo, mid = ranges[tree._left[node]]
+        assert ranges[tree._right[node]][0] == mid
+        hi = ranges[tree._right[node]][1]
+        ranges[node] = (lo, hi)
+        x = tree.points[tree._perm, tree._split_dim[node]]
+        val = tree._split_val[node]
+        assert x[lo:mid].max() <= val <= x[mid:hi].min()
+        ties += int(np.count_nonzero(x[lo:mid] == val))
+    return ties
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(build_z_opt(8).bloch, id="zopt8"),
+    pytest.param(build_z_opt(12).bloch, id="zopt12"),
+    # the leaf = 1 grid of test_build_with_tied_split_coordinates
+    pytest.param(np.random.default_rng(1).integers(-2, 3, (301, 3)).astype(np.float64),
+                 id="grid"),
+])
+def test_ties_with_split_value_may_sit_left(points):
+    # the stable sort keeps a run of equal coordinates in position order, so
+    # points before the middle that equal its coordinate stay in the left
+    # subtree; the far-child bound s^2 needs only left <= split <= right
+    assert split_ties(KDTree(points, leaf_size=8)) > 0
 
 
 def assert_same_as_reference(tree, q):
@@ -235,5 +270,9 @@ def test_query_empty_batch():
 def test_rejects_empty():
     with pytest.raises(InvalidInputError):
         KDTree(np.empty((0, 3)))
+    with pytest.raises(InvalidInputError):
+        KDTree(np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        KDTree(np.array([[0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         KDTree(sphere_points(4, seed=0), leaf_size=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grassbloch.errors import InvalidInputError, UnsupportedError
-from grassbloch.geometry import fejes_toth_bound
+from grassbloch.geometry import angles_to_codewords, fejes_toth_bound
 from grassbloch.zopt import (
     ZOptStructure,
     _diag_lower_root,
@@ -15,8 +15,8 @@ from grassbloch.zopt import (
     diagonal_chord,
     expand_theta,
     horizontal_chord,
-    layer_azimuths,
     optimize_zopt,
+    realize_codewords,
     vertical_chord,
     zopt_structure,
 )
@@ -25,6 +25,14 @@ ANTIPRISM_D = math.sqrt((4.0 - math.sqrt(2.0)) / 7.0)
 Z_MAX_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
 #: searched structures with k half rings per cap: B = 9 (k = 3) and B = 11 (k = 7)
 K_CAP_ROWS = [(16,) * 3 + (32,) * 13 + (16,) * 3, (32,) * 7 + (64,) * 25 + (32,) * 7]
+
+
+def reference_layer_azimuths(s, layer):
+    """Azimuths of 1-based layer `layer`, one layer at a time: the reference
+    for the vectorized azimuths of `realize_codewords`."""
+    z = s.Z_l[layer - 1]
+    base = 0.0 if layer % 2 == 1 else math.pi / s.z_max
+    return base + 2.0 * math.pi * np.arange(z) / z
 
 
 def reference_diag_lower_root(theta_prev, t, h):
@@ -365,12 +373,22 @@ class TestRealization:
         for B in (4, 5, 6):
             z = build_z_opt(B)
             s = z.structure
+            phi = np.angle(z.array[:, 1]) % (2.0 * math.pi)
             for m in range(1, s.l + 1):
-                phis = layer_azimuths(s, m)
+                lo = s.layer_offsets[m - 1]
+                phis = phi[lo: lo + s.Z_l[m - 1]]
                 steps = np.diff(phis)
                 assert np.allclose(steps, 2.0 * math.pi / s.Z_l[m - 1], atol=1e-12)
                 expected_offset = 0.0 if m % 2 == 1 else math.pi / s.z_max
                 assert phis[0] == pytest.approx(expected_offset, abs=1e-15)
+
+    @pytest.mark.parametrize("Z_l", [zopt_structure(B).Z_l for B in range(1, 17)] + K_CAP_ROWS)
+    def test_matches_per_layer_loop(self, Z_l):
+        s = ZOptStructure(Z_l)
+        theta = np.linspace(0.1, math.pi - 0.1, s.l)
+        phi = np.concatenate([reference_layer_azimuths(s, m) for m in range(1, s.l + 1)])
+        want = angles_to_codewords(np.repeat(theta, s.Z_l), phi)
+        assert realize_codewords(theta, s).tobytes() == want.tobytes()
 
     def test_layer_offsets(self):
         z = build_z_opt(5)
