@@ -122,7 +122,7 @@ def _trial_batch(seed: int, snr_index: int, lo: int, hi: int, N: int,
     H = rng.complex_normal(keys[:, None], h_ctr[None, :])
     w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64).reshape(2, N)
     W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :], variance=sigma2)
-    Y = math.sqrt(2.0) * points[sym][:, :, None] * H[:, None, :] + W
+    Y = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None] * H[:, None, :] + W
     return sym, Y
 
 

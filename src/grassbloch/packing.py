@@ -115,6 +115,16 @@ _PHASE2_STEP = 0.05
 _MIN_STEP = 1e-13
 #: start spread around the spiral, as a fraction of the nominal spacing
 _INIT_NOISE = 0.25
+#: phase-1 exponents are raised to this floor before the exp. Late in the run
+#: (dmin - d) / eps reaches below -1700, and numpy's exp takes a slow path for
+#: results that underflow to 0 or land subnormal; every later C x C step then
+#: runs on subnormals too. e^-690 ~ 2e-300 stays normal after the division by
+#: the sum (at most C^2 <= 2^24) and the product with 1/d (at least 1/2). The
+#: closest pair's weight is exp(0) = 1, so the sum is at least 2, and the
+#: raised weights add under 1e-294 to it: below half an ulp of every row that
+#: moves a point, so a changed weight could only matter for a coordinate
+#: below about 1e-270. The points are bit for bit those of the unclamped exp.
+_EXP_FLOOR = -690.0
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,9 @@ def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
         dmin = float(d.min())
         np.subtract(dmin, d, out=w)
         w /= eps
-        np.exp(w, out=w)  # 0 on the diagonal
+        np.maximum(w, _EXP_FLOOR, out=w)
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 0.0)  # the floor lifted the diagonal's -inf
         w /= w.sum()
         # ascent direction of the softened minimum: repel along near-critical
         # pairs with weight w / d; d becomes 1 / d, 0 where d is 0
@@ -341,11 +353,3 @@ def load_packing(path) -> PackingSet:
     except InvalidInputError as exc:
         raise FormatError(str(exc), path=path) from exc
 
-
-def save_packing(path, packing: PackingSet) -> None:
-    """Write a PackingSet in the text format accepted by load_packing."""
-    with open(path, "w") as fh:
-        fh.write(f"# {packing.C} points, min distance {packing.min_distance:.12f}\n")
-        fh.write(f"{packing.C}\n")
-        for p in packing.points:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")

@@ -16,7 +16,6 @@ from grassbloch.packing import (
     fibonacci_points,
     load_packing,
     optimize_packing,
-    save_packing,
     softmin_objective,
 )
 
@@ -31,6 +30,8 @@ TWO_STARTS = PackingConfig(starts=2, phase1_iters=150, phase2_sweeps=250)
 ONE_ITER = PackingConfig(starts=1, phase1_iters=1, phase2_sweeps=250)
 #: enough sweeps that the polish of a small set ends on the step bound
 TO_MIN_STEP = PackingConfig(starts=1, phase1_iters=150, phase2_sweeps=2000)
+#: the default phase-1 budget alone; at C = 256 its late exponents underflow
+PHASE1_ONLY = PackingConfig(starts=1, phase1_iters=500, phase2_sweeps=0)
 
 
 class TestExactPacking:
@@ -209,6 +210,7 @@ ORACLE_GRID = (
      for cfg in (LIGHT, TWO_STARTS, ONE_ITER)]
     + [(C, seed, TO_MIN_STEP) for C in (5, 16) for seed in (0, 7)]
     + [(512, 0, LIGHT), (512, 7, LIGHT)]
+    + [(256, 0, PHASE1_ONLY)]
 )
 
 
@@ -227,6 +229,51 @@ def test_optimizer_matches_dense_reference(monkeypatch, C, seed, cfg):
     assert len(stops) == cfg.starts
     if cfg is TO_MIN_STEP:
         assert stops == ["step"]
+
+
+def exp_census(monkeypatch, phase):
+    """`phase` with np.exp wrapped while it runs, and the tally it keeps.
+
+    The tally holds the lowest argument, the finite arguments whose exp
+    underflows to 0 (below -745) or lands subnormal (-745 to -708), and the
+    results that are not normal numbers (0 and subnormals).
+    """
+    tally = {"lowest": np.inf, "underflow": 0, "subnormal": 0, "not_normal": 0}
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        x = np.asarray(x)
+        finite = x[np.isfinite(x)]
+        tally["lowest"] = min(tally["lowest"], float(x.min()))
+        tally["underflow"] += int(np.count_nonzero(finite < -745.0))
+        tally["subnormal"] += int(np.count_nonzero((finite >= -745.0) & (finite <= -708.0)))
+        y = real_exp(x, *args, **kwargs)
+        tally["not_normal"] += int(np.count_nonzero(np.abs(y) < np.finfo(np.float64).tiny))
+        return y
+
+    def wrapped(points, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", exp)
+            return phase(points, cfg)
+
+    return wrapped, tally
+
+
+def test_phase1_exp_stays_normal(monkeypatch):
+    # the unclamped reference does reach numpy's slow exp (so the oracle case
+    # at the same budget covers the floor), and the buffered phase never does
+    buffered = packing._softmin_phase
+    ref, ref_tally = exp_census(monkeypatch, reference_softmin_phase)
+    monkeypatch.setattr(packing, "_softmin_phase", ref)
+    optimize_packing(256, seed=0, config=PHASE1_ONLY)
+    assert ref_tally["underflow"] > 0
+    assert ref_tally["subnormal"] > 0
+
+    got, tally = exp_census(monkeypatch, buffered)
+    monkeypatch.setattr(packing, "_softmin_phase", got)
+    optimize_packing(256, seed=0, config=PHASE1_ONLY)
+    assert tally["lowest"] >= packing._EXP_FLOOR
+    assert tally["not_normal"] == 0
 
 
 def test_softmin_counts_all_pairs():
@@ -270,6 +317,15 @@ class TestPackingSet:
         assert not packed.points.flags.writeable
         p[0] = 0.0
         assert packed.points[0].tolist() != [0.0, 0.0, 0.0]
+
+
+def save_packing(path, packing_set):
+    """Write a PackingSet in the text format accepted by load_packing."""
+    with open(path, "w") as fh:
+        fh.write(f"# {packing_set.C} points, min distance {packing_set.min_distance:.12f}\n")
+        fh.write(f"{packing_set.C}\n")
+        for p in packing_set.points:
+            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
 
 
 class TestLoadPacking:
