@@ -1,8 +1,10 @@
 """Block-Rayleigh Monte Carlo engine with reproducible substreams.
 
 Each trial draws its symbol, channel and noise from a substream keyed by
-(seed, SNR index, trial index), so results are bitwise independent of chunk
-size, thread count and of which detectors consume the stream. SNR is defined
+(seed, SNR index, trial index), so results are bitwise independent of the
+rows per detector call, the worker count and of which detectors consume the
+stream. Sweeps run one worker thread per CPU in the process's affinity mask;
+the GRASSBLOCH_THREADS environment variable asks for fewer. SNR is defined
 as 1 / sigma^2: codewords have unit norm before the sqrt(T) transmit scaling
 and sigma^2 is the per-complex-entry noise variance.
 """
@@ -21,10 +23,13 @@ from .detectors import GlrtDetector, SoptDetector, ZoptDetector
 from .errors import InvalidInputError
 from .zopt import ZOptConstellation
 
-DETECTOR_TAGS = ("glrt", "sopt", "zopt")
+DETECTORS = {"glrt": GlrtDetector, "sopt": SoptDetector, "zopt": ZoptDetector}
+DETECTOR_TAGS = tuple(DETECTORS)
 
 _THREADS_ENV = "GRASSBLOCH_THREADS"
 
+#: most rows in one detector call
+ROWS_PER_CALL = 8192
 #: most entries, rows x 4N, in one trial chunk's arrays
 MAX_BLOCK_ENTRIES = 1 << 22
 
@@ -34,18 +39,14 @@ def make_detector(tag: str, x):
 
     The layered detector ("zopt") needs a `ZOptConstellation`.
     """
-    if tag == "glrt":
-        return GlrtDetector(x)
-    if tag == "sopt":
-        return SoptDetector(x)
-    if tag == "zopt":
-        if not isinstance(x, ZOptConstellation):
-            raise InvalidInputError(
-                "this constellation carries no layer structure; "
-                "the zopt detector needs one (construct with --method z-opt)"
-            )
-        return ZoptDetector(x)
-    raise InvalidInputError(f"unknown detector {tag!r}; expected one of {DETECTOR_TAGS}")
+    if tag not in DETECTORS:
+        raise InvalidInputError(f"unknown detector {tag!r}; expected one of {DETECTOR_TAGS}")
+    if tag == "zopt" and not isinstance(x, ZOptConstellation):
+        raise InvalidInputError(
+            "this constellation carries no layer structure; "
+            "the zopt detector needs one (construct with --method z-opt)"
+        )
+    return DETECTORS[tag](x)
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,32 @@ class SerCurve:
     C: int
 
 
-def _thread_count(threads: int | None) -> int:
-    """Workers for `threads`, else `GRASSBLOCH_THREADS`, in 1..CPU count.
+def _workers() -> int:
+    """Worker threads for a sweep: the CPUs in the affinity mask, or fewer
+    if `GRASSBLOCH_THREADS` asks for fewer.
 
     The pool gets every chunk at once and may start a thread for each, so
-    the count is capped at the CPUs that could run them.
+    the count is capped at the CPUs that could run them. An unset or empty
+    variable means the default; any other value must be an integer >= 1.
     """
-    if threads is None:
-        try:
-            threads = int(os.environ.get(_THREADS_ENV, ""))
-        except ValueError:
-            threads = 1
-    return max(1, min(threads, os.cpu_count() or 1))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    value = os.environ.get(_THREADS_ENV, "")
+    if not value:
+        return cpus
+    if not value.isdecimal() or int(value) < 1:
+        raise InvalidInputError(f"{_THREADS_ENV} must be an integer >= 1, got {value!r}")
+    return min(int(value), cpus)
 
 
-def effective_chunk(chunk: int, N: int) -> int:
-    """Rows per detector call: at most `chunk`, and at most
+def _rows_per_call(N: int) -> int:
+    """Rows per detector call: at most `ROWS_PER_CALL`, and at most
     `MAX_BLOCK_ENTRIES` entries in a batch's (rows, 4N) arrays, but never
     capped below 256 rows. The constellation size plays no part: the GLRT
     detector scores a chunk in cache-sized blocks of its own."""
-    cap = max(256, MAX_BLOCK_ENTRIES // (4 * N))
-    return max(1, min(chunk, cap))
+    return min(ROWS_PER_CALL, max(256, MAX_BLOCK_ENTRIES // (4 * N)))
 
 
 def _check_run(trials: int, N: int) -> None:
@@ -126,70 +132,57 @@ def _trial_batch(seed: int, snr_index: int, lo: int, hi: int, N: int,
     return sym, Y
 
 
-def _run_point(detectors, points, seed, snr_index, sigma2, trials, N, chunk, threads):
-    """One SNR point: error and counter totals per detector, plus mismatches.
+def _run_point(detectors, points, seed, snr_index, sigma2, trials, N, rows, workers):
+    """One SNR point: a (5, n_detectors) int64 array of totals per detector.
 
-    Mismatches count trials where a detector disagrees with the first one in
-    the list. Chunks are independent substream ranges, so the reduction is a
-    plain sum and the outcome does not depend on scheduling.
+    Its rows are errors, distance evaluations, comparisons, the most
+    evaluations on one trial, and mismatches: trials where a detector
+    disagrees with the first one in the list. Chunks are independent
+    substream ranges, so the reduction is a plain sum (a max for the fourth
+    row) and the outcome does not depend on scheduling.
     """
-    n_det = len(detectors)
-    starts = list(range(0, trials, chunk))
 
     def work(lo):
-        hi = min(lo + chunk, trials)
-        sym, Y = _trial_batch(seed, snr_index, lo, hi, N, sigma2, points)
-        errors = np.zeros(n_det, dtype=np.int64)
-        evals = np.zeros(n_det, dtype=np.int64)
-        comps = np.zeros(n_det, dtype=np.int64)
-        max_evals = np.zeros(n_det, dtype=np.int64)
-        mismatch = np.zeros(n_det, dtype=np.int64)
-        ref = None
+        sym, Y = _trial_batch(seed, snr_index, lo, min(lo + rows, trials), N, sigma2, points)
+        tally = np.empty((5, len(detectors)), dtype=np.int64)
         for k, det in enumerate(detectors):
             idx, ev, cp = det.detect_batch(Y)
-            errors[k] = int(np.count_nonzero(idx != sym))
-            evals[k] = int(ev.sum())
-            comps[k] = int(cp.sum())
-            max_evals[k] = int(ev.max()) if len(ev) else 0
-            if ref is None:
+            if k == 0:
                 ref = idx
-            else:
-                mismatch[k] = int(np.count_nonzero(idx != ref))
-        return errors, evals, comps, max_evals, mismatch
+            tally[:, k] = (np.count_nonzero(idx != sym), ev.sum(), cp.sum(), ev.max(),
+                           np.count_nonzero(idx != ref))
+        return tally
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
+    starts = range(0, trials, rows)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = np.stack(list(pool.map(work, starts)))
     else:
-        parts = [work(lo) for lo in starts]
-    errors = sum(p[0] for p in parts)
-    evals = sum(p[1] for p in parts)
-    comps = sum(p[2] for p in parts)
-    max_evals = np.max([p[3] for p in parts], axis=0)
-    mismatch = sum(p[4] for p in parts)
-    return errors, evals, comps, max_evals, mismatch
+        parts = np.stack([work(lo) for lo in starts])
+    totals = parts.sum(axis=0)
+    totals[3] = parts[:, 3].max(axis=0)
+    return totals
 
 
-def _sweep(x, tags, snr_db, trials, N, seed, chunk, threads):
+def _sweep(x, tags, snr_db, trials, N, seed):
     """`_run_point` totals of the detectors `tags` on `x` at each SNR in dB."""
     _check_run(trials, N)
     sigma2s = [_noise_variance(s) for s in snr_db]
     dets = [make_detector(tag, x) for tag in tags]
-    chunk = effective_chunk(chunk, N)
-    threads = _thread_count(threads)
-    return [_run_point(dets, x.array, seed, snr_index, sigma2, trials, N, chunk, threads)
+    rows = _rows_per_call(N)
+    workers = _workers()
+    return [_run_point(dets, x.array, seed, snr_index, sigma2, trials, N, rows, workers)
             for snr_index, sigma2 in enumerate(sigma2s)]
 
 
-def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0,
-            chunk: int = 8192, threads: int | None = None) -> SerCurve:
+def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0) -> SerCurve:
     """Symbol error rate sweep, bitwise reproducible from its arguments.
 
     `detector` is a tag from `DETECTOR_TAGS`.
     """
     snr_db = [float(s) for s in snr_db]
     # per SNR: errors, evaluations, comparisons, ... of the one detector
-    totals = _sweep(x, [detector], snr_db, trials, N, seed, chunk, threads)
+    totals = _sweep(x, [detector], snr_db, trials, N, seed)
     errors = tuple(int(t[0][0]) for t in totals)
     return SerCurve(
         snr_db=tuple(snr_db),
@@ -220,16 +213,14 @@ class BenchReport:
 
 
 def bench_detectors(x, detectors, trials: int, N: int = 1, seed: int = 0,
-                    snr_db: float = 10.0, chunk: int = 8192,
-                    threads: int | None = None) -> list[BenchReport]:
+                    snr_db: float = 10.0) -> list[BenchReport]:
     """Run the identical trial stream through every detector and compare.
 
     `detectors` lists tags from `DETECTOR_TAGS`. The first is the reference
     for the mismatch column; with equivalent detectors that column stays zero
     on every trial.
     """
-    ((err, ev, cp, max_ev, mism),) = _sweep(x, detectors, [snr_db], trials, N, seed,
-                                            chunk, threads)
+    ((err, ev, cp, max_ev, mism),) = _sweep(x, detectors, [snr_db], trials, N, seed)
     return [
         BenchReport(
             detector=detectors[k],

@@ -1,8 +1,9 @@
 """Command-line surface: construct, evaluate, bound, simulate, bench, detect.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure or out of memory. The GRASSBLOCH_THREADS environment variable sets
-the default worker count for the simulator, capped at the CPU count.
+Exit codes: 0 success, 2 usage error, 3 data/format error, 4 degenerate
+input or out of memory. `simulate` and `bench` run one worker thread per CPU
+in the process's affinity mask; the GRASSBLOCH_THREADS environment variable
+asks for fewer, and a value that is not an integer >= 1 exits 2.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .builders import (
     exp_map_constellation,
 )
 from .channel import DETECTOR_TAGS, bench_detectors, make_detector, run_ser
-from .errors import (
-    DegenerateInputError,
-    FormatError,
-    InvalidInputError,
-    NumericalError,
-)
+from .errors import DegenerateInputError, FormatError, InvalidInputError
 from .formats import (
     bench_rows,
     config_hash,
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller problem", file=sys.stderr)
         return 4
-    except (DegenerateInputError, NumericalError) as exc:
+    except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (FormatError, OSError) as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: usage problems exit 2,
-data/format problems exit 3, numerical failures exit 4.
+data/format problems exit 3, degenerate input (and running out of memory)
+exits 4.
 """
 
 
@@ -29,7 +30,3 @@ class FormatError(ValueError):
         super().__init__(f"{ctx}: {message}" if ctx else message)
         self.path = path
         self.line = line
-
-
-class NumericalError(RuntimeError):
-    """An internal numerical step failed to produce a usable result."""

@@ -5,7 +5,7 @@ import pytest
 
 from grassbloch import channel, rng
 from grassbloch.builders import build_s_opt
-from grassbloch.channel import _thread_count, _trial_batch, bench_detectors, run_ser
+from grassbloch.channel import _rows_per_call, _trial_batch, _workers, bench_detectors, run_ser
 from grassbloch.detectors import GlrtDetector
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import ser_curve_to_json
@@ -69,16 +69,22 @@ class TestRunSer:
         b = run_ser(z, "zopt", [0.0, 8.0], trials=4000, N=2, seed=3)
         assert ser_curve_to_json(a) == ser_curve_to_json(b)
 
-    def test_chunk_size_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
         x = build_s_opt(exact_packing(4))
-        a = run_ser(x, "glrt", [5.0], trials=3000, N=1, seed=1, chunk=64)
-        b = run_ser(x, "glrt", [5.0], trials=3000, N=1, seed=1, chunk=1024)
+        monkeypatch.setattr(channel, "ROWS_PER_CALL", 64)
+        a = run_ser(x, "glrt", [5.0], trials=3000, N=1, seed=1)
+        monkeypatch.setattr(channel, "ROWS_PER_CALL", 1024)
+        b = run_ser(x, "glrt", [5.0], trials=3000, N=1, seed=1)
         assert a.errors == b.errors
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
         x = build_s_opt(exact_packing(8))
-        a = run_ser(x, "glrt", [5.0], trials=6000, N=1, seed=1, chunk=512, threads=1)
-        b = run_ser(x, "glrt", [5.0], trials=6000, N=1, seed=1, chunk=512, threads=4)
+        monkeypatch.setattr(channel, "ROWS_PER_CALL", 512)
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setenv("GRASSBLOCH_THREADS", "1")
+        a = run_ser(x, "glrt", [5.0], trials=6000, N=1, seed=1)
+        monkeypatch.setenv("GRASSBLOCH_THREADS", "4")
+        b = run_ser(x, "glrt", [5.0], trials=6000, N=1, seed=1)
         assert a.errors == b.errors and a.mean_comparisons == b.mean_comparisons
 
     def test_env_thread_default(self, monkeypatch):
@@ -87,20 +93,40 @@ class TestRunSer:
         a = run_ser(x, "glrt", [5.0], trials=2000, N=1, seed=1)
         monkeypatch.setenv("GRASSBLOCH_THREADS", "1")
         b = run_ser(x, "glrt", [5.0], trials=2000, N=1, seed=1)
-        assert a.errors == b.errors
+        monkeypatch.delenv("GRASSBLOCH_THREADS")
+        c = run_ser(x, "glrt", [5.0], trials=2000, N=1, seed=1)
+        assert a.errors == b.errors == c.errors
 
     def test_thread_count_capped_at_cpus(self, monkeypatch):
-        # the pool may start a thread per chunk, so no more workers than CPUs
-        monkeypatch.setattr(channel.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("GRASSBLOCH_THREADS", "100000")
-        assert _thread_count(None) == 4
-        assert _thread_count(100000) == 4
-        assert _thread_count(3) == 3
-        assert _thread_count(0) == 1
-        monkeypatch.setenv("GRASSBLOCH_THREADS", "two")
-        assert _thread_count(None) == 1
+        # the pool may start a thread per chunk, so no more workers than the
+        # CPUs the process may run on
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.delenv("GRASSBLOCH_THREADS", raising=False)
+        assert _workers() == 4
+        for value, workers in (("", 4), ("100000", 4), ("3", 3), ("1", 1)):
+            monkeypatch.setenv("GRASSBLOCH_THREADS", value)
+            assert _workers() == workers
+        for value in ("two", "0", "-1", "2.5"):
+            monkeypatch.setenv("GRASSBLOCH_THREADS", value)
+            with pytest.raises(InvalidInputError, match="GRASSBLOCH_THREADS"):
+                _workers()
+        # pinned to one CPU, asking for two still gets one
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {1})
+        monkeypatch.setenv("GRASSBLOCH_THREADS", "2")
+        assert _workers() == 1
+        # without affinity masks the CPU count stands in, or one if unknown
+        monkeypatch.delattr(channel.os, "sched_getaffinity")
+        monkeypatch.delenv("GRASSBLOCH_THREADS")
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: 8)
+        assert _workers() == 8
         monkeypatch.setattr(channel.os, "cpu_count", lambda: None)
-        assert _thread_count(8) == 1
+        assert _workers() == 1
+
+    def test_rows_per_call(self):
+        assert all(_rows_per_call(N) == 8192 for N in range(1, 129))
+        assert _rows_per_call(129) == 8128
+        assert _rows_per_call(4096) == 256
+        assert _rows_per_call(8192) == 256  # the floor
 
     def test_trials_required(self):
         x = build_s_opt(exact_packing(4))
@@ -154,3 +180,34 @@ class TestBench:
             bench_detectors(z, ["glrt"], trials=trials, N=N)
         with pytest.raises(InvalidInputError):
             run_ser(z, "glrt", [0.0], trials=trials, N=N)
+
+
+class TestScheduleIndependence:
+    """Rows and counters do not depend on the rows per detector call or on
+    the worker count, for every detector."""
+
+    SCHEDULES = [(rows, workers) for rows in (256, 8192) for workers in ("1", "2", "4")]
+
+    def _each_schedule(self, monkeypatch, run):
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        results = []
+        for rows, workers in self.SCHEDULES:
+            monkeypatch.setattr(channel, "ROWS_PER_CALL", rows)
+            monkeypatch.setenv("GRASSBLOCH_THREADS", workers)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("tag", channel.DETECTOR_TAGS)
+    def test_simulate_rows(self, monkeypatch, tag):
+        z = build_z_opt(8)
+        curves = self._each_schedule(
+            monkeypatch, lambda: run_ser(z, tag, [4.0, 12.0], trials=9000, N=2, seed=4))
+        assert all(c == curves[0] for c in curves)
+
+    def test_bench_mismatches(self, monkeypatch):
+        z = build_z_opt(8)
+        reports = self._each_schedule(
+            monkeypatch,
+            lambda: bench_detectors(z, ["glrt", "sopt", "zopt"], trials=9000, N=2, seed=4))
+        assert all(r == reports[0] for r in reports)
+        assert [r.mismatches_vs_first for r in reports[0]] == [0, 0, 0]

@@ -279,6 +279,14 @@ class TestSimulate:
                 if l and not l.startswith("#")]
         assert float(rows[1][3]) == 0.0
 
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_malformed_thread_count_usage_error(self, zopt_file, capsys, monkeypatch,
+                                                command):
+        monkeypatch.setenv("GRASSBLOCH_THREADS", "two")
+        assert run([command, "--constellation", zopt_file, "--snr", "0",
+                    "--trials", 10]) == 2
+        assert "GRASSBLOCH_THREADS must be an integer >= 1" in capsys.readouterr().err
+
     def test_json_metadata(self, tmp_path, zopt_file):
         out = tmp_path / "ser.csv"
         meta = tmp_path / "ser.json"
