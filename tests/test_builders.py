@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grassbloch import builders
 from grassbloch.builders import (
     ball_shrink_factor,
     build_cube_split,
@@ -19,7 +20,7 @@ from grassbloch.builders import (
     qam_symbols,
 )
 from grassbloch.errors import InvalidInputError
-from grassbloch.geometry import min_chordal_distance_array
+from grassbloch.geometry import canonicalize_array, min_chordal_distance_array
 from grassbloch.packing import exact_packing, load_packing, optimize_packing
 
 import os
@@ -79,6 +80,39 @@ class TestManOpt:
         assert x.method == "man-opt"
 
 
+def reference_sweep_scale(make_symbols, lo, hi, steps=200):
+    """The exhaustive grid-plus-refine scale search: a full d_min at every
+    grid scale and every refine probe, the first scale winning exact ties."""
+    best_s, best_d = lo, -1.0
+
+    def probe(s):
+        nonlocal best_s, best_d
+        d = qam_d_min(make_symbols(s))
+        if d > best_d:
+            best_s, best_d = s, d
+
+    for s in np.linspace(lo, hi, steps):
+        probe(s)
+    span = (hi - lo) / (steps - 1)
+    for _ in range(30):
+        span *= 0.6
+        for s in (best_s - span, best_s + span):
+            if lo <= s <= hi:
+                probe(s)
+    return best_s
+
+
+def qam_d_min(symbols):
+    """d_min of the exp-map points of the symbols, as the scale search probes it."""
+    return min_chordal_distance_array(canonicalize_array(builders._exp_map_points(symbols)))
+
+
+def qam_scale_range(m):
+    """(lo, hi) of `exp_map_qam`'s scale search for an m x m grid."""
+    s_max = (math.pi / 2.0 - 1e-9) / (math.sqrt(2.0) * (m - 1))
+    return s_max * 1e-3, s_max
+
+
 class TestExpMap:
     def test_zero_symbol(self):
         x = build_exp_map([0.0, 1.0])
@@ -117,6 +151,44 @@ class TestExpMap:
         x = exp_map_qam(16)
         assert_valid(x, 16)
         assert x.min_chordal_distance > math.sin(math.pi / 16)  # beats one-ring PSK
+
+    @pytest.mark.parametrize("C", [-4, 0, 1, 2, 3])
+    def test_qam_too_small(self, C):
+        with pytest.raises(InvalidInputError, match=f"not {C}$"):
+            exp_map_qam(C)
+
+    @pytest.mark.parametrize("C", [4, 16, 64, 256, 1024])
+    def test_sweep_scale_matches_exhaustive(self, C):
+        m = round(math.sqrt(C))
+        lo, hi = qam_scale_range(m)
+        want = reference_sweep_scale(lambda s: qam_symbols(C, s), lo, hi)
+        assert builders._sweep_scale(m, lo, hi) == want
+        assert np.array_equal(exp_map_qam(C).array, build_exp_map(qam_symbols(C, want)).array)
+
+    @pytest.mark.parametrize("B", [2, 4, 6, 8, 10, 12])
+    def test_pair_bound_covers_d_min(self, B):
+        # up to s_max, where the four corners close in on the south pole and
+        # d_min falls to about 1.4e-9
+        m = 2 ** (B // 2)
+        scales = np.linspace(*qam_scale_range(m), 400)
+        bounds = np.concatenate([builders._pair_bounds(m, scales[i : i + 8]) for i in range(0, 400, 8)])
+        d = np.array([qam_d_min(qam_symbols(m * m, s)) for s in scales])
+        assert d[-1] < 1e-8
+        assert np.all(bounds >= d)
+
+    def test_sweep_scale_probe_count(self, monkeypatch):
+        # probing every scale takes 260 full d_min evaluations
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return min_chordal_distance_array(points)
+
+        monkeypatch.setattr(builders, "min_chordal_distance_array", counting)
+        for B in (2, 4, 6, 8, 10, 12):
+            calls.clear()
+            exp_map_constellation(B)
+            assert 0 < len(calls) <= 40, (B, len(calls))
 
     def test_auto_choice(self):
         assert exp_map_constellation(3).C == 8
