@@ -8,9 +8,10 @@ coordinates in position order), so a split only promises left <= split <=
 right. One level's spreads come from `reduceat` over its segments. Every axis
 is ranked once, equal coordinates sharing a rank, so the stable sorts of all of
 one level's segments are one stable sort of the integer keys
-segment * n + rank. The node arrays are numbered in pre-order: a segment's
-subtree size depends only on its point count, so a right child's id is its
-parent's plus one plus the size of the left subtree.
+segment * n + rank. The node arrays are numbered as a heap: node i's children
+are 2i + 1 and 2i + 2, so a tree of depth h has 2^(h+1) - 1 slots. When leaf
+depths differ, the slots below the shallower leaves stay unused (split_dim -1,
+start and end -1, count 0), and no query reaches them.
 
 Queries return exactly what a linear scan would, including the tie rule (equal
 distances resolve to the lowest point index), and report how many point
@@ -38,26 +39,6 @@ from .errors import InvalidInputError
 _BIG = np.iinfo(np.int64).max
 
 
-def _subtree_counts(n: int, leaf_size: int) -> np.ndarray:
-    """Nodes in the subtree over a segment of s points, at index s, for every
-    segment size the build of n points meets (zero elsewhere).
-
-    A segment of s > leaf_size points splits into s // 2 and s - s // 2, so
-    each level holds at most two sizes.
-    """
-    levels = [{n}]
-    while True:
-        below = {h for s in levels[-1] if s > leaf_size for h in (s // 2, s - s // 2)}
-        if not below:
-            break
-        levels.append(below)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for sizes in reversed(levels):
-        for s in sizes:
-            counts[s] = 1 if s <= leaf_size else 1 + counts[s // 2] + counts[s - s // 2]
-    return counts
-
-
 class KDTree:
     def __init__(self, points, leaf_size: int = 8):
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -66,10 +47,12 @@ class KDTree:
         if leaf_size < 1:
             raise InvalidInputError("leaf_size must be >= 1")
         self.points = points
-        self.leaf_size = leaf_size
         n = len(points)
-        counts = _subtree_counts(n, leaf_size)
-        n_nodes = int(counts[n])
+        # depth: the halvings s -> s - s // 2 that take n to at most leaf_size
+        depth, s = 0, n
+        while s > leaf_size:
+            depth, s = depth + 1, s - s // 2
+        n_nodes = 2 ** (depth + 1) - 1
         perm = np.arange(n)
         # rank[k * n + i]: point i's dense rank along axis k. Both sorts of the
         # build are stable: `Constellation`'s `lexsort` already runs numpy's
@@ -84,15 +67,12 @@ class KDTree:
         # node arrays; leaves carry (start, end) into _perm, internals a split
         split_dim = np.full(n_nodes, -1, dtype=np.int64)
         split_val = np.full(n_nodes, -1.0)
-        left = np.full(n_nodes, -1, dtype=np.int64)
-        right = np.full(n_nodes, -1, dtype=np.int64)
         start = np.full(n_nodes, -1, dtype=np.int64)
         end = np.full(n_nodes, -1, dtype=np.int64)
-        # one level's segments [lo, hi) of _perm and their pre-order node ids
+        # one level's segments [lo, hi) of _perm and their heap node ids
         lo = np.zeros(1, dtype=np.int64)
         hi = np.full(1, n, dtype=np.int64)
         node = np.zeros(1, dtype=np.int64)
-        depth = 0
         while True:
             leaf = hi - lo <= leaf_size
             start[node[leaf]] = lo[leaf]
@@ -118,36 +98,29 @@ class KDTree:
             mid = lo + size // 2
             split_dim[node] = dim
             split_val[node] = points[perm[mid], dim]
-            left[node] = node + 1
-            right[node] = node + 1 + counts[size // 2]
             lo = np.column_stack([lo, mid]).ravel()
             hi = np.column_stack([mid, hi]).ravel()
-            node = np.column_stack([left[node], right[node]]).ravel()
-            depth += 1
+            node = np.column_stack([2 * node + 1, 2 * node + 2]).ravel()
         del rank  # before the leaf tables, the build's largest arrays
         self._perm = perm
         self._depth = depth
-        self._root = 0
         self._split_dim = split_dim
         self._split_val = split_val
-        self._left = left
-        self._right = right
         self._start = start
         self._end = end
-        # leaf tables, one row per node: point indices padded with _BIG and
-        # coordinates padded with +inf, so padding never wins a distance
-        self._count = np.where(split_dim < 0, end - start, 0)
+        # leaf tables, one row per slot: point indices padded with _BIG and
+        # coordinates padded with +inf, so padding never wins a distance.
+        # Internal and unused slots have start = end = -1, so count 0.
+        self._count = end - start
         self._leaf_idx = np.full((n_nodes, leaf_size), _BIG, dtype=np.int64)
         self._leaf_pts = np.full((n_nodes, leaf_size, points.shape[1]), np.inf)
-        # pre-order meets the leaves left to right, so they tile _perm in order
-        leaves = np.flatnonzero(split_dim < 0)
+        # the leaves, in _perm order, tile _perm
+        leaves = np.flatnonzero(end > 0)
+        leaves = leaves[np.argsort(start[leaves], kind="stable")]
         row = np.repeat(leaves, self._count[leaves])
         col = np.arange(n) - start[row]
         self._leaf_idx[row, col] = perm
         self._leaf_pts[row, col] = np.take(points, perm, axis=0)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def query(self, q):
         """Nearest neighbor for each row of q.
@@ -166,7 +139,7 @@ class KDTree:
         stack_node = np.empty(m * width, dtype=np.int64)
         stack_bound = np.empty(m * width)
         base = np.arange(m) * width
-        stack_node[base] = self._root
+        stack_node[base] = 0  # the root
         stack_bound[base] = -np.inf
         top = base.copy()  # flat slot of each query's top entry
         act = np.arange(m)  # queries whose stack is not empty
@@ -208,12 +181,10 @@ class KDTree:
         s = q[sel, self._split_dim[node]] - self._split_val[node]
         comps[sel] += 1
         near_left = s < 0.0
-        left = self._left[node]
-        right = self._right[node]
         # the far child is crossed only if the best sphere still reaches the plane
         far = top[sel] + 1
-        stack_node[far] = np.where(near_left, right, left)
+        stack_node[far] = 2 * node + 1 + near_left
         stack_bound[far] = s * s
-        stack_node[far + 1] = np.where(near_left, left, right)
+        stack_node[far + 1] = 2 * node + 2 - near_left
         stack_bound[far + 1] = -np.inf
         top[sel] = far + 1

@@ -289,9 +289,9 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
     """
     if C < 2:
         raise InvalidInputError("need at least two points")
-    cfg = config or PackingConfig()
     if C == 2:
-        return _make(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        return exact_packing(2)
+    cfg = config or PackingConfig()
     base = fibonacci_points(C)
     nominal = math.sqrt(8.0 * math.pi / (math.sqrt(3.0) * C))
     best_points, best_f = None, -1.0

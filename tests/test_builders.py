@@ -232,6 +232,10 @@ class TestNormalQuantile:
             normal_quantile(0.0)
         with pytest.raises(InvalidInputError):
             normal_quantile(1.0)
+        with pytest.raises(InvalidInputError):
+            normal_quantile(math.nan)
+        with pytest.raises(InvalidInputError):
+            normal_quantile(np.array([0.3, math.nan]))
 
 
 def reference_cell_map(a, cell):
@@ -289,6 +293,11 @@ class TestCubeSplit:
     def test_bad_cell(self):
         with pytest.raises(InvalidInputError):
             cube_split_map((0.3, 0.3), 3)
+
+    def test_nan_coordinate_rejected(self):
+        # a NaN grid value would divide 0/0 on its way into the unit disk
+        with pytest.raises(InvalidInputError):
+            cube_split_map((math.nan, 0.3), 1)
 
 
 class TestGrassLattice:

@@ -59,57 +59,60 @@ def reference_query(tree, q):
         near_left = s < 0.0
         left_sel = sel[near_left]
         right_sel = sel[~near_left]
-        search(tree._left[node], left_sel)
-        search(tree._right[node], right_sel)
+        left, right = 2 * node + 1, 2 * node + 2
+        search(left, left_sel)
+        search(right, right_sel)
         s2 = s * s
-        search(tree._right[node], left_sel[s2[near_left] <= best_d2[left_sel]])
-        search(tree._left[node], right_sel[s2[~near_left] <= best_d2[right_sel]])
+        search(right, left_sel[s2[near_left] <= best_d2[left_sel]])
+        search(left, right_sel[s2[~near_left] <= best_d2[right_sel]])
 
-    search(tree._root, np.arange(m))
+    search(0, np.arange(m))
     return best_idx, best_d2, evals, comps
 
 
 def reference_build(points, leaf_size):
     """The recursive one-node-at-a-time build the level-by-level one replaces.
 
-    Nodes are numbered in pre-order. A segment of more than leaf_size points
-    splits on its widest axis after a stable sort, at its middle point.
+    Nodes are numbered as a heap: node i's children are 2i + 1 and 2i + 2.
+    A segment of more than leaf_size points splits on its widest axis after a
+    stable sort, at its middle point. Slots no node takes keep split_dim -1,
+    start and end -1 and count 0.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     perm = np.arange(len(points))
-    nodes = []  # [split_dim, split_val, left, right, start, end]
+    nodes = {}  # id -> [split_dim, split_val, start, end]
     depth = 0
 
-    def build(lo, hi, d):
+    def build(node, lo, hi, d):
         nonlocal depth
-        node = len(nodes)
-        nodes.append([-1, -1.0, -1, -1, -1, -1])
+        nodes[node] = [-1, -1.0, -1, -1]
         depth = max(depth, d)
         if hi - lo <= leaf_size:
-            nodes[node][4:] = [lo, hi]
-            return node
+            nodes[node][2:] = [lo, hi]
+            return
         sub = perm[lo:hi]
         coords = points[sub]
         dim = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
         perm[lo:hi] = sub[np.argsort(coords[:, dim], kind="stable")]
         mid = (hi - lo) // 2
         nodes[node][:2] = [dim, points[perm[lo + mid], dim]]
-        nodes[node][2] = build(lo, lo + mid, d + 1)
-        nodes[node][3] = build(lo + mid, hi, d + 1)
-        return node
+        build(2 * node + 1, lo, lo + mid, d + 1)
+        build(2 * node + 2, lo + mid, hi, d + 1)
 
-    build(0, len(points), 0)
-    cols = list(zip(*nodes))
+    build(0, 0, len(points), 0)
+    size = max(nodes) + 1
     out = {"_perm": perm, "_depth": depth}
-    for name, col, dtype in zip(
-        ["_split_dim", "_split_val", "_left", "_right", "_start", "_end"],
-        cols, [np.int64, np.float64] + [np.int64] * 4,
-    ):
-        out[name] = np.asarray(col, dtype=dtype)
-    leaf = out["_split_dim"] < 0
+    for k, (name, fill, dtype) in enumerate([
+        ("_split_dim", -1, np.int64), ("_split_val", -1.0, np.float64),
+        ("_start", -1, np.int64), ("_end", -1, np.int64),
+    ]):
+        out[name] = np.full(size, fill, dtype=dtype)
+        for node, fields in nodes.items():
+            out[name][node] = fields[k]
+    leaf = (out["_split_dim"] < 0) & (out["_start"] >= 0)
     out["_count"] = np.where(leaf, out["_end"] - out["_start"], 0)
-    out["_leaf_idx"] = np.full((len(nodes), leaf_size), _BIG, dtype=np.int64)
-    out["_leaf_pts"] = np.full((len(nodes), leaf_size, points.shape[1]), np.inf)
+    out["_leaf_idx"] = np.full((size, leaf_size), _BIG, dtype=np.int64)
+    out["_leaf_pts"] = np.full((size, leaf_size, points.shape[1]), np.inf)
     for node in np.flatnonzero(leaf):
         idx = perm[out["_start"][node]:out["_end"][node]]
         out["_leaf_idx"][node, :len(idx)] = idx
@@ -119,7 +122,6 @@ def reference_build(points, leaf_size):
 
 def assert_same_build(points, leaf_size):
     tree = KDTree(points, leaf_size=leaf_size)
-    assert tree._root == 0
     for name, want in reference_build(points, leaf_size).items():
         got = getattr(tree, name)
         assert np.asarray(got).dtype == np.asarray(want).dtype, name
@@ -150,19 +152,38 @@ def test_build_on_zopt_bloch_points(B):
     assert_same_build(build_z_opt(B).bloch, 8)
 
 
+@pytest.mark.parametrize("B", range(17))
+def test_heap_slots_for_power_of_two_sets(B):
+    # every constellation the program builds has 2^B points and leaf 8, and
+    # its heap has no unused slot
+    n = 2**B
+    tree = KDTree(sphere_points(n, seed=B), leaf_size=8)
+    assert len(tree._split_dim) == 2 * max(1, n // 8) - 1
+    assert np.all((tree._split_dim >= 0) | (tree._count > 0))
+
+
+def test_heap_slots_for_uneven_set():
+    # leaf depths differ by one, so up to about twice the nodes' slots
+    n = 4097
+    tree = KDTree(sphere_points(n, seed=n), leaf_size=8)
+    assert len(tree._split_dim) < n // 2
+    assert tree._count.sum() == n
+
+
 def split_ties(tree):
     """Check left <= split <= right along the split axis at every internal
     node, and return how many left-subtree points equal their split value."""
     ranges = {}
     ties = 0
-    # children have larger pre-order ids than their parent
+    # children have larger heap ids than their parent
     for node in range(len(tree._split_dim) - 1, -1, -1):
         if tree._split_dim[node] < 0:
-            ranges[node] = (tree._start[node], tree._end[node])
+            if tree._end[node] > 0:  # a leaf, not an unused slot
+                ranges[node] = (tree._start[node], tree._end[node])
             continue
-        lo, mid = ranges[tree._left[node]]
-        assert ranges[tree._right[node]][0] == mid
-        hi = ranges[tree._right[node]][1]
+        lo, mid = ranges[2 * node + 1]
+        assert ranges[2 * node + 2][0] == mid
+        hi = ranges[2 * node + 2][1]
         ranges[node] = (lo, hi)
         x = tree.points[tree._perm, tree._split_dim[node]]
         val = tree._split_val[node]

@@ -95,6 +95,11 @@ class TestOptimizePacking:
         with pytest.raises(InvalidInputError):
             optimize_packing(1)
 
+    def test_two_points_are_the_exact_poles(self):
+        p = optimize_packing(2, seed=5, config=LIGHT)
+        assert np.array_equal(p.points, exact_packing(2).points)
+        assert p.min_distance == 2.0
+
     @pytest.mark.parametrize("budget", [
         {"starts": 0}, {"starts": -3}, {"phase1_iters": -5}, {"phase2_sweeps": -1},
     ])
