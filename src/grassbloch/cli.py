@@ -1,17 +1,21 @@
 """Command-line surface: construct, evaluate, bound, simulate, bench, detect.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 degenerate
-input or out of memory. `simulate` and `bench` run one worker thread per CPU
-in the process's affinity mask; the GRASSBLOCH_THREADS environment variable
-asks for fewer, and a value that is not an integer >= 1 exits 2.
+input or out of memory. Every file a command writes records one config hash,
+of the command name and every argument but the output destinations
+(`OUTPUTS`), so the same run written to two places gives the same bytes; two
+outputs of one command that name the same file exit 2. `simulate` and
+`bench` run one worker thread per CPU in the process's affinity mask; the
+GRASSBLOCH_THREADS environment variable asks for fewer, and a value that is
+not an integer >= 1 exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,10 +34,12 @@ from .formats import (
     bench_rows,
     config_hash,
     load_constellation,
+    provenance,
     save_constellation,
     ser_curve_to_csv,
     ser_curve_to_json,
     write_csv,
+    write_json,
 )
 from .geometry import METHOD_TAGS, fejes_toth_bound
 from .packing import (
@@ -51,6 +57,8 @@ METHODS = tuple(m for m in METHOD_TAGS if m != "external")
 MAX_SNR_POINTS = 10_000
 #: largest `construct -B`: 2^30 codewords already take 16 GiB
 MAX_BITS = 30
+#: arguments that name where a command writes; the config hash leaves them out
+OUTPUTS = ("output", "report", "json_output")
 
 
 def _parse_snr(spec: str):
@@ -148,7 +156,19 @@ def _packing_config(args):
     return PackingConfig(**overrides) if overrides else None
 
 
-def _construct(args) -> int:
+def _config_hash(args) -> str:
+    """The hash every file of this command records: its name and every
+    argument except the output destinations, input paths as given."""
+    return config_hash({k: v for k, v in vars(args).items() if k not in OUTPUTS})
+
+
+def _check_outputs(args) -> None:
+    given = [getattr(args, k) for k in OUTPUTS if getattr(args, k, None)]
+    if len({os.path.realpath(p) for p in given}) < len(given):
+        raise InvalidInputError("two outputs name the same file: " + ", ".join(given))
+
+
+def _construct(args, cfg_hash) -> int:
     B = args.bits
     if not 1 <= B <= MAX_BITS:
         raise InvalidInputError(
@@ -187,21 +207,12 @@ def _construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown method {args.method}")
 
-    cfg_hash = config_hash({"command": "construct", "params": {
-        "method": args.method, "B": B, "seed": seed,
-        "packing_file": args.packing_file, "alpha": args.alpha,
-        "symbols": args.symbols, "output": args.output,
-        "starts": args.starts, "phase1_iters": args.phase1_iters,
-        "phase2_sweeps": args.phase2_sweeps,
-    }})
-    save_constellation(args.output, constellation, seed=seed, extra_config=cfg_hash)
+    save_constellation(args.output, constellation, seed=seed, cfg_hash=cfg_hash)
 
     d_min = constellation.min_chordal_distance
     bound = fejes_toth_bound(len(constellation)) if len(constellation) >= 3 else 1.0
     report = {
-        "tool_version": __version__,
-        "config_hash": cfg_hash,
-        "seed": seed,
+        **provenance(seed, cfg_hash),
         "method": args.method,
         "B": B,
         "C": len(constellation),
@@ -211,16 +222,13 @@ def _construct(args) -> int:
         "n_v": structure.n_v if structure is not None else None,
         "candidate_set_size": structure.candidate_count if structure is not None else None,
     }
-    report_path = args.report or (args.output + ".report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    write_json(args.report or (args.output + ".report.json"), report)
     print(f"wrote {args.output} (C={len(constellation)}, d_min={d_min:.7f}, "
           f"bound={bound:.7f})")
     return 0
 
 
-def _evaluate(args) -> int:
+def _evaluate(args, cfg_hash) -> int:
     rows = []
     notes = ["bound column is blank for C=2, where the exact value is 1"]
     for path in args.inputs:
@@ -235,41 +243,35 @@ def _evaluate(args) -> int:
             rows.append([constellation.method, constellation.B, C,
                          f"{d_min:.10g}", "", f"{d_min / 1.0:.10g}"])
     header = ["method", "B", "C", "d_min", "fejes_toth_bound", "ratio"]
-    cfg_hash = config_hash({"command": "evaluate", "params": {
-        "inputs": list(args.inputs), "output": args.output}})
-    write_csv(args.output or sys.stdout, header, rows, seed=None, cfg=cfg_hash,
+    write_csv(args.output or sys.stdout, header, rows, seed=None, cfg_hash=cfg_hash,
               footnotes=notes)
     return 0
 
 
-def _bound(args) -> int:
+def _bound(args, cfg_hash) -> int:
     if args.c_min <= 2:
         raise InvalidInputError("the bound needs C >= 3 (C = 2 is exactly 1)")
     if args.c_max < args.c_min:
         raise InvalidInputError("c-max must be >= c-min")
     rows = [[C, f"{fejes_toth_bound(C):.10g}"] for C in range(args.c_min, args.c_max + 1)]
-    cfg_hash = config_hash({"command": "bound", "params": {
-        "c_min": args.c_min, "c_max": args.c_max, "output": args.output}})
     write_csv(args.output or sys.stdout, ["C", "fejes_toth_bound"], rows,
-              seed=None, cfg=cfg_hash)
+              seed=None, cfg_hash=cfg_hash)
     return 0
 
 
-def _simulate(args) -> int:
+def _simulate(args, cfg_hash) -> int:
     snr = _parse_snr(args.snr)
     if not snr:
         raise InvalidInputError("empty SNR list")
     curve = run_ser(load_constellation(args.constellation), args.detector, snr,
                     trials=args.trials, N=args.antennas, seed=args.seed)
-    ser_curve_to_csv(args.output or sys.stdout, curve)
+    ser_curve_to_csv(args.output or sys.stdout, curve, cfg_hash=cfg_hash)
     if args.json_output:
-        with open(args.json_output, "w") as fh:
-            json.dump(ser_curve_to_json(curve), fh, indent=1)
-            fh.write("\n")
+        write_json(args.json_output, ser_curve_to_json(curve, cfg_hash=cfg_hash))
     return 0
 
 
-def _bench(args) -> int:
+def _bench(args, cfg_hash) -> int:
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
     if not tags:
         raise InvalidInputError("need at least one detector")
@@ -277,11 +279,7 @@ def _bench(args) -> int:
                               trials=args.trials, N=args.antennas,
                               seed=args.seed, snr_db=args.snr)
     header, rows = bench_rows(reports)
-    cfg_hash = config_hash({"command": "bench", "params": {
-        "constellation": args.constellation, "detectors": tags,
-        "trials": args.trials, "N": args.antennas, "seed": args.seed,
-        "snr_db": args.snr, "output": args.output}})
-    write_csv(args.output or sys.stdout, header, rows, seed=args.seed, cfg=cfg_hash)
+    write_csv(args.output or sys.stdout, header, rows, seed=args.seed, cfg_hash=cfg_hash)
     return 0
 
 
@@ -317,18 +315,15 @@ def _read_blocks(path) -> np.ndarray:
     return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
 
 
-def _detect(args) -> int:
+def _detect(args, cfg_hash) -> int:
     constellation = load_constellation(args.constellation)
     det = make_detector(args.detector, constellation)
     idx, evals, comps = det.detect_batch(_read_blocks(args.input))
     rows = [[t, i, e, c] for t, (i, e, c) in
             enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
-    cfg_hash = config_hash({"command": "detect", "params": {
-        "constellation": args.constellation, "detector": args.detector,
-        "input": args.input, "output": args.output}})
     write_csv(args.output or sys.stdout,
               ["trial", "index", "distance_evals", "comparisons"], rows,
-              seed=None, cfg=cfg_hash)
+              seed=None, cfg_hash=cfg_hash)
     return 0
 
 
@@ -349,7 +344,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        _check_outputs(args)
+        return _DISPATCH[args.command](args, _config_hash(args))
     except MemoryError:
         print("error: out of memory; try a smaller problem", file=sys.stderr)
         return 4

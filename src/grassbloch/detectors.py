@@ -204,18 +204,6 @@ class ZoptDetector:
         self.structure = z.structure
         self.theta = z.theta
 
-    def anchor_index(self, i, j0):
-        """1-based codeword index anchored to grid cell (i, j0)."""
-        return cell_vertex(i, j0, self.structure)[0]
-
-    def anchor_table(self) -> np.ndarray:
-        """(l+1, 2*z_max) table of anchor indices for every grid cell."""
-        s = self.structure
-        ii, jj = np.meshgrid(
-            np.arange(s.l + 1), np.arange(2 * s.z_max), indexing="ij"
-        )
-        return self.anchor_index(ii, jj)
-
     def detect_batch(self, Ys: np.ndarray):
         s = self.structure
         theta_z, phi_z = bloch_angles(rough_estimate_batch(Ys))

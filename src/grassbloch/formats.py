@@ -1,13 +1,15 @@
 """On-disk formats: constellation JSON and result CSV/JSON.
 
-Every file this package writes carries the tool version, a hash of the
-generating configuration and the seed, so any figure can be reproduced from
-its own header. Formats are versioned and readers reject files from a future
-major version. A constellation file with a `zopt` block loads as the
-`ZOptConstellation` that the block's layer sizes Z_l and angles theta
-realize. The rest of the block (B, C, l, z_max, n_v and the layer offsets)
-must be what those two determine, and the realized codewords must match the
-file's rows to within 1e-12 in every entry.
+Every file this package writes opens with one provenance record: format
+version, tool version, config hash and seed. The writers record the hash
+they are given and never compute one (the CLI hashes each command once); a
+library caller that passes none gets null. Formats are versioned and readers
+reject files from a future major version; they never read the hash. A
+constellation file with a `zopt` block loads as the `ZOptConstellation` that
+the block's layer sizes Z_l and angles theta realize. The rest of the block
+(B, C, l, z_max, n_v and the layer offsets) must be what those two determine,
+and the realized codewords must match the file's rows to within 1e-12 in
+every entry.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ def config_hash(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def provenance(seed=None, cfg_hash=None) -> dict:
+    """The record that heads every file written: versions, hash and seed."""
+    return {"format_version": FORMAT_VERSION, "tool_version": __version__,
+            "config_hash": cfg_hash, "seed": seed}
+
+
+def write_json(path, data, indent=1) -> None:
+    # json.dumps takes the C encoder when indent is None; json.dump never does
+    text = json.dumps(data, indent=indent)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _check_version(data, path):
     v = data.get("format_version", 1)
     if not isinstance(v, int) or v > FORMAT_VERSION:
@@ -49,19 +64,15 @@ def _check_version(data, path):
 # constellation JSON
 
 
-def constellation_to_dict(x, seed=None, extra_config=None) -> dict:
+def constellation_to_dict(x, seed=None, cfg_hash=None) -> dict:
     """JSON payload for a Constellation or ZOptConstellation."""
     b = x.B
     data = {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
+        **provenance(seed, cfg_hash),
         "method": x.method,
         "B": int(b) if float(b).is_integer() else float(b),
         "T": 2,
         "M": 1,
-        "seed": seed,
-        "config_hash": config_hash({"method": x.method, "B": b, "seed": seed,
-                                    "extra": extra_config}),
         "codewords": x.array.view(np.float64).reshape(len(x), 4).tolist(),
     }
     if isinstance(x, ZOptConstellation):
@@ -78,11 +89,8 @@ def _zopt_block(z: ZOptConstellation) -> dict:
             "layer_offsets": list(s.layer_offsets)}
 
 
-def save_constellation(path, x, seed=None, extra_config=None) -> None:
-    # json.dumps takes the C encoder; json.dump to a file would not
-    text = json.dumps(constellation_to_dict(x, seed=seed, extra_config=extra_config))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def save_constellation(path, x, seed=None, cfg_hash=None) -> None:
+    write_json(path, constellation_to_dict(x, seed=seed, cfg_hash=cfg_hash), indent=None)
 
 
 def constellation_from_dict(data, path=None):
@@ -159,18 +167,12 @@ def load_constellation(path):
 # CSV with a reproducibility preamble
 
 
-def _write_preamble(fh, seed, cfg_hash) -> None:
-    fh.write(f"# format_version={FORMAT_VERSION}\n")
-    fh.write(f"# tool_version={__version__}\n")
-    fh.write(f"# config_hash={cfg_hash}\n")
-    fh.write(f"# seed={seed}\n")
-
-
-def write_csv(path_or_fh, header, rows, seed=None, cfg=None, footnotes=()) -> None:
-    """Rows to CSV with '#' preamble lines carrying version, hash and seed."""
+def write_csv(path_or_fh, header, rows, seed=None, cfg_hash=None, footnotes=()) -> None:
+    """Rows to CSV after '#' preamble lines: the provenance record, then notes."""
 
     def _emit(fh):
-        _write_preamble(fh, seed, config_hash(cfg))
+        for key, value in provenance(seed, cfg_hash).items():
+            fh.write(f"# {key}={value}\n")
         for note in footnotes:
             fh.write(f"# {note}\n")
         writer = csv.writer(fh)
@@ -195,23 +197,13 @@ def ser_curve_rows(curve: SerCurve):
     return header, rows
 
 
-def _ser_curve_config(curve: SerCurve) -> dict:
-    """The SerCurve fields that its config hash covers."""
-    return {k: getattr(curve, k) for k in ("snr_db", "trials", "seed", "detector", "N",
-                                             "method", "C")}
-
-
-def ser_curve_to_csv(path_or_fh, curve: SerCurve) -> None:
+def ser_curve_to_csv(path_or_fh, curve: SerCurve, cfg_hash=None) -> None:
     header, rows = ser_curve_rows(curve)
-    write_csv(path_or_fh, header, rows, seed=curve.seed, cfg=_ser_curve_config(curve))
+    write_csv(path_or_fh, header, rows, seed=curve.seed, cfg_hash=cfg_hash)
 
 
-def ser_curve_to_json(curve: SerCurve) -> dict:
-    data = asdict(curve)
-    data["format_version"] = FORMAT_VERSION
-    data["tool_version"] = __version__
-    data["config_hash"] = config_hash(_ser_curve_config(curve))
-    return data
+def ser_curve_to_json(curve: SerCurve, cfg_hash=None) -> dict:
+    return {**provenance(curve.seed, cfg_hash), **asdict(curve)}
 
 
 def bench_rows(reports: list[BenchReport]):

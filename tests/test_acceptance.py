@@ -260,12 +260,12 @@ def test_criterion_9_ser_behavior(zopts, families46):
 
 
 def test_criterion_10_anchor_table_voronoi(zopts):
-    from test_detectors import geometric_anchor_table
+    from test_detectors import anchor_table, geometric_anchor_table
 
     ok = True
     for B in range(1, 9):
         z = zopts[B]
-        ok &= np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
+        ok &= np.array_equal(anchor_table(z.structure), geometric_anchor_table(z))
 
         # dense interior sampling labeled by the exhaustive detector
         s = z.structure

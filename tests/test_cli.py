@@ -8,7 +8,7 @@ from grassbloch.channel import make_detector
 from grassbloch import cli, detectors
 from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import InvalidInputError
-from grassbloch.formats import load_constellation
+from grassbloch.formats import FORMAT_VERSION, config_hash, load_constellation
 
 
 def run(args):
@@ -454,6 +454,92 @@ class TestLayerAnglesMustMatchCodewords:
         argv = [rx if a == "RX" else a for a in argv]
         assert run(argv[:1] + ["--constellation", shifted_file] + argv[1:]) == 3
         assert "differ" in capsys.readouterr().err
+
+
+def _hash_of(path):
+    """The config_hash a JSON file or a CSV preamble records."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config_hash"]
+    return next(l.split("=", 1)[1] for l in text.splitlines()
+                if l.startswith("# config_hash="))
+
+
+class TestConfigHash:
+    """Every file a command writes records one hash: of the command and
+    every argument but the output destinations."""
+
+    # command: (argv without outputs, {output flag: file name}); "Z" and "RX"
+    # stand for the input files
+    COMMANDS = {
+        "construct": (["construct", "--method", "z-opt", "-B", 3],
+                      {"-o": "z.json", "--report": "z.report.json"}),
+        "evaluate": (["evaluate", "Z"], {"-o": "e.csv"}),
+        "bound": (["bound", "--c-min", 3, "--c-max", 4], {"-o": "b.csv"}),
+        "simulate": (["simulate", "--constellation", "Z", "--snr", "0,10", "--trials", 50],
+                     {"-o": "s.csv", "--json": "s.json"}),
+        "bench": (["bench", "--constellation", "Z", "--trials", 50], {"-o": "bench.csv"}),
+        "detect": (["detect", "--constellation", "Z", "--input", "RX"], {"-o": "d.csv"}),
+    }
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, zopt_file):
+        rx = tmp_path / "rx.csv"
+        rx.write_text("0.5 0.1 -0.3 0.2\n1.0 0.0 0.0 1.0\n")
+        return {"Z": zopt_file, "RX": rx}
+
+    def write(self, argv, outputs, inputs, out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        argv = [inputs.get(a, a) for a in argv]
+        for flag, name in outputs.items():
+            argv += [flag, out_dir / name]
+        assert run(argv) == 0
+        return {name: out_dir / name for name in outputs.values()}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_output_paths_leave_bytes_unchanged(self, tmp_path, inputs, command):
+        argv, outputs = self.COMMANDS[command]
+        a = self.write(argv, outputs, inputs, tmp_path / "a")
+        b = self.write(argv, outputs, inputs, tmp_path / "b" / "deeper")
+        for name in outputs.values():
+            assert a[name].read_bytes() == b[name].read_bytes(), name
+        assert len({_hash_of(p) for p in a.values()}) == 1
+
+    def test_construct_file_and_report_share_hash(self, tmp_path):
+        out = tmp_path / "z.json"
+        assert run(["construct", "--method", "z-opt", "-B", 6, "-o", out]) == 0
+        report = tmp_path / "z.json.report.json"
+        assert _hash_of(out) == _hash_of(report)
+        assert json.loads(report.read_text())["format_version"] == FORMAT_VERSION
+
+    def test_bound_hash_is_of_documented_payload(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run(["bound", "--c-min", 3, "--c-max", 4, "-o", out]) == 0
+        assert _hash_of(out) == config_hash({"command": "bound", "c_min": 3, "c_max": 4})
+
+    @pytest.mark.parametrize("command, flag, values", [
+        ("construct", "--seed", (0, 1)),
+        ("simulate", "--trials", (50, 60)),
+        ("bench", "--detectors", ("glrt,sopt", "glrt,zopt")),
+    ])
+    def test_other_arguments_change_hash(self, tmp_path, inputs, command, flag, values):
+        argv, outputs = self.COMMANDS[command]
+        hashes = {_hash_of(self.write(argv + [flag, v], outputs, inputs,
+                                      tmp_path / str(v))[outputs["-o"]])
+                  for v in values}
+        assert len(hashes) == 2
+
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_colliding_outputs_usage_error(self, tmp_path, inputs, capsys, command):
+        argv, outputs = self.COMMANDS[command]
+        (tmp_path / "sub").mkdir()
+        same = [tmp_path / "x.out", f"{tmp_path}/sub/../x.out"]
+        argv = [inputs.get(a, a) for a in argv]
+        for flag, path in zip(outputs, same):
+            argv += [flag, path]
+        assert run(argv) == 2
+        assert "same file" in capsys.readouterr().err
+        assert not same[0].exists()
 
 
 def test_explicit_report_path(tmp_path):

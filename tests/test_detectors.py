@@ -308,6 +308,12 @@ def geometric_anchor_table(z):
     return table
 
 
+def anchor_table(s):
+    """(l+1, 2*z_max) table of `cell_vertex` anchor indices for every grid cell."""
+    ii, jj = np.meshgrid(np.arange(s.l + 1), np.arange(2 * s.z_max), indexing="ij")
+    return cell_vertex(ii, jj, s)[0]
+
+
 def reference_half_layers(s):
     """Rings of z_max / 2 points in each polar cap, counted from the top."""
     n = 0
@@ -352,7 +358,7 @@ class TestAnchorClosedForm:
     @pytest.mark.parametrize("B", list(range(1, 9)))
     def test_matches_geometry(self, B):
         z = build_z_opt(B)
-        assert np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
+        assert np.array_equal(anchor_table(z.structure), geometric_anchor_table(z))
 
     @pytest.mark.parametrize("Z_l", [zopt_structure(B).Z_l for B in range(1, 17)] + K_CAP_ROWS)
     def test_matches_cap_shape_reference(self, Z_l):
@@ -366,10 +372,10 @@ class TestAnchorClosedForm:
     @pytest.mark.parametrize("Z_l", K_CAP_ROWS)
     def test_k_cap_rows_match_geometry(self, Z_l):
         z = k_cap_constellation(Z_l)
-        assert np.array_equal(ZoptDetector(z).anchor_table(), geometric_anchor_table(z))
+        assert np.array_equal(anchor_table(z.structure), geometric_anchor_table(z))
 
     def test_first_cell_anchor_b4(self):
-        assert int(ZoptDetector(build_z_opt(4)).anchor_index(1, 0)) == 1
+        assert int(cell_vertex(1, 0, build_z_opt(4).structure)[0]) == 1
 
 
 class TestCandidateOffsets:

@@ -55,9 +55,9 @@ class TestConstellationJson:
     def test_file_bytes_match_streamed_encoder(self, tmp_path, make):
         x = make()
         path = tmp_path / "c.json"
-        save_constellation(path, x, seed=4, extra_config={"starts": 1})
+        save_constellation(path, x, seed=4, cfg_hash="0123456789ab")
         with open(tmp_path / "want.json", "w") as fh:
-            json.dump(constellation_to_dict(x, seed=4, extra_config={"starts": 1}), fh)
+            json.dump(constellation_to_dict(x, seed=4, cfg_hash="0123456789ab"), fh)
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
 
@@ -102,6 +102,9 @@ class TestConstellationJson:
                     "method", "B", "T", "M", "codewords"):
             assert key in d
         assert d["T"] == 2 and d["M"] == 1
+        # the writers record the hash they are given and never compute one
+        assert list(d)[:4] == ["format_version", "tool_version", "config_hash", "seed"]
+        assert d["config_hash"] is None
 
     def test_future_version_rejected(self, tmp_path):
         x = build_s_opt(exact_packing(4))
@@ -289,11 +292,11 @@ class TestConstellationJson:
 class TestCsv:
     def test_preamble(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [[1, 2]], seed=9, cfg={"x": 1})
+        write_csv(path, ["a", "b"], [[1, 2]], seed=9, cfg_hash="0123456789ab")
         text = path.read_text()
         assert "# format_version=" in text
         assert "# tool_version=" in text
-        assert "# config_hash=" in text
+        assert "# config_hash=0123456789ab" in text
         assert "# seed=9" in text
         assert text.strip().endswith("1,2")
 
