@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error, 3 data/format error, 4 degenerate
 input or out of memory. Every file a command writes records one config hash,
 of the command name and every argument but the output destinations
 (`OUTPUTS`), so the same run written to two places gives the same bytes; two
-outputs of one command that name the same file exit 2. `simulate` and
+outputs of one command that name the same file, or an output that names one
+of its input files, exit 2 before anything is written. `simulate` and
 `bench` run one worker thread per CPU in the process's affinity mask; the
 GRASSBLOCH_THREADS environment variable asks for fewer, and a value that is
 not an integer >= 1 exits 2.
@@ -59,6 +60,8 @@ MAX_SNR_POINTS = 10_000
 MAX_BITS = 30
 #: arguments that name where a command writes; the config hash leaves them out
 OUTPUTS = ("output", "report", "json_output")
+#: arguments that name one file a command reads (evaluate's `inputs` name several)
+INPUTS = ("constellation", "input", "packing_file")
 
 
 def _parse_snr(spec: str):
@@ -163,9 +166,17 @@ def _config_hash(args) -> str:
 
 
 def _check_outputs(args) -> None:
+    """Exit 2 before anything is written if two outputs name one file or an
+    output names one of the command's inputs."""
     given = [getattr(args, k) for k in OUTPUTS if getattr(args, k, None)]
     if len({os.path.realpath(p) for p in given}) < len(given):
         raise InvalidInputError("two outputs name the same file: " + ", ".join(given))
+    inputs = [getattr(args, k) for k in INPUTS if getattr(args, k, None)]
+    inputs += getattr(args, "inputs", None) or []
+    read = {os.path.realpath(p) for p in inputs}
+    for p in given:
+        if os.path.realpath(p) in read:
+            raise InvalidInputError(f"output {p} names an input file")
 
 
 def _construct(args, cfg_hash) -> int:
@@ -222,7 +233,7 @@ def _construct(args, cfg_hash) -> int:
         "n_v": structure.n_v if structure is not None else None,
         "candidate_set_size": structure.candidate_count if structure is not None else None,
     }
-    write_json(args.report or (args.output + ".report.json"), report)
+    write_json(args.report, report)
     print(f"wrote {args.output} (C={len(constellation)}, d_min={d_min:.7f}, "
           f"bound={bound:.7f})")
     return 0
@@ -343,6 +354,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command == "construct" and not args.report:
+        args.report = args.output + ".report.json"  # so _check_outputs sees it
     try:
         _check_outputs(args)
         return _DISPATCH[args.command](args, _config_hash(args))

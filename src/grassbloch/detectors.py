@@ -240,8 +240,9 @@ _SCALE_EXP = 200
 def _checked(Ys) -> np.ndarray:
     """A (n, 2, N) observation batch, refusing what no detector can decide.
 
-    A single screen sums each row's |entries| (real and imaginary parts).
-    A row with a non-finite entry raises InvalidInputError and an all-zero row
+    Any other shape, or N = 0, raises InvalidInputError. A single screen
+    sums each row's |entries| (real and imaginary parts). A row with a
+    non-finite entry raises InvalidInputError and an all-zero row
     DegenerateInputError. A row far from unit scale, whose Gram products
     would overflow or underflow, is multiplied by the power of two that
     brings its largest |entry| into [1/2, 1): the factor is exact and every
@@ -249,6 +250,9 @@ def _checked(Ys) -> np.ndarray:
     other row is returned bit for bit.
     """
     Ys = np.ascontiguousarray(Ys, dtype=np.complex128)
+    if Ys.ndim != 3 or Ys.shape[1] != 2 or Ys.shape[2] < 1:
+        raise InvalidInputError(f"observations must be 2xN with N >= 1, batched as "
+                                f"(n, 2, N); got batch shape {Ys.shape}")
     v = Ys.view(np.float64)
     s = np.einsum("ijk->i", np.abs(v))
     far = ~((s >= 2.0**-_SCALE_EXP) & (s <= 2.0**_SCALE_EXP))
@@ -266,10 +270,7 @@ def _checked(Ys) -> np.ndarray:
 
 
 def _as_batch(Y) -> np.ndarray:
-    """One 2xN observation (or a 2-vector) as a batch of one; shape only."""
+    """One 2xN observation (or a 2-vector) as a batch of one; `_checked`
+    judges the shape."""
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2 or Y.shape[0] != 2 or Y.shape[1] < 1:
-        raise InvalidInputError("observation must be a 2xN matrix")
-    return Y[None, :, :]
+    return (Y[:, None] if Y.ndim == 1 else Y)[None]

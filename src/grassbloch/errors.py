@@ -7,15 +7,12 @@ exits 4.
 
 
 class InvalidInputError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition or lies outside the
+    supported range (e.g. a point count with no closed form)."""
 
 
 class DegenerateInputError(InvalidInputError):
     """Numerically degenerate input (e.g. an all-zero received signal)."""
-
-
-class UnsupportedError(InvalidInputError):
-    """A parameter is outside the supported range (e.g. unsupported point count)."""
 
 
 class FormatError(ValueError):

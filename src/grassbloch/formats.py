@@ -168,11 +168,13 @@ def load_constellation(path):
 
 
 def write_csv(path_or_fh, header, rows, seed=None, cfg_hash=None, footnotes=()) -> None:
-    """Rows to CSV after '#' preamble lines: the provenance record, then notes."""
+    """Rows to CSV after '#' preamble lines: the provenance record, then notes.
+
+    A missing seed or hash reads `null`, as in the JSON files."""
 
     def _emit(fh):
         for key, value in provenance(seed, cfg_hash).items():
-            fh.write(f"# {key}={value}\n")
+            fh.write(f"# {key}={'null' if value is None else value}\n")
         for note in footnotes:
             fh.write(f"# {note}\n")
         writer = csv.writer(fh)

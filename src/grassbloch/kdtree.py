@@ -162,7 +162,8 @@ class KDTree:
         return best_idx, best_d2, evals, comps
 
     def _visit_leaves(self, sel, node, q, best_d2, best_idx, evals, comps):
-        diff = q[sel][:, None, :] - self._leaf_pts[node]
+        # np.take: numpy's fancy row indexing takes a slower generic path
+        diff = np.take(q, sel, axis=0)[:, None, :] - np.take(self._leaf_pts, node, axis=0)
         d2 = np.einsum("mkd,mkd->mk", diff, diff)
         # lexicographic (distance, index) minimum over the leaf
         d2min = d2.min(axis=1)

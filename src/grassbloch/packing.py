@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import FormatError, InvalidInputError, UnsupportedError
+from .errors import FormatError, InvalidInputError
 from .geometry import min_euclidean_distance_array
 
 EXACT_COUNTS = (2, 3, 4, 6, 8, 12)
@@ -98,7 +98,7 @@ def exact_packing(C: int) -> PackingSet:
                 base.extend([[0.0, a, b], [a, b, 0.0], [b, 0.0, a]])
         pts = np.asarray(base) / math.sqrt(1.0 + g * g)
     else:
-        raise UnsupportedError(
+        raise InvalidInputError(
             f"no closed form for C={C}; use optimize_packing or load_packing"
         )
     return _make(pts)

@@ -4,9 +4,11 @@ Codewords sit on l stacked regular polygons ("layers"); adjacent layers are
 rotated against each other by half an azimuthal step. Mirror symmetry about
 the equator cuts the number of free polar angles to n_v, and the minimum
 pairwise distance over the whole constellation is attained inside a small
-candidate set of vertical, in-layer and diagonal neighbor distances, which is
-what the optimizer maximizes. For B in {1, 2, 3} the optimal angles are known
-in closed form and no optimization runs.
+candidate set of vertical, in-layer and diagonal neighbor distances
+(`candidate_distances`), which is what the optimizer maximizes; the same set
+decides whether each greedy placement it tries is feasible. For B in
+{1, 2, 3} the optimal angles are known in closed form and no optimization
+runs.
 
 Most rows of the structure table are uniform: every layer holds z_max points.
 Two rows put rings of z_max / 2 points in the polar caps, where a full ring
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedError
+from .errors import InvalidInputError
 from .geometry import Constellation, angles_to_codewords
 
 # layer sizes per bit count, top layer first
@@ -161,7 +163,7 @@ class ZOptStructure:
 
 def zopt_structure(B: int) -> ZOptStructure:
     if B not in _STRUCTURE_TABLE:
-        raise UnsupportedError(f"B={B} outside the supported range 1..16")
+        raise InvalidInputError(f"B={B} outside the supported range 1..16")
     return ZOptStructure(_STRUCTURE_TABLE[B])
 
 
@@ -272,54 +274,48 @@ def _diag_lower_root(theta_prev: float, t: float, h: float) -> float:
 
 
 def _greedy_feasible(t: float, s: ZOptStructure):
-    """Minimal strictly increasing free angles meeting every candidate >= t.
+    """Minimal strictly increasing free angles whose candidate set is >= t.
 
-    Walks the layers top-down taking each angle as low as the in-layer,
-    vertical and diagonal constraints from already placed layers allow (the
-    in-layer floor only binds where the ring grows over the one above); the
-    constraints that couple into the mirrored half only cap the angles from
-    above, so minimal angles are optimal and the final checks decide
-    feasibility exactly.
+    Walks the layers top-down taking each angle as low as the in-layer (for
+    the layers in `s.h_layers`), vertical and diagonal constraints from
+    already placed layers allow. The candidates that couple into the mirrored
+    half only cap the angles from above, so minimal angles are optimal, and
+    the candidate set at those angles (`candidate_distances`, within 1e-12)
+    decides feasibility exactly. None if t is not reachable.
     """
     if t >= 2.0:
         return None
     h = math.pi / s.z_max
-    sin_cap = t / (2.0 * math.sin(math.pi / s.Z_l[0]))
-    if sin_cap > 1.0:
-        return None
     vgap = 2.0 * math.asin(t / 2.0)
-    free = [math.asin(sin_cap)]
-    for k in range(2, s.n_v + 1):
-        lb = _diag_lower_root(free[-1], t, h)
+    free = []
+    for k in range(1, s.n_v + 1):
+        lb = 0.0 if k == 1 else max(_diag_lower_root(free[-1], t, h), free[-1] + 1e-12)
         if k >= 3:
             lb = max(lb, free[-2] + vgap)
-        if s.Z_l[k - 1] > s.Z_l[k - 2]:
-            cap_k = t / (2.0 * math.sin(math.pi / s.Z_l[k - 1]))
-            if cap_k > 1.0:
+        if k in s.h_layers:
+            sin_k = t / (2.0 * math.sin(math.pi / s.Z_l[k - 1]))
+            if sin_k > 1.0:
                 return None
-            lb = max(lb, math.asin(cap_k))
-        lb = max(lb, free[-1] + 1e-12)
+            lb = max(lb, math.asin(sin_k))
         if not lb < math.pi / 2.0:
             return None
         free.append(lb)
-    theta_n = free[-1]
-    slack = -1e-12
-    if s.equator:
-        if diagonal_chord(theta_n, math.pi / 2.0, h) - t < slack:
-            return None
-        if 2.0 * math.cos(theta_n) - t < slack:
-            return None
-        if s.n_v >= 2 and vertical_chord(free[-2], math.pi / 2.0) - t < slack:
-            return None
-    else:
-        if diagonal_chord(theta_n, math.pi - theta_n, h) - t < slack:
-            return None
-        if s.n_v >= 2 and vertical_chord(free[-2], math.pi - theta_n) - t < slack:
-            return None
+    if candidate_distances(free, s).minimum - t < -1e-12:
+        return None
     return np.asarray(free)
 
 
-def _bisect_greedy(s: ZOptStructure) -> np.ndarray:
+def optimize_zopt(s: ZOptStructure) -> np.ndarray:
+    """Free polar angles maximizing the candidate-set minimum.
+
+    A 90-step bisection over the achievable minimum t in (1e-9, 2), where
+    each step places the layers greedily at their lowest feasible angles and
+    checks them against the candidate set (`_greedy_feasible`). The greedy
+    placement decides feasibility exactly, so the bisection converges on the
+    optimum of the structure and no polish follows. Deterministic.
+    """
+    if not 4 <= s.B <= 16:
+        raise InvalidInputError("optimization applies to B in 4..16; smaller B is closed form")
     lo = 1e-9
     hi = 2.0  # no chord exceeds the sphere diameter
     if _greedy_feasible(lo, s) is None:
@@ -331,20 +327,6 @@ def _bisect_greedy(s: ZOptStructure) -> np.ndarray:
         else:
             hi = mid
     return _greedy_feasible(lo, s)
-
-
-def optimize_zopt(s: ZOptStructure) -> np.ndarray:
-    """Free polar angles maximizing the candidate-set minimum.
-
-    A bisection over the achievable minimum t, where each step places the
-    layers greedily at their lowest feasible angles (`_greedy_feasible`).
-    The greedy placement decides feasibility exactly, so the bisection
-    converges on the optimum of the structure and no polish follows.
-    Deterministic.
-    """
-    if not 4 <= s.B <= 16:
-        raise UnsupportedError("optimization applies to B in 4..16; smaller B is closed form")
-    return _bisect_greedy(s)
 
 
 # ---------------------------------------------------------------------------

@@ -486,7 +486,9 @@ class TestConfigHash:
     def inputs(self, tmp_path, zopt_file):
         rx = tmp_path / "rx.csv"
         rx.write_text("0.5 0.1 -0.3 0.2\n1.0 0.0 0.0 1.0\n")
-        return {"Z": zopt_file, "RX": rx}
+        pk = tmp_path / "pk.txt"
+        pk.write_text("0 0 1\n0 0 -1\n")
+        return {"Z": zopt_file, "RX": rx, "PK": pk}
 
     def write(self, argv, outputs, inputs, out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -540,6 +542,44 @@ class TestConfigHash:
         assert run(argv) == 2
         assert "same file" in capsys.readouterr().err
         assert not same[0].exists()
+
+    SIM = ["simulate", "--constellation", "Z", "--snr", "0", "--trials", 50]
+    SOPT = ["construct", "--method", "s-opt", "-B", 1, "--packing-file", "PK"]
+
+    # (argv, output flag, the input that flag names)
+    @pytest.mark.parametrize("argv, flag, name", [
+        (["evaluate", "Z"], "-o", "Z"),
+        (["evaluate", "RX", "Z"], "-o", "Z"),
+        (SIM, "--json", "Z"),
+        (SIM, "-o", "Z"),
+        (["bench", "--constellation", "Z", "--trials", 50], "-o", "Z"),
+        (["detect", "--constellation", "Z", "--input", "RX"], "-o", "RX"),
+        (["detect", "--constellation", "Z", "--input", "RX"], "-o", "Z"),
+        (SOPT, "-o", "PK"),
+        (SOPT + ["-o", "s.json"], "--report", "PK"),
+    ], ids=["evaluate", "evaluate-second-input", "simulate-json", "simulate-csv",
+            "bench", "detect-input", "detect-constellation", "construct-output",
+            "construct-report"])
+    def test_output_naming_an_input_usage_error(self, tmp_path, inputs, capsys,
+                                                argv, flag, name):
+        path = inputs[name]
+        before = path.read_bytes()
+        (tmp_path / "sub").mkdir()
+        argv = [tmp_path / a if a == "s.json" else inputs.get(a, a) for a in argv]
+        assert run(argv + [flag, f"{tmp_path}/sub/../{path.name}"]) == 2
+        assert "names an input file" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "s.json").exists()
+
+    def test_default_report_naming_an_input_usage_error(self, tmp_path, capsys):
+        # construct's default report path OUTPUT.report.json counts as an output
+        pk = tmp_path / "p.report.json"
+        pk.write_text("0 0 1\n0 0 -1\n")
+        assert run(["construct", "--method", "s-opt", "-B", 1,
+                    "--packing-file", pk, "-o", tmp_path / "p"]) == 2
+        assert "names an input file" in capsys.readouterr().err
+        assert pk.read_text() == "0 0 1\n0 0 -1\n"
+        assert not (tmp_path / "p").exists()
 
 
 def test_explicit_report_path(tmp_path):

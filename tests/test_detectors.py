@@ -505,6 +505,14 @@ class TestRejectedObservations:
             with pytest.raises(InvalidInputError):
                 det.detect(Ys_bad[1])
 
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 2), (3, 2, 0)])
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_batch_shape(self, tag, shape):
+        # only (n, 2, N >= 1) is a batch; a third row is not silently dropped
+        det = make_detector(tag, build_z_opt(4))
+        with pytest.raises(InvalidInputError, match=r"batched as \(n, 2, N\)"):
+            det.detect_batch(np.ones(shape, dtype=np.complex128))
+
     @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
     def test_zero_row_in_batch(self, tag):
         z = build_z_opt(4)

@@ -299,6 +299,11 @@ class TestCsv:
         assert "# config_hash=0123456789ab" in text
         assert "# seed=9" in text
         assert text.strip().endswith("1,2")
+        # a missing value is spelled as in the JSON files
+        write_csv(path, ["a", "b"], [[1, 2]])
+        text = path.read_text()
+        assert "# config_hash=null\n" in text and "# seed=null\n" in text
+        assert "None" not in text
 
     def test_ser_curve_csv(self, tmp_path):
         x = build_s_opt(exact_packing(4))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from grassbloch import packing
-from grassbloch.errors import FormatError, InvalidInputError, UnsupportedError
+from grassbloch.errors import FormatError, InvalidInputError
 from grassbloch.geometry import fejes_toth_bound, min_euclidean_distance_array
 from grassbloch.packing import (
     PackingConfig,
@@ -58,7 +58,7 @@ class TestExactPacking:
         assert exact_packing(8).min_distance < 2.0 * fejes_toth_bound(8) - 1e-3
 
     def test_unsupported_count(self):
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(InvalidInputError, match="no closed form for C=5"):
             exact_packing(5)
 
 

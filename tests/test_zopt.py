@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from grassbloch.errors import InvalidInputError, UnsupportedError
+from grassbloch.errors import InvalidInputError
 from grassbloch.geometry import angles_to_codewords, fejes_toth_bound
 from grassbloch.zopt import (
     ZOptStructure,
@@ -139,9 +139,9 @@ class TestStructureTable:
             ZOptStructure((4.0, 4.0))
 
     def test_out_of_range(self):
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(InvalidInputError, match="B=0 outside the supported range"):
             zopt_structure(0)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(InvalidInputError, match="B=17 outside the supported range"):
             zopt_structure(17)
 
     def test_candidate_count_column(self):
@@ -345,7 +345,7 @@ class TestOptimizer:
             assert _greedy_feasible(achieved + 1e-10, s) is None, B
 
     def test_small_b_rejected(self):
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(InvalidInputError, match="optimization applies to B in 4..16"):
             optimize_zopt(zopt_structure(3))
 
     def test_deterministic(self):
@@ -413,7 +413,7 @@ class TestRealization:
             assert np.all(np.diff(theta) > 0)
 
     def test_out_of_range(self):
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(InvalidInputError, match="B=0 outside the supported range"):
             build_z_opt(0)
 
     def test_structure_and_theta_read_only(self):
