@@ -32,6 +32,9 @@ _THREADS_ENV = "GRASSBLOCH_THREADS"
 ROWS_PER_CALL = 8192
 #: most entries, rows x 4N, in one trial chunk's arrays
 MAX_BLOCK_ENTRIES = 1 << 22
+#: most draws, trials x 3N, in one block of trial generation, so that a
+#: block's arrays stay in L2 cache from the counters to Y
+_TRIAL_BLOCK_ENTRIES = 1 << 14
 
 
 def make_detector(tag: str, x):
@@ -120,15 +123,28 @@ def _noise_variance(snr_db) -> float:
 
 def _trial_batch(seed: int, snr_index: int, lo: int, hi: int, N: int,
                  sigma2: float, points: np.ndarray):
-    """Symbols and received blocks for trials [lo, hi) of one SNR point."""
-    C = len(points)
+    """Symbols and received blocks for trials [lo, hi) of one SNR point.
+
+    A trial's symbol is counter 0 of its substream. Its 3N complex normal
+    draws take counters 1 + 2k, k < 3N: first the N channel gains H, then the
+    2N noise entries W, row by row. Trials go from counters to Y in blocks of
+    at most `_TRIAL_BLOCK_ENTRIES` draws, each step in place, and the block
+    size changes no bit of the result.
+    """
     keys = rng.stream_key_vec(seed, snr_index, np.arange(lo, hi, dtype=np.uint64))
-    sym = rng.uniform_index(keys, 0, C)
-    h_ctr = 1 + 2 * np.arange(N, dtype=np.uint64)
-    H = rng.complex_normal(keys[:, None], h_ctr[None, :])
-    w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64).reshape(2, N)
-    W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :], variance=sigma2)
-    Y = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None] * H[:, None, :] + W
+    sym = rng.uniform_index(keys, 0, len(points))
+    tx = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None]
+    ctr = 1 + 2 * np.arange(3 * N, dtype=np.uint64)
+    variance = np.array([1.0] * N + [sigma2] * (2 * N))
+    n = hi - lo
+    step = max(1, _TRIAL_BLOCK_ENTRIES // (3 * N))
+    Y = np.empty((n, 2, N), dtype=np.complex128)
+    Z = np.empty((min(step, n), 3 * N), dtype=np.complex128)
+    for s in range(0, n, step):
+        b = min(step, n - s)
+        z = rng.complex_normal(keys[s:s + b, None], ctr, variance, out=Z[:b])
+        y = np.multiply(tx[s:s + b], z[:, None, :N], out=Y[s:s + b])
+        y += z[:, N:].reshape(b, 2, N)
     return sym, Y
 
 

@@ -25,10 +25,19 @@ _INV53 = 1.0 / float(1 << 53)
 
 
 def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    x = x + _U_GOLDEN
-    x = (x ^ (x >> _U30)) * _M1
-    x = (x ^ (x >> _U27)) * _M2
-    return x ^ (x >> _U31)
+    """The splitmix64 finalizer of each word, as a new array; `x` is left as
+    it was."""
+    x = np.add(x, _U_GOLDEN, out=np.empty(np.shape(x), dtype=np.uint64))
+    t = np.empty_like(x)
+    np.right_shift(x, _U30, out=t)
+    x ^= t
+    x *= _M1
+    np.right_shift(x, _U27, out=t)
+    x ^= t
+    x *= _M2
+    np.right_shift(x, _U31, out=t)
+    x ^= t
+    return x
 
 
 def _word(w: int) -> np.ndarray:
@@ -73,18 +82,45 @@ def uniform_open(key, counter) -> np.ndarray:
     return ((raw(key, counter) >> _U11).astype(np.float64) + 1.0) * _INV53
 
 
-def complex_normal(key, counter, variance=1.0) -> np.ndarray:
+def _polar(r: np.ndarray, ang: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `r*cos(ang) + 1j*(r*sin(ang))` into the complex array `out`,
+    bitwise, and return it; `ang` is used as scratch.
+
+    Written into the real and imaginary parts directly, that sum differs only
+    in the sign of zeros: numpy forms its real part as
+    `r*cos(ang) + ((0*(r*sin(ang))) - 0)` and its imaginary part as
+    `0 + (r*sin(ang))`, and both are formed here as such.
+    """
+    re, im = out.real, out.imag
+    np.cos(ang, out=re)
+    re *= r
+    np.sin(ang, out=im)
+    im *= r
+    re += np.multiply(im, 0.0, out=ang)
+    im += 0.0
+    return out
+
+
+def complex_normal(key, counter, variance=1.0, out=None) -> np.ndarray:
     """Circularly symmetric complex normal draws via Box-Muller.
 
     One draw consumes counters `counter` and `counter + 1`. The total variance
-    (real plus imaginary part) of each sample equals `variance`.
+    (real plus imaginary part) of each sample equals `variance`, a scalar or
+    an array that broadcasts to the draws' shape (that of `key` and `counter`
+    broadcast together). The draws go to `out` when it is given, a complex128
+    array of that shape, which is returned.
     """
-    u1 = uniform_open(key, counter)
+    # arrays even for a scalar key and counter, since they are written in place
+    u1 = np.asarray(uniform_open(key, counter))
     c2 = np.asarray(counter, dtype=np.uint64) + np.uint64(1)
-    u2 = uniform(key, c2)
-    r = np.sqrt(-variance * np.log(u1))
-    ang = (2.0 * np.pi) * u2
-    return r * np.cos(ang) + 1j * (r * np.sin(ang))
+    u2 = np.asarray(uniform(key, c2))
+    if out is None:
+        out = np.empty(u1.shape, dtype=np.complex128)
+    r = np.log(u1, out=u1)
+    r *= -variance
+    np.sqrt(r, out=r)
+    u2 *= 2.0 * np.pi
+    return _polar(r, u2, out)
 
 
 def uniform_index(key, counter, n: int) -> np.ndarray:

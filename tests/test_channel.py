@@ -33,14 +33,9 @@ class TestTransmit:
     def test_average_power(self):
         # E||Y||_F^2 = 2N + 2N sigma^2
         N, sigma2, trials = 2, 0.5, 100000
-        x = np.array([1.0, 1j]) / math.sqrt(2)
-        total = 0.0
-        keys = rng.stream_key_vec(123, 0, np.arange(trials, dtype=np.uint64))
-        h_ctr = 1 + 2 * np.arange(N, dtype=np.uint64)
-        H = rng.complex_normal(keys[:, None], h_ctr[None, :])
-        w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64).reshape(2, N)
-        W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :], variance=sigma2)
-        Y = math.sqrt(2.0) * x[None, :, None] * H[:, None, :] + W
+        points = np.array([[1.0, 1j]]) / math.sqrt(2)
+        sym, Y = _trial_batch(123, 0, 0, trials, N, sigma2, points)
+        assert np.all(sym == 0)
         power = np.mean(np.sum(np.abs(Y) ** 2, axis=(1, 2)))
         expected = 2 * N + 2 * N * sigma2
         assert abs(power - expected) / expected < 0.02
@@ -49,6 +44,50 @@ class TestTransmit:
         points = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
         sym, Y = _trial_batch(5, 0, 10, 17, 3, 0.25, points)
         assert sym.shape == (7,) and Y.shape == (7, 2, 3)
+
+
+def reference_trial_batch(seed, snr_index, lo, hi, N, sigma2, points):
+    """The trial generation as first written, with whole-batch temporaries:
+    `_trial_batch` must match it bit for bit."""
+    C = len(points)
+    keys = rng.stream_key_vec(seed, snr_index, np.arange(lo, hi, dtype=np.uint64))
+    sym = rng.uniform_index(keys, 0, C)
+    h_ctr = 1 + 2 * np.arange(N, dtype=np.uint64)
+    H = rng.complex_normal(keys[:, None], h_ctr[None, :])
+    w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64).reshape(2, N)
+    W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :], variance=sigma2)
+    Y = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None] * H[:, None, :] + W
+    return sym, Y
+
+
+POLES = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+
+
+class TestTrialBatchReference:
+    """`_trial_batch` gives the reference's words, over block boundaries and
+    at the noise variances where a signed zero could differ."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 17])
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-300, 0.1, 1.0])
+    @pytest.mark.parametrize("family", ["z-opt-6", "poles"])
+    def test_bitwise_equal(self, N, sigma2, family):
+        points = build_z_opt(6).array if family == "z-opt-6" else POLES
+        step = channel._TRIAL_BLOCK_ENTRIES // (3 * N)
+        # two ranges over two block boundaries, and a single trial
+        for lo, hi in ((0, 2 * step + 5), (step - 3, 3 * step + 1), (41, 42)):
+            sym, Y = _trial_batch(9, 2, lo, hi, N, sigma2, points)
+            ref_sym, ref_Y = reference_trial_batch(9, 2, lo, hi, N, sigma2, points)
+            assert np.array_equal(sym, ref_sym)
+            assert np.array_equal(Y.view(np.uint64), ref_Y.view(np.uint64))
+
+    @pytest.mark.parametrize("entries", [1, 40, 1 << 20])
+    def test_block_size_changes_no_bit(self, monkeypatch, entries):
+        # one trial per block, blocks that do not divide the range, one block
+        ref_sym, ref_Y = reference_trial_batch(4, 1, 3, 300, 2, 0.0, POLES)
+        monkeypatch.setattr(channel, "_TRIAL_BLOCK_ENTRIES", entries)
+        sym, Y = _trial_batch(4, 1, 3, 300, 2, 0.0, POLES)
+        assert np.array_equal(sym, ref_sym)
+        assert np.array_equal(Y.view(np.uint64), ref_Y.view(np.uint64))
 
 
 class TestRunSer:

@@ -24,8 +24,10 @@ def reference_key(seed, *words):
 
 def test_mix64_matches_reference():
     xs = (0, 1, 42, 2**32, 2**63, MASK)
-    got = rng._mix64_vec(np.array(xs, dtype=np.uint64))
+    words = np.array(xs, dtype=np.uint64)
+    got = rng._mix64_vec(words)
     assert [int(g) for g in got] == [splitmix_reference(x) for x in xs]
+    assert [int(w) for w in words] == list(xs)  # the input is left as it was
 
 
 def test_stream_key_scalar_vector_agree():
@@ -86,3 +88,51 @@ def test_uniform_index_bounds():
     assert idx.min() >= 0 and idx.max() <= 6
     counts = np.bincount(idx, minlength=7)
     assert counts.min() > 0
+
+
+def reference_complex_normal(key, counter, variance=1.0):
+    """Box-Muller as first written, one temporary per step."""
+    u1 = rng.uniform_open(key, counter)
+    c2 = np.asarray(counter, dtype=np.uint64) + np.uint64(1)
+    u2 = rng.uniform(key, c2)
+    r = np.sqrt(-variance * np.log(u1))
+    ang = (2.0 * np.pi) * u2
+    return r * np.cos(ang) + 1j * (r * np.sin(ang))
+
+
+def test_polar_keeps_the_signed_zeros_of_the_complex_sum():
+    # r = +0 is every noise draw at variance 0 and r = -0 is u1 == 1.0;
+    # the angles give each sign of cos and sin, and sin = +-0
+    quarter = np.pi / 2
+    angles = [0.0, -0.0, 0.5, quarter + 0.5, 2 * quarter + 0.5, 3 * quarter + 0.5,
+              np.pi, -0.5, 2.0 * np.pi * (1.0 - 2.0 ** -53)]
+    r = np.repeat([0.0, -0.0, 1.5, 1e-300], len(angles))
+    ang = np.tile(angles, 4)
+    expected = r * np.cos(ang) + 1j * (r * np.sin(ang))
+    signs = {(np.signbit(c), np.signbit(s)) for c, s in zip(np.cos(ang), np.sin(ang))}
+    assert len(signs) == 4
+    got = rng._polar(r, ang.copy(), np.empty(len(r), dtype=np.complex128))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # writing the two products as they are would differ on these inputs
+    simple = np.empty_like(expected)
+    simple.real, simple.imag = r * np.cos(ang), r * np.sin(ang)
+    assert not np.array_equal(simple.view(np.uint64), expected.view(np.uint64))
+
+
+def test_complex_normal_matches_reference():
+    # scalar variances, and an array of them drawn into part of `out`
+    keys = rng.stream_key_vec(4, 1, np.arange(3000, dtype=np.uint64))[:, None]
+    ctr = 1 + 2 * np.arange(5, dtype=np.uint64)
+    variances = np.array([1.0, 0.0, 1e-300, 0.25, 2.0])
+    expected = [reference_complex_normal(keys, ctr, v) for v in variances]
+    for v, ref in zip(variances, expected):
+        assert np.array_equal(rng.complex_normal(keys, ctr, v).view(np.uint64),
+                              ref.view(np.uint64))
+    # a scalar key and counter give one draw
+    assert complex(rng.complex_normal(keys[7, 0], 3)) == complex(
+        reference_complex_normal(keys[7, 0], 3))
+    out = np.full((3100, 5), np.nan, dtype=np.complex128)
+    got = rng.complex_normal(keys, ctr, variances, out=out[:3000])
+    assert np.shares_memory(got, out) and np.all(np.isnan(out[3000:]))
+    columns = np.stack([ref[:, j] for j, ref in enumerate(expected)], axis=1)
+    assert np.array_equal(out[:3000].view(np.uint64), columns.view(np.uint64))
