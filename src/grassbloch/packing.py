@@ -165,21 +165,58 @@ def fibonacci_points(C: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _pairwise_distances(points: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Euclidean distances of unit rows into the (C, C) buffer `out`, inf on
-    the diagonal.
+def _gram_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One allocation seen two ways: an (n, n) Gram view whose rows lie an odd
+    number of 64-byte lines apart, and a contiguous (n, n) view of the same
+    memory.
 
-    `points @ points.T` keeps the transposed view, so the product goes to the
-    BLAS rank-k update and comes out exactly symmetric. After the clip to
-    [-1, 1], 2 - 2 dot is never negative.
+    numpy forms `points @ points.T` with the BLAS rank-k update and then
+    mirrors the triangle column by column. At a row stride that is a multiple
+    of 4 KiB (C = 2^B >= 512 contiguous rows) every write of that mirror lands
+    in the same L1 set, and the product takes four times as long; the padded
+    stride spreads the writes over the sets with the same bits. The
+    contiguous view holds the weights, which are dead before the next Gram is
+    written. Reductions run only on contiguous arrays: a whole-array sum over
+    the strided view would add in another order.
     """
-    np.matmul(points, points.T, out=out)
-    np.clip(out, -1.0, 1.0, out=out)
+    lines = (8 * n + 63) // 64 | 1
+    buf = np.empty((n, 8 * lines))
+    return buf[:, :n], buf.reshape(-1)[: n * n].reshape(n, n)
+
+
+def _distances_from_gram(gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean distances of unit rows into the contiguous (n, n) `out`, inf
+    on the diagonal, from their Gram matrix.
+
+    After the clip to [-1, 1], 2 - 2 dot is never negative.
+    """
+    np.clip(gram, -1.0, 1.0, out=out)
     out *= 2.0
     np.subtract(2.0, out, out=out)
     np.sqrt(out, out=out)
     np.fill_diagonal(out, np.inf)
     return out
+
+
+def _pairwise_distances(points: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Distances of unit rows into `out` through their Gram matrix in `gram`.
+
+    `points @ points.T` keeps the transposed view, so the product goes to the
+    BLAS rank-k update and comes out exactly symmetric.
+    """
+    np.matmul(points, points.T, out=gram)
+    return _distances_from_gram(gram, out)
+
+
+def _min_distance_from_gram(gram: np.ndarray) -> float:
+    """`_distances_from_gram(gram, ...).min()` bit for bit, without the matrix.
+
+    Clip, 2 - 2x and sqrt are correctly rounded and monotone, so the closest
+    pair is the largest off-diagonal dot product. NaN propagates as it does
+    through the distance matrix. Overwrites the diagonal of `gram`.
+    """
+    np.fill_diagonal(gram, -np.inf)
+    return float(np.sqrt(2.0 - 2.0 * np.clip(gram.max(), -1.0, 1.0)))
 
 
 def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
@@ -190,7 +227,8 @@ def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
     C * (C - 1) / 2 by construction: the objective touches every pair.
     """
     n = len(points)
-    d = _pairwise_distances(points, np.empty((n, n)))
+    gram, _ = _gram_buffer(n)
+    d = _pairwise_distances(points, gram, np.empty((n, n)))
     iu = np.triu_indices(n, k=1)
     vals = d[iu]
     dmin = vals.min()
@@ -209,12 +247,12 @@ def _renormalize(points: np.ndarray) -> np.ndarray:
 def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     n = len(points)
     decay = (_EPS_FINAL / _EPS_START) ** (1.0 / max(cfg.phase1_iters - 1, 1))
-    d = _pairwise_distances(points, np.empty((n, n)))
-    w = np.empty_like(d)
+    gram, w = _gram_buffer(n)
+    d = _pairwise_distances(points, gram, np.empty((n, n)))
     eps = _EPS_START * float(d.min())
     for i in range(cfg.phase1_iters):
         if i:
-            _pairwise_distances(points, d)
+            _pairwise_distances(points, gram, d)
         dmin = float(d.min())
         np.subtract(dmin, d, out=w)
         w /= eps
@@ -223,8 +261,12 @@ def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
         np.fill_diagonal(w, 0.0)  # the floor lifted the diagonal's -inf
         w /= w.sum()
         # ascent direction of the softened minimum: repel along near-critical
-        # pairs with weight w / d; d becomes 1 / d, 0 where d is 0
-        np.divide(1.0, d, out=d, where=d > 0)
+        # pairs with weight w / d. d becomes 1 / d, 0 on the inf diagonal;
+        # only a pair at d = 0 needs the slower mask, which leaves it at 0
+        if dmin > 0:
+            np.divide(1.0, d, out=d)
+        else:
+            np.divide(1.0, d, out=d, where=d > 0)
         w *= d
         g = points * w.sum(axis=1)[:, None] - w @ points
         g = _project_tangent(points, g)
@@ -240,15 +282,13 @@ def _maximin_polish(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
 
     The active-pair slack tracks the step size, so as steps shrink only the
     pairs that truly attain the minimum keep steering the configuration.
-    A step is kept only when the global minimum improves; the trial's
-    distances then become the current ones, so each sweep builds at most one
-    distance matrix.
+    A step is kept only when the global minimum improves, which the trial's
+    Gram matrix decides; only then does it become the current distances.
     """
     n = len(points)
     step = _PHASE2_STEP
-    d = _pairwise_distances(points, np.empty((n, n)))
-    trial_d = np.empty_like(d)
-    w = np.empty_like(d)
+    gram, w = _gram_buffer(n)
+    d = _pairwise_distances(points, gram, np.empty((n, n)))
     best_f = float(d.min())
     for _ in range(cfg.phase2_sweeps):
         if step < _MIN_STEP:
@@ -271,10 +311,11 @@ def _maximin_polish(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
         g[move] /= norms[move][:, None]
         g[~move] = 0.0
         trial = _renormalize(points + (step * best_f) * g)
-        ft = float(_pairwise_distances(trial, trial_d).min())
+        np.matmul(trial, trial.T, out=gram)
+        ft = _min_distance_from_gram(gram)
         if ft > best_f:
             points, best_f = trial, ft
-            d, trial_d = trial_d, d
+            _distances_from_gram(gram, d)
             step = min(step * 1.3, _PHASE2_STEP)
         else:
             step *= 0.5

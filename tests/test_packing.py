@@ -32,6 +32,8 @@ ONE_ITER = PackingConfig(starts=1, phase1_iters=1, phase2_sweeps=250)
 TO_MIN_STEP = PackingConfig(starts=1, phase1_iters=150, phase2_sweeps=2000)
 #: the default phase-1 budget alone; at C = 256 its late exponents underflow
 PHASE1_ONLY = PackingConfig(starts=1, phase1_iters=500, phase2_sweeps=0)
+#: a few steps of each phase, for sizes whose full runs would slow the suite
+FEW_STEPS = PackingConfig(starts=1, phase1_iters=3, phase2_sweeps=3)
 
 
 class TestExactPacking:
@@ -165,8 +167,9 @@ def reference_softmin_phase(points, cfg):
     return points
 
 
-def reference_maximin_polish(points, cfg, stops):
-    """`stops` receives why the polish ended: "step" or "budget"."""
+def reference_maximin_polish(points, cfg, stops, accepted=None):
+    """`stops` receives why the polish ended: "step" or "budget"; `accepted`,
+    if given, one entry per kept step."""
     step = packing._PHASE2_STEP
     d = reference_pairwise_distances(points)
     np.fill_diagonal(d, np.inf)
@@ -203,6 +206,8 @@ def reference_maximin_polish(points, cfg, stops):
         if ft > best_f:
             best_points = trial
             best_f = ft
+            if accepted is not None:
+                accepted.append(ft)
             step = min(step * 1.3, packing._PHASE2_STEP)
         else:
             step *= 0.5
@@ -216,6 +221,7 @@ ORACLE_GRID = (
     + [(C, seed, TO_MIN_STEP) for C in (5, 16) for seed in (0, 7)]
     + [(512, 0, LIGHT), (512, 7, LIGHT)]
     + [(256, 0, PHASE1_ONLY)]
+    + [(C, 0, FEW_STEPS) for C in (511, 513, 1024)]
 )
 
 
@@ -234,6 +240,109 @@ def test_optimizer_matches_dense_reference(monkeypatch, C, seed, cfg):
     assert len(stops) == cfg.starts
     if cfg is TO_MIN_STEP:
         assert stops == ["step"]
+
+
+GRAM_SIZES = (3, 100, 255, 504, 511, 512, 513, 1024)
+
+
+def _unit_rows(C, seed):
+    pts = np.random.default_rng(seed).standard_normal((C, 3))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("C", GRAM_SIZES)
+def test_padded_gram_is_the_contiguous_product(C):
+    # the sizes include 100, 255 and 511, where a gemm on a transposed copy
+    # differs from the rank-k update that both products take
+    pts = _unit_rows(C, C)
+    gram, w = packing._gram_buffer(C)
+    np.matmul(pts, pts.T, out=gram)
+    assert np.array_equal(gram, pts @ pts.T)
+    assert w.shape == (C, C) and w.flags.c_contiguous
+    assert np.shares_memory(gram, w)
+
+
+@pytest.mark.parametrize("C", GRAM_SIZES)
+def test_gram_rows_lie_an_odd_number_of_cache_lines_apart(C):
+    gram, _ = packing._gram_buffer(C)
+    row_bytes = gram.strides[0]
+    assert gram.shape == (C, C) and gram.strides[1] == 8
+    assert row_bytes >= 8 * C and row_bytes % 64 == 0 and (row_bytes // 64) % 2 == 1
+
+
+def _row_beyond_one():
+    """A unit row whose squared norm rounds above 1: with itself its dot
+    product lies above 1, and with its negation below -1, until the clip."""
+    pts = _unit_rows(200, 5)
+    row = pts[np.argmax(np.einsum("ij,ij->i", pts, pts))]
+    assert row @ row > 1.0
+    return row
+
+
+def _with_row(pts, i, row):
+    pts = pts.copy()
+    pts[i] = row
+    return pts
+
+
+DECISION_SETS = {
+    **{f"random{C}": _unit_rows(C, C) for C in (3, 17, 100, 512)},
+    "duplicate": np.vstack([_row_beyond_one(), _row_beyond_one(), _unit_rows(4, 6)]),
+    "poles": exact_packing(2).points,
+    "antipodal": np.vstack([_row_beyond_one(), -_row_beyond_one()]),
+    "nan-row": _with_row(_unit_rows(50, 1), 7, np.nan),
+}
+
+
+@pytest.mark.parametrize("name", DECISION_SETS)
+def test_max_dot_decides_as_the_distance_matrix(name):
+    pts = DECISION_SETS[name]
+    C = len(pts)
+    gram, _ = packing._gram_buffer(C)
+    want = float(packing._pairwise_distances(pts, gram, np.empty((C, C))).min())
+    got = packing._min_distance_from_gram(gram)
+    assert got.hex() == want.hex()  # bit for bit, NaN included
+    expected = {"duplicate": 0.0, "poles": 2.0, "antipodal": 2.0}
+    if name in expected:
+        assert got == expected[name]
+    if name == "nan-row":
+        assert math.isnan(got) and not got > 0.0  # the polish rejects it
+
+
+def test_polish_converts_only_kept_trials(monkeypatch):
+    # one conversion for the start, one per kept step; a rejected trial is
+    # decided from its Gram matrix alone
+    start = packing._renormalize(fibonacci_points(100))
+    accepted = []
+    want = reference_maximin_polish(start, LIGHT, [], accepted)
+    calls = {"_distances_from_gram": 0, "_min_distance_from_gram": 0}
+
+    def counted(name):
+        real = getattr(packing, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(packing, name, counted(name))
+    got = packing._maximin_polish(start, LIGHT)
+    assert np.array_equal(got, want)
+    assert 0 < len(accepted) < calls["_min_distance_from_gram"]
+    assert calls["_distances_from_gram"] == 1 + len(accepted)
+
+
+def test_phase1_from_a_duplicate_pair_matches_the_reference():
+    # the closest pair at 0 sets the temperature to 0, so every weight is NaN
+    # and no point moves; the phase takes the masked reciprocal there
+    pts = packing._renormalize(fibonacci_points(16))
+    start = _with_row(pts, 3, pts[9])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = reference_softmin_phase(start, LIGHT)
+        got = packing._softmin_phase(start, LIGHT)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, start)
 
 
 def exp_census(monkeypatch, phase):
