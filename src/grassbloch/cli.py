@@ -298,32 +298,61 @@ def _read_blocks(path) -> np.ndarray:
     """(n, 2, N) received blocks, one per CSV row of re/im interleaved entries.
 
     Values are separated by commas or whitespace and '#' starts a comment.
-    Every row must hold the same 4*N finite values.
+    Every row must hold the same 4*N finite values. The first bad line is
+    reported; within a line, a non-numeric value comes first, then a count
+    that is not 4*N, then a non-finite value, then an N unlike the first
+    row's.
     """
-    rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                vals = [float(v) for v in line.replace(",", " ").split()]
-            except ValueError:
-                raise FormatError("non-numeric value", path=path, line=lineno) from None
-            if len(vals) % 4 != 0 or not vals:
-                raise FormatError("each row needs 4*N values (re/im interleaved)",
-                                  path=path, line=lineno)
-            if not all(map(math.isfinite, vals)):
-                raise FormatError("non-finite value", path=path, line=lineno)
-            if rows and len(vals) != len(rows[0]):
-                raise FormatError(
-                    f"row holds N={len(vals) // 4} antennas but the first row "
-                    f"holds N={len(rows[0]) // 4}; every row needs the same N",
-                    path=path, line=lineno)
-            rows.append(vals)
-    N = len(rows[0]) // 4 if rows else 1
-    flat = np.asarray(rows, dtype=np.float64).reshape(len(rows), N, 2, 2)
+        text = fh.read()
+    # the rows' line numbers and value counts, and their values end to end
+    lines, counts, tokens = [], [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0]
+        row = body.replace(",", " ").split()
+        if row or body.strip():  # a line of commas is a row of no values
+            lines.append(lineno)
+            counts.append(len(row))
+            tokens += row
+    numeric = len(lines)  # the leading rows whose values all parse
+    try:
+        vals = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        # the rows before the one with the first non-numeric value are
+        # checked first
+        bad = next(k for k, tok in enumerate(tokens) if not _is_float(tok))
+        numeric = int(np.searchsorted(np.cumsum(counts), bad, side="right"))
+        end = sum(counts[:numeric])
+        vals = np.fromiter(map(float, tokens[:end]), dtype=np.float64, count=end)
+    counts = np.array(counts[:numeric], dtype=np.int64)
+    width = (counts % 4 != 0) | (counts == 0)
+    finite = np.ones(len(counts), dtype=bool)
+    finite[np.repeat(np.arange(len(counts)), counts)[~np.isfinite(vals)]] = False
+    same_n = counts == (counts[0] if len(counts) else 0)
+    wrong = (width | ~finite | ~same_n).nonzero()[0]
+    if len(wrong):
+        r = wrong[0]
+        if width[r]:
+            message = "each row needs 4*N values (re/im interleaved)"
+        elif not finite[r]:
+            message = "non-finite value"
+        else:
+            message = (f"row holds N={counts[r] // 4} antennas but the first row "
+                       f"holds N={counts[0] // 4}; every row needs the same N")
+        raise FormatError(message, path=path, line=lines[r])
+    if numeric < len(lines):
+        raise FormatError("non-numeric value", path=path, line=lines[numeric])
+    N = counts[0] // 4 if len(counts) else 1
+    flat = vals.reshape(len(counts), N, 2, 2)
     return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _detect(args, cfg_hash) -> int:

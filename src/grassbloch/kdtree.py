@@ -17,17 +17,25 @@ Queries return exactly what a linear scan would, including the tie rule (equal
 distances resolve to the lowest point index), and report how many point
 distances and scalar comparisons each lookup performed.
 
-A batch is searched in lockstep. Each query keeps an explicit stack of
-(node, bound) entries and every vectorized step pops one entry for every query
-whose stack is not empty. An entry is visited only while its bound does not
-exceed the query's best squared distance: the near child of a split is pushed
-with bound -inf, the far child with s^2, s being the query's offset from the
-split value along the split axis. s^2 bounds the far child's distances from
-below even with ties: a query at s < 0 goes left, and every right point lies
-at or above the split value; a query at s >= 0 goes right, and every left
-point lies at or below it. Near is pushed last, so each query visits nodes in
-the depth-first order of the one-at-a-time walk, and its result and counters
-are those of that walk.
+Every leaf row lists its points in index order, so a leaf visit is one argmin:
+the first least distance in a row has the lowest index.
+
+A batch is searched in lockstep, each query doing the steps of the
+one-at-a-time depth-first walk. That walk keeps a stack of (node, bound)
+entries. A split pushes the far child with bound s^2, s being the query's
+offset from the split value along the split axis, and then the near child with
+bound -inf, and an entry is visited only while its bound does not exceed the
+query's best squared distance. s^2 bounds the far child's distances from below
+even with ties: a query at s < 0 goes left, and every right point lies at or
+above the split value; a query at s >= 0 goes right, and every left point lies
+at or below it. The near child is always live and popped next, so each round
+of the batch descends every active query from its node to a leaf, one flat
+gather of q per level, pushing only the far children. The first round starts
+every query at the root. All the leaves reached are then visited in one call,
+and each query pops its topmost live entry, dropping the dead ones above it
+(a bound its best distance already beat stays beaten) as the walk would, one
+pop at a time. So each query visits the walk's nodes in the walk's order, and
+its result and counters are those of that walk.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ class KDTree:
             # stable sort of every segment on its split coordinate at once
             key = rank[np.repeat(dim * n, size) + sub]
             key += np.repeat(np.arange(len(lo)) * n, size)
-            perm[pos] = sub[np.argsort(key, kind="stable")]
+            perm[pos] = sub[_radix_argsort(key)]
             mid = lo + size // 2
             split_dim[node] = dim
             split_val[node] = points[perm[mid], dim]
@@ -108,9 +116,11 @@ class KDTree:
         self._split_val = split_val
         self._start = start
         self._end = end
-        # leaf tables, one row per slot: point indices padded with _BIG and
-        # coordinates padded with +inf, so padding never wins a distance.
-        # Internal and unused slots have start = end = -1, so count 0.
+        # leaf tables, one row per slot: point indices in ascending order,
+        # padded with _BIG, and their coordinates, padded with +inf, so
+        # padding never wins a distance and the first least distance of a
+        # row is the lowest index. Internal and unused slots have
+        # start = end = -1, so count 0.
         self._count = end - start
         self._leaf_idx = np.full((n_nodes, leaf_size), _BIG, dtype=np.int64)
         self._leaf_pts = np.full((n_nodes, leaf_size, points.shape[1]), np.inf)
@@ -120,7 +130,8 @@ class KDTree:
         row = np.repeat(leaves, self._count[leaves])
         col = np.arange(n) - start[row]
         self._leaf_idx[row, col] = perm
-        self._leaf_pts[row, col] = np.take(points, perm, axis=0)
+        self._leaf_idx.sort(axis=1, kind="stable")
+        self._leaf_pts[row, col] = np.take(points, self._leaf_idx[row, col], axis=0)
 
     def query(self, q):
         """Nearest neighbor for each row of q.
@@ -129,63 +140,94 @@ class KDTree:
         one entry per query.
         """
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        m = len(q)
+        m, d = q.shape
+        qflat = q.ravel()
+        split_dim, split_val = self._split_dim, self._split_val
         best_d2 = np.full(m, np.inf)
         best_idx = np.full(m, _BIG, dtype=np.int64)
         evals = np.zeros(m, dtype=np.int64)
         comps = np.zeros(m, dtype=np.int64)
-        # a path of d splits holds at most d far children plus the node on top
-        width = self._depth + 1
-        stack_node = np.empty(m * width, dtype=np.int64)
-        stack_bound = np.empty(m * width)
-        base = np.arange(m) * width
-        stack_node[base] = 0  # the root
-        stack_bound[base] = -np.inf
-        top = base.copy()  # flat slot of each query's top entry
-        act = np.arange(m)  # queries whose stack is not empty
+        # Query i's entry at height k sits in row k, column i, and holds a
+        # node at depth k + 1, so a tree of depth h needs h rows. Every entry
+        # above a query's top is dead for good: NaN (never pushed, or popped)
+        # or a bound its best distance already beat.
+        rows = max(self._depth, 1)
+        stack_node = np.empty(rows * m, dtype=np.int64)
+        stack_bound = np.full(rows * m, np.nan)
+        bounds = stack_bound.reshape(rows, m)
+        # 1 + the height of each row, in the narrowest type that holds it
+        height = np.arange(1, rows + 1, dtype=np.min_scalar_type(rows))[:, None]
+        # every query starts at the root, with an empty stack
+        act = np.arange(m)
+        node = np.zeros(m, dtype=np.int64)
+        top = act - m  # flat slot of each active query's top entry
         while len(act):
-            slot = top[act]
-            node = stack_node[slot]
-            live = stack_bound[slot] <= best_d2[act]
-            top[act] -= 1
-            act_live = act[live]
-            node = node[live]
-            leaf = self._split_dim[node] < 0
-            if leaf.any():
-                self._visit_leaves(act_live[leaf], node[leaf], q,
-                                   best_d2, best_idx, evals, comps)
-            inner = ~leaf
-            if inner.any():
-                self._split(act_live[inner], node[inner], q, top,
-                            stack_node, stack_bound, comps)
-            act = act[top[act] >= base[act]]
+            # descend every query not yet at a leaf, pushing each far child:
+            # query sel[k] = act[inner[k]] is at node at[k], and the leaf it
+            # reaches replaces node[inner[k]]
+            dim = split_dim[node]
+            inner = (dim >= 0).nonzero()[0]
+            if len(inner):
+                sel, at, dim, slot = act[inner], node[inner], dim[inner], top[inner]
+                levels = 0
+                while True:
+                    s = qflat[sel * d + dim] - split_val[at]
+                    near_left = s < 0.0
+                    slot += m
+                    left = 2 * at + 1
+                    stack_node[slot] = left + near_left
+                    stack_bound[slot] = s * s
+                    at = left + ~near_left
+                    levels += 1
+                    dim = split_dim[at]
+                    leaf = (dim < 0).nonzero()[0]
+                    if len(leaf):
+                        comps[sel[leaf]] += levels
+                        node[inner[leaf]] = at[leaf]
+                        if len(leaf) == len(sel):
+                            break
+                        down = dim >= 0
+                        sel, at, dim, slot, inner = (
+                            sel[down], at[down], dim[down], slot[down], inner[down])
+            self._visit_leaves(act, node, q, best_d2, best_idx, evals)
+            # pop each query's topmost live entry
+            live = bounds.take(act, axis=1) <= best_d2[act]
+            h = (live * height).max(axis=0)  # 0: no live entry is left
+            more = h.nonzero()[0]
+            act = act[more]
+            top = (h[more] - 1).astype(np.int64) * m + act
+            node = stack_node[top]
+            stack_bound[top] = np.nan
+            top -= m
+        comps += evals
         return best_idx, best_d2, evals, comps
 
-    def _visit_leaves(self, sel, node, q, best_d2, best_idx, evals, comps):
-        # np.take: numpy's fancy row indexing takes a slower generic path
-        diff = np.take(q, sel, axis=0)[:, None, :] - np.take(self._leaf_pts, node, axis=0)
+    def _visit_leaves(self, sel, node, q, best_d2, best_idx, evals):
+        """Scan leaf `node[k]` for query `sel[k]`, keeping the lexicographic
+        (distance, index) minimum."""
+        # take: numpy's fancy row indexing takes a slower generic path
+        diff = self._leaf_pts.take(node, axis=0)
+        np.subtract(q.take(sel, axis=0)[:, None, :], diff, out=diff)
         d2 = np.einsum("mkd,mkd->mk", diff, diff)
-        # lexicographic (distance, index) minimum over the leaf
-        d2min = d2.min(axis=1)
-        cand = np.where(d2 == d2min[:, None], self._leaf_idx[node], _BIG).min(axis=1)
-        take = (d2min < best_d2[sel]) | (
-            (d2min == best_d2[sel]) & (cand < best_idx[sel])
-        )
+        # a leaf's slots are in index order, so its first least distance
+        # has the least index
+        j = d2.argmin(axis=1)
+        d2min = d2[np.arange(len(sel)), j]
+        cand = self._leaf_idx[node, j]
+        best = best_d2[sel]
+        take = (d2min < best) | ((d2min == best) & (cand < best_idx[sel]))
         upd = sel[take]
         best_d2[upd] = d2min[take]
         best_idx[upd] = cand[take]
-        k = self._count[node]
-        evals[sel] += k
-        comps[sel] += k
+        evals[sel] += self._count[node]
 
-    def _split(self, sel, node, q, top, stack_node, stack_bound, comps):
-        s = q[sel, self._split_dim[node]] - self._split_val[node]
-        comps[sel] += 1
-        near_left = s < 0.0
-        # the far child is crossed only if the best sphere still reaches the plane
-        far = top[sel] + 1
-        stack_node[far] = 2 * node + 1 + near_left
-        stack_bound[far] = s * s
-        stack_node[far + 1] = 2 * node + 2 - near_left
-        stack_bound[far + 1] = -np.inf
-        top[sel] = far + 1
+
+def _radix_argsort(key):
+    """`np.argsort(key, kind="stable")` of nonnegative int64 keys, as stable
+    passes over their 16-bit digits, least significant first, as many as the
+    largest key needs. numpy sorts 16-bit integers by radix, in linear time."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, int(key.max()).bit_length(), 16):
+        digit = (key >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order

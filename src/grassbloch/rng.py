@@ -24,10 +24,13 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / float(1 << 53)
 
 
-def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer of each word, as a new array; `x` is left as
-    it was."""
-    x = np.add(x, _U_GOLDEN, out=np.empty(np.shape(x), dtype=np.uint64))
+def _mix64_vec(x: np.ndarray, out=None) -> np.ndarray:
+    """The splitmix64 finalizer of each word, into `out`, a uint64 array of
+    x's shape that may be `x` itself, or else into a new array that leaves
+    `x` as it was."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=np.uint64)
+    x = np.add(x, _U_GOLDEN, out=out)
     t = np.empty_like(x)
     np.right_shift(x, _U30, out=t)
     x ^= t
@@ -110,10 +113,23 @@ def complex_normal(key, counter, variance=1.0, out=None) -> np.ndarray:
     broadcast together). The draws go to `out` when it is given, a complex128
     array of that shape, which is returned.
     """
-    # arrays even for a scalar key and counter, since they are written in place
-    u1 = np.asarray(uniform_open(key, counter))
-    c2 = np.asarray(counter, dtype=np.uint64) + np.uint64(1)
-    u2 = np.asarray(uniform(key, c2))
+    k = np.asarray(key, dtype=np.uint64)
+    c = np.asarray(counter, dtype=np.uint64)
+    # the `raw` words of counters c and c + 1 (c * golden + golden, wrapping),
+    # mixed in one chain; views are 0-d arrays for a scalar key and counter,
+    # since they are written in place
+    x = np.empty((2, *np.broadcast_shapes(k.shape, c.shape)), dtype=np.uint64)
+    step = np.multiply(c, _U_GOLDEN, out=np.empty(c.shape, dtype=np.uint64))
+    np.add(k, step, out=x[0, ...])
+    step += _U_GOLDEN
+    np.add(k, step, out=x[1, ...])
+    _mix64_vec(x, out=x)
+    x >>= _U11
+    u = x.astype(np.float64)
+    u1, u2 = u[0, ...], u[1, ...]
+    u1 += 1.0  # uniform_open: (0, 1]
+    u1 *= _INV53
+    u2 *= _INV53  # uniform: [0, 1)
     if out is None:
         out = np.empty(u1.shape, dtype=np.complex128)
     r = np.log(u1, out=u1)

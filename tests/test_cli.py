@@ -7,7 +7,7 @@ import pytest
 from grassbloch.channel import make_detector
 from grassbloch import cli, detectors
 from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
-from grassbloch.errors import InvalidInputError
+from grassbloch.errors import FormatError, InvalidInputError
 from grassbloch.formats import FORMAT_VERSION, config_hash, load_constellation
 
 
@@ -597,3 +597,106 @@ def test_version_flag():
 
 def test_usage_error_exit_code():
     assert run(["construct", "--method", "nope", "-B", 2, "-o", "x.json"]) == 2
+
+
+def reference_read_blocks(path):
+    """The line-by-line parser `cli._read_blocks` replaced: the oracle for
+    accepted input, values, messages and line numbers."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                vals = [float(v) for v in line.replace(",", " ").split()]
+            except ValueError:
+                raise FormatError("non-numeric value", path=path, line=lineno) from None
+            if len(vals) % 4 != 0 or not vals:
+                raise FormatError("each row needs 4*N values (re/im interleaved)",
+                                  path=path, line=lineno)
+            if not all(map(math.isfinite, vals)):
+                raise FormatError("non-finite value", path=path, line=lineno)
+            if rows and len(vals) != len(rows[0]):
+                raise FormatError(
+                    f"row holds N={len(vals) // 4} antennas but the first row "
+                    f"holds N={len(rows[0]) // 4}; every row needs the same N",
+                    path=path, line=lineno)
+            rows.append(vals)
+    N = len(rows[0]) // 4 if rows else 1
+    flat = np.asarray(rows, dtype=np.float64).reshape(len(rows), N, 2, 2)
+    return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+GOOD_ROW = "0.5, -1e-3\t2.5e+2 7 ,1 0 -0 .25"
+READ_BLOCKS_CASES = {
+    "valid": f"# header\n\n{GOOD_ROW}\n  {GOOD_ROW}  # tail\n\n",
+    "crlf, no final newline": f"{GOOD_ROW}\r\n#\r\n{GOOD_ROW}",
+    "old mac newlines": f"{GOOD_ROW}\r{GOOD_ROW}\r",
+    "N = 1, digits and signs": "1 2 3 4\n+1_0 -0.0 1e308 4.9e-324\n0x1 1 1 1\n",
+    "empty": "",
+    "comments only": "# a\n   \n\t# b\n",
+    "non-numeric first": "1 2 3 x\n1 2 3\n",
+    "width before non-numeric": "1 2 3 4\n1 2 3\n1 2 3 y\n",
+    "non-numeric before width": "1 2 3 4\n1 2 y\n1 2 3\n",
+    "non-numeric with width on one line": "1 2 3 4 5 nan z\n",
+    "a line of commas": "1 2 3 4\n , ,\n",
+    "empty fields": "1,,2,3,4\n1,2,,3\n",
+    "non-finite": "1 2 3 4\n1 inf 3 4\n",
+    "nan": "1 2 3 4\nnan 2 3 4\n",
+    "width before non-finite on one line": "1 2 3 4\n1 inf 3\n",
+    "non-finite before N on one line": "1 2 3 4\n1 2 3 4 5 6 7 -inf\n",
+    "N mismatch": "1 2 3 4 5 6 7 8\n1 2 3 4\n",
+    "N mismatch before non-numeric": "1 2 3 4\n1 2 3 4 5 6 7 8\nq 1 2 3\n",
+    "bad first row": "1 2 3 inf\n1 2 3 4 5 6 7 8\n",
+}
+
+
+@pytest.mark.parametrize("name", READ_BLOCKS_CASES)
+def test_read_blocks_matches_line_by_line_parser(tmp_path, name):
+    path = tmp_path / "rx.csv"
+    path.write_bytes(READ_BLOCKS_CASES[name].encode())
+    try:
+        want = reference_read_blocks(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            cli._read_blocks(path)
+        assert str(got.value) == str(exc) and got.value.line == exc.line
+        return
+    got = cli._read_blocks(path)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_read_blocks_matches_on_random_files(tmp_path):
+    # rows of random widths with a stray token now and then; every outcome,
+    # acceptance and each of the four messages, must occur
+    rng = np.random.default_rng(3)
+    words = ["1.5", "-2", "3e-7", "0", "-0", "inf", "nan", "x", ",", "", "#c", "\t"]
+    outcomes = set()
+    for trial in range(300):
+        lines = []
+        for _ in range(rng.integers(0, 6)):
+            width = 4 * rng.integers(1, 3) if rng.random() < 0.8 else rng.integers(0, 9)
+            pick = rng.random(width) < 0.03
+            lines.append(" ".join(words[rng.integers(0, len(words))] if p else
+                                  f"{rng.standard_normal():.17g}" for p in pick))
+        path = tmp_path / f"rx{trial}.csv"
+        path.write_text("\n".join(lines))
+        try:
+            want = reference_read_blocks(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                cli._read_blocks(path)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split(": ", 1)[1][:12])
+            continue
+        got = cli._read_blocks(path)
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+        outcomes.add("ok")
+    assert len(outcomes) == 5

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassbloch.errors import InvalidInputError
-from grassbloch.kdtree import _BIG, KDTree
+from grassbloch.kdtree import _BIG, KDTree, _radix_argsort
 from grassbloch.zopt import build_z_opt
 
 
@@ -12,7 +12,7 @@ def sphere_points(n, seed):
     return p / np.linalg.norm(p, axis=1)[:, None]
 
 
-SIZES = [(1, 1), (5, 2), (64, 8), (300, 8), (300, 1), (4096, 16)]
+SIZES = [(1, 1), (2, 1), (3, 1), (5, 2), (64, 8), (64, 1), (300, 8), (300, 1), (4096, 16)]
 
 
 def linear_scan(points, queries):
@@ -114,7 +114,8 @@ def reference_build(points, leaf_size):
     out["_leaf_idx"] = np.full((size, leaf_size), _BIG, dtype=np.int64)
     out["_leaf_pts"] = np.full((size, leaf_size, points.shape[1]), np.inf)
     for node in np.flatnonzero(leaf):
-        idx = perm[out["_start"][node]:out["_end"][node]]
+        # each leaf's slots hold its points in index order
+        idx = np.sort(perm[out["_start"][node]:out["_end"][node]])
         out["_leaf_idx"][node, :len(idx)] = idx
         out["_leaf_pts"][node, :len(idx)] = points[idx]
     return out
@@ -288,6 +289,14 @@ def test_query_empty_batch():
     assert [a.shape for a in out] == [(0,)] * 4
 
 
+@pytest.mark.parametrize("n,leaf", [(1, 8), (33, 1), (37, 4), (4097, 8)])
+def test_query_empty_batch_on_other_shapes(n, leaf):
+    # a depth-0 tree, leaf size 1 and two leaf depths
+    tree = KDTree(sphere_points(n, seed=5), leaf_size=leaf)
+    out = assert_same_as_reference(tree, np.empty((0, 3)))
+    assert [a.shape for a in out] == [(0,)] * 4
+
+
 def test_rejects_empty():
     with pytest.raises(InvalidInputError):
         KDTree(np.empty((0, 3)))
@@ -297,3 +306,82 @@ def test_rejects_empty():
         KDTree(np.array([[0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         KDTree(sphere_points(4, seed=0), leaf_size=0)
+
+
+@pytest.mark.parametrize("n,leaf,depths", [(37, 3, 1), (37, 4, 2), (4097, 8, 2), (1023, 8, 1)])
+def test_leaf_depths_match_reference(n, leaf, depths):
+    # with two leaf depths, some queries reach their first leaf a level
+    # above the others and stop descending there
+    tree = KDTree(sphere_points(n, seed=n), leaf_size=leaf)
+    leaves = np.flatnonzero(tree._count > 0)
+    assert len(np.unique(np.frexp(leaves + 1)[1])) == depths
+    q = sphere_points(700, seed=n + 2)
+    idx, _, _, _ = assert_same_as_reference(tree, q)
+    assert np.array_equal(idx, linear_scan(tree.points, q))
+
+
+@pytest.mark.parametrize("leaf", [1, 3, 8])
+def test_queries_on_split_planes_match_reference(leaf):
+    # s == 0 sends a query right with far bound 0, which stays live against
+    # every best distance, including an exact hit (d2 = 0)
+    pts = sphere_points(200, seed=leaf)
+    tree = KDTree(pts, leaf_size=leaf)
+    inner = np.flatnonzero(tree._split_dim >= 0)
+    q = sphere_points(len(inner), seed=leaf + 10)
+    q[np.arange(len(inner)), tree._split_dim[inner]] = tree._split_val[inner]
+    # every point, the ones that carry a split value among them, lies on
+    # its own plane at distance 0
+    q = np.concatenate([q, pts])
+    idx, _, _, _ = assert_same_as_reference(tree, q)
+    assert np.array_equal(idx, linear_scan(pts, q))
+
+
+def test_ties_inside_one_leaf_go_to_the_lowest_index():
+    # six unit vectors, all at squared distance exactly 1 from the origin,
+    # plus six far points that make the root split on x. The stable sort on x
+    # puts index 0 (x = 1) last in its leaf's _perm run; the leaf row lists
+    # the indices in order, so the tie goes to index 0
+    unit = np.array([[1.0, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [-1, 0, 0]])
+    far = np.column_stack([10.0 + np.arange(6), np.zeros(6), np.zeros(6)])
+    tree = assert_same_build(np.concatenate([unit, far]), 8)
+    assert list(tree._perm[:6]) == [5, 1, 2, 3, 4, 0]
+    assert list(tree._leaf_idx[1]) == [0, 1, 2, 3, 4, 5, _BIG, _BIG]
+    q = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [-0.25, 0.0, 0.0]])
+    idx, d2, _, _ = assert_same_as_reference(tree, q)
+    assert list(idx) == [0, 3, 5] and d2[0] == 1.0
+
+
+@pytest.mark.parametrize("leaf", [1, 8])
+def test_nan_queries_match_reference(leaf):
+    # a NaN offset is never live, so a NaN row makes its first descent and
+    # stops, as the recursive walk does; a -inf coordinate reaches every
+    # point at distance inf, so the lowest index wins
+    tree = KDTree(sphere_points(300, seed=4), leaf_size=leaf)
+    q = sphere_points(6, seed=5)
+    q[0, 0] = np.nan
+    q[2, 1] = -np.inf
+    q[3] = np.nan
+    idx, d2, evals, _ = assert_same_as_reference(tree, q)
+    assert np.all(idx[[0, 3]] == _BIG) and np.all(np.isinf(d2[[0, 3]]))
+    assert idx[2] == 0 and evals[2] == 300
+
+
+@pytest.mark.parametrize("B", [8, 12])
+def test_polar_cap_queries_match_reference(B):
+    # a query in a z-opt cap is nearly equidistant to the first ring: the
+    # longest walks, which the batch finishes with a handful of queries
+    tree = KDTree(build_z_opt(B).bloch, leaf_size=8)
+    t = np.linspace(0.0, 0.2, 50)
+    cap = np.stack([np.sin(t) * np.cos(7 * t), np.sin(t) * np.sin(7 * t), np.cos(t)], 1)
+    q = np.concatenate([cap, -cap, sphere_points(500, seed=B)])
+    _, _, evals, _ = assert_same_as_reference(tree, q)
+    assert evals.max() > 100
+
+
+@pytest.mark.parametrize("high", [1, 2**16 - 1, 2**16, 2**32 + 5, 2**62])
+def test_radix_argsort_is_the_stable_argsort(high):
+    rng = np.random.default_rng(high % 1000)
+    for n in [1, 2, 17, 4096]:
+        key = rng.integers(0, high, n, endpoint=True)
+        key[: n // 3] = key[n // 3: 2 * (n // 3)]  # duplicates
+        assert np.array_equal(_radix_argsort(key), np.argsort(key, kind="stable"))

@@ -136,3 +136,14 @@ def test_complex_normal_matches_reference():
     assert np.shares_memory(got, out) and np.all(np.isnan(out[3000:]))
     columns = np.stack([ref[:, j] for j, ref in enumerate(expected)], axis=1)
     assert np.array_equal(out[:3000].view(np.uint64), columns.view(np.uint64))
+
+
+def test_complex_normal_one_chain_matches_two_raw_chains():
+    # both counters of a draw go through one mix; counter + 1 wraps at 2^64
+    keys = rng.stream_key_vec(8, 3, np.arange(40, dtype=np.uint64))
+    for ctr in (np.uint64(0), np.uint64(2**64 - 1), np.uint64(2**63),
+                np.array([2**64 - 2, 2**64 - 1, 7], dtype=np.uint64)[:, None]):
+        got = rng.complex_normal(keys, ctr, 0.5)
+        want = reference_complex_normal(keys, ctr, 0.5)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
