@@ -36,6 +36,7 @@ from .formats import (
     config_hash,
     load_constellation,
     provenance,
+    read_text,
     save_constellation,
     ser_curve_to_csv,
     ser_curve_to_json,
@@ -303,11 +304,9 @@ def _read_blocks(path) -> np.ndarray:
     that is not 4*N, then a non-finite value, then an N unlike the first
     row's.
     """
-    with open(path) as fh:
-        text = fh.read()
     # the rows' line numbers and value counts, and their values end to end
     lines, counts, tokens = [], [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         body = line.split("#", 1)[0]
         row = body.replace(",", " ").split()
         if row or body.strip():  # a line of commas is a row of no values

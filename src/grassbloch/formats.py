@@ -53,6 +53,15 @@ def write_json(path, data, indent=1) -> None:
         fh.write(text + "\n")
 
 
+def read_text(path) -> str:
+    """A file's text; a file that is not UTF-8 is a format error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
+
+
 def _check_version(data, path):
     v = data.get("format_version", 1)
     if not isinstance(v, int) or v > FORMAT_VERSION:
@@ -98,9 +107,9 @@ def constellation_from_dict(data, path=None):
 
     A payload with a `zopt` block gives the ZOptConstellation that the block's
     Z_l and theta realize. Every other field of the block must be what those
-    two determine, a `z-opt` file must carry its B's row of the structure
-    table, and the payload's codeword rows must match the realized ones
-    within 1e-12 in every entry.
+    two determine, a `z-opt` file must carry the layer sizes
+    `zopt_structure` gives for its B, and the payload's codeword rows must
+    match the realized ones within 1e-12 in every entry.
     """
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object", path=path)
@@ -155,9 +164,9 @@ def constellation_from_dict(data, path=None):
 
 
 def load_constellation(path):
+    text = read_text(path)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}", path=path) from exc
     return constellation_from_dict(data, path=path)

@@ -55,8 +55,9 @@ class Constellation:
 
     Each row must be finite, with |c0|^2 + |c1|^2 within 1e-10 of 1 and c0
     real and nonnegative within 1e-10; c0 is stored as its real part, a
-    negative one as 0. B is the bit load log2(C); it is fractional for the few point
-    counts (packing-derived sets such as C = 3 or 12) that are not powers of two.
+    negative one as 0, and where c0 is then 0, c1 is stored as |c1|. B is
+    the bit load log2(C); it is fractional for the few point counts
+    (packing-derived sets such as C = 3 or 12) that are not powers of two.
     """
 
     def __init__(self, points, method: str, B=None):
@@ -117,7 +118,8 @@ class Constellation:
 
 
 def _canonical_rows(points: np.ndarray) -> None:
-    """Check (C, 2) rows against the `Constellation` rules and clamp c0 in place."""
+    """Check (C, 2) rows against the `Constellation` rules, then clamp c0 and
+    apply the pole rule in place."""
     if not np.isfinite(points).all():
         bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
         raise InvalidInputError(f"codeword {bad} has non-finite entries")
@@ -131,6 +133,9 @@ def _canonical_rows(points: np.ndarray) -> None:
         raise InvalidInputError("codeword is not canonical: c0 must be real >= 0")
     # max(re, 0.0): only a negative value becomes 0, -0.0 stays
     points[:, 0] = np.where(c0.real < 0.0, 0.0, c0.real)
+    # at the pole c1's phase is a global phase, so (0, 1) and (0, i) are one line
+    pole = c0 == 0.0
+    points[pole, 1] = np.abs(points[pole, 1])
 
 
 def _has_duplicate_rows(arr: np.ndarray) -> bool:

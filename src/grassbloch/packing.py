@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import FormatError, InvalidInputError
+from .formats import read_text
 from .geometry import min_euclidean_distance_array
 
 EXACT_COUNTS = (2, 3, 4, 6, 8, 12)
@@ -360,32 +361,31 @@ def load_packing(path) -> PackingSet:
     """
     rows = []
     header = None
-    with open(path) as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1 and header is None and not rows:
-                try:
-                    header = int(parts[0])
-                    continue
-                except ValueError:
-                    raise FormatError("expected integer header or x y z triple",
-                                      path=path, line=lineno) from None
-            if len(parts) != 3:
-                raise FormatError(f"expected 3 values, got {len(parts)}",
-                                  path=path, line=lineno)
+    for lineno, raw_line in enumerate(read_text(path).split("\n"), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 1 and header is None and not rows:
             try:
-                vec = [float(p) for p in parts]
+                header = int(parts[0])
+                continue
             except ValueError:
-                raise FormatError(f"non-numeric value in {parts!r}",
+                raise FormatError("expected integer header or x y z triple",
                                   path=path, line=lineno) from None
-            norm = math.sqrt(sum(v * v for v in vec))
-            if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN
-                raise FormatError(f"point norm {norm!r} deviates from 1 by more than 1e-6",
-                                  path=path, line=lineno)
-            rows.append([v / norm for v in vec])
+        if len(parts) != 3:
+            raise FormatError(f"expected 3 values, got {len(parts)}",
+                              path=path, line=lineno)
+        try:
+            vec = [float(p) for p in parts]
+        except ValueError:
+            raise FormatError(f"non-numeric value in {parts!r}",
+                              path=path, line=lineno) from None
+        norm = math.sqrt(sum(v * v for v in vec))
+        if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN
+            raise FormatError(f"point norm {norm!r} deviates from 1 by more than 1e-6",
+                              path=path, line=lineno)
+        rows.append([v / norm for v in vec])
     if header is not None and header != len(rows):
         raise FormatError(f"header says {header} points but file holds {len(rows)}",
                           path=path, line=None)

@@ -10,12 +10,14 @@ decides whether each greedy placement it tries is feasible. For B in
 {1, 2, 3} the optimal angles are known in closed form and no optimization
 runs.
 
-Most rows of the structure table are uniform: every layer holds z_max points.
-Two rows put rings of z_max / 2 points in the polar caps, where a full ring
-would crowd the pole. B = 5 has halved caps: one half ring per cap and an
-equator layer. B = 7 has doubled caps: two half rings per cap, no equator
-layer, ten layers (8, 8, 16, 16, 16, 16, 16, 16, 8, 8). The cap shape is read
-off the layer sizes `Z_l`, never off B, so caps of any k half rings work alike.
+B bits stack 2^ceil(B/2) regular polygons of 2^floor(B/2) points each
+(`zopt_structure`), except B = 1 (one equator ring of 2), B = 3 (an antiprism
+of two 4-point rings) and B = 5 and 7, which put rings of z_max / 2 points in
+the polar caps, where a full ring would crowd the pole. B = 5 has halved caps:
+one half ring per cap and an equator layer. B = 7 has doubled caps: two half
+rings per cap, no equator layer, ten layers (8, 8, 16, 16, 16, 16, 16, 16, 8,
+8). The cap shape is read off the layer sizes `Z_l`, never off B, so caps of
+any k half rings work alike.
 
 Why B = 7 uses doubled caps: the greedy bisection below reaches the exact
 optimum of a given structure, and searching it over every mirror-symmetric
@@ -41,24 +43,12 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import Constellation, angles_to_codewords
 
-# layer sizes per bit count, top layer first
-_STRUCTURE_TABLE = {
+# layer sizes, top layer first, of the rows the polygon-stacking rule does not give
+_IRREGULAR_ROWS = {
     1: (2,),
-    2: (2, 2),
     3: (4, 4),
-    4: (4,) * 4,
     5: (4, 8, 8, 8, 4),
-    6: (8,) * 8,
     7: (8, 8) + (16,) * 6 + (8, 8),
-    8: (16,) * 16,
-    9: (16,) * 32,
-    10: (32,) * 32,
-    11: (32,) * 64,
-    12: (64,) * 64,
-    13: (64,) * 128,
-    14: (128,) * 128,
-    15: (128,) * 256,
-    16: (256,) * 256,
 }
 
 _CLOSED_FORM_THETA = {
@@ -162,9 +152,13 @@ class ZOptStructure:
 
 
 def zopt_structure(B: int) -> ZOptStructure:
-    if B not in _STRUCTURE_TABLE:
+    """The layer sizes of B bits: 2^floor(B/2) points on each of 2^ceil(B/2)
+    stacked regular polygons, except for the four rows in `_IRREGULAR_ROWS`
+    (B = 1, the B = 3 antiprism and the capped B = 5 and 7)."""
+    if B not in range(1, 17):
         raise InvalidInputError(f"B={B} outside the supported range 1..16")
-    return ZOptStructure(_STRUCTURE_TABLE[B])
+    B = int(B)  # an integral float or numpy scalar names the same row
+    return ZOptStructure(_IRREGULAR_ROWS.get(B, (2 ** (B // 2),) * 2 ** ((B + 1) // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +207,7 @@ def expand_theta(free_theta, s: ZOptStructure) -> np.ndarray:
         raise InvalidInputError(f"expected {s.n_v} free angles, got {len(free_theta)}")
     if s.l == 1:
         return np.array([math.pi / 2.0])
-    if s.equator:
-        mid = np.array([math.pi / 2.0])
-        return np.concatenate([free_theta, mid, math.pi - free_theta[::-1]])
-    return np.concatenate([free_theta, math.pi - free_theta[::-1]])
+    return np.concatenate([free_theta, [math.pi / 2.0] * s.equator, math.pi - free_theta[::-1]])
 
 
 def candidate_distances(free_theta, s: ZOptStructure) -> CandidateDistances:
@@ -283,8 +274,6 @@ def _greedy_feasible(t: float, s: ZOptStructure):
     the candidate set at those angles (`candidate_distances`, within 1e-12)
     decides feasibility exactly. None if t is not reachable.
     """
-    if t >= 2.0:
-        return None
     h = math.pi / s.z_max
     vgap = 2.0 * math.asin(t / 2.0)
     free = []

@@ -456,6 +456,48 @@ class TestLayerAnglesMustMatchCodewords:
         assert "differ" in capsys.readouterr().err
 
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text is a format error (exit 3) naming it."""
+
+    @pytest.fixture()
+    def utf16(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe1 0 0 1\n")
+        return path
+
+    def _exits_3(self, argv, path, capsys):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_detect_input(self, zopt_file, utf16, capsys):
+        self._exits_3(["detect", "--constellation", zopt_file, "--input", utf16],
+                      utf16, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "FILE"],
+        ["simulate", "--constellation", "FILE", "--snr", "10", "--trials", 10],
+    ])
+    def test_constellation(self, utf16, capsys, argv):
+        self._exits_3([utf16 if a == "FILE" else a for a in argv], utf16, capsys)
+
+    def test_packing_file(self, tmp_path, utf16, capsys):
+        self._exits_3(["construct", "--method", "s-opt", "-B", 2, "--packing-file", utf16,
+                       "-o", tmp_path / "s.json"], utf16, capsys)
+
+
+def test_constellation_file_with_pole_twins_exit_3(tmp_path, capsys):
+    # (0, 1) and (0, i) are one point of G(2,1)
+    s = math.sqrt(0.5)
+    rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [s, 0, s, 0]]
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "method": "external",
+                                "B": 2, "codewords": rows}))
+    assert run(["evaluate", path]) == 3
+    assert "duplicate codewords" in capsys.readouterr().err
+
+
 def _hash_of(path):
     """The config_hash a JSON file or a CSV preamble records."""
     text = path.read_text()

@@ -327,7 +327,7 @@ def codeword_row(row):
 
     A row is accepted when both entries are finite, |c0|^2 + |c1|^2 is within
     1e-10 of 1, and c0 is real and nonnegative within 1e-10; c0 is then
-    stored as max(Re c0, 0).
+    stored as max(Re c0, 0), and c1 as |c1| where that is 0 (the pole rule).
     """
     c0, c1 = complex(row[0]), complex(row[1])
     if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
@@ -336,7 +336,8 @@ def codeword_row(row):
         return None
     if abs(c0.imag) > 1e-10 or c0.real < -1e-10:
         return None
-    return np.array([complex(max(c0.real, 0.0), 0.0), c1], dtype=np.complex128)
+    c0 = max(c0.real, 0.0)
+    return np.array([complex(c0, 0.0), abs(c1) if c0 == 0.0 else c1], dtype=np.complex128)
 
 
 def scaled(row, norm2):
@@ -375,11 +376,24 @@ class TestConstellationRows:
                                   + 1j * rng.standard_normal((256, 2)))
         rows[:, 0] += 1j * rng.uniform(-5e-11, 5e-11, 256)
         # near the south pole c0 may sit just below zero; both clamp it to 0
-        rows[:16, 0] = -rng.uniform(0.0, 5e-11, 16)
-        rows[:16, 1] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 16))
+        # and make c1 real and positive, so only one such row can be kept
+        rows[0, 0] = -rng.uniform(0.0, 5e-11)
+        rows[0, 1] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         want = np.array([codeword_row(r) for r in rows])
         got = Constellation(rows, "external", 8).array
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c1", [1j, -1.0, complex(R2, -R2)])
+    def test_pole_row_is_one_line_whatever_c1s_phase(self, c1):
+        got = Constellation([[0.0, c1], [1.0, 0.0]], "external", 1).array
+        assert got[0].tobytes() == np.array([0.0, 1.0], dtype=np.complex128).tobytes()
+
+    @pytest.mark.parametrize("c0", [0.0, -0.0, -1e-11])
+    def test_pole_twins_are_duplicates(self, c0):
+        # (0, 1) and (0, i) differ only in a global phase: one point of G(2,1)
+        rows = [[1.0, 0.0], [0.0, 1.0], [c0, 1j], [R2, R2]]
+        with pytest.raises(InvalidInputError, match="duplicate"):
+            Constellation(rows, "external", 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.6, math.nan)])
     def test_non_finite_rejected(self, bad):
