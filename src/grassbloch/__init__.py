@@ -8,7 +8,7 @@ and one transmit antenna.
 __version__ = "0.1.0"
 
 from .geometry import Constellation, fejes_toth_bound
-from .packing import PackingConfig, PackingSet, exact_packing, load_packing, optimize_packing
+from .packing import PackingConfig, PackingSet, exact_packing, optimize_packing
 from .zopt import (
     CandidateDistances,
     ZOptConstellation,
@@ -35,5 +35,6 @@ from .detectors import (
     polar_region,
 )
 from .channel import SerCurve, bench_detectors, run_ser
+from .formats import load_packing
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,8 @@ outputs of one command that name the same file, or an output that names one
 of its input files, exit 2 before anything is written. `simulate` and
 `bench` run one worker thread per CPU in the process's affinity mask; the
 GRASSBLOCH_THREADS environment variable asks for fewer, and a value that is
-not an integer >= 1 exits 2.
+not an integer >= 1 exits 2. Every file is read and written through
+`formats`; this module parses only its arguments.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import functools
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .builders import (
@@ -35,8 +34,9 @@ from .formats import (
     bench_rows,
     config_hash,
     load_constellation,
+    load_packing,
     provenance,
-    read_text,
+    read_blocks,
     save_constellation,
     ser_curve_to_csv,
     ser_curve_to_json,
@@ -48,7 +48,6 @@ from .packing import (
     EXACT_COUNTS,
     PackingConfig,
     exact_packing,
-    load_packing,
     optimize_packing,
 )
 from .zopt import build_z_opt
@@ -295,69 +294,10 @@ def _bench(args, cfg_hash) -> int:
     return 0
 
 
-def _read_blocks(path) -> np.ndarray:
-    """(n, 2, N) received blocks, one per CSV row of re/im interleaved entries.
-
-    Values are separated by commas or whitespace and '#' starts a comment.
-    Every row must hold the same 4*N finite values. The first bad line is
-    reported; within a line, a non-numeric value comes first, then a count
-    that is not 4*N, then a non-finite value, then an N unlike the first
-    row's.
-    """
-    # the rows' line numbers and value counts, and their values end to end
-    lines, counts, tokens = [], [], []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        body = line.split("#", 1)[0]
-        row = body.replace(",", " ").split()
-        if row or body.strip():  # a line of commas is a row of no values
-            lines.append(lineno)
-            counts.append(len(row))
-            tokens += row
-    numeric = len(lines)  # the leading rows whose values all parse
-    try:
-        vals = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        # the rows before the one with the first non-numeric value are
-        # checked first
-        bad = next(k for k, tok in enumerate(tokens) if not _is_float(tok))
-        numeric = int(np.searchsorted(np.cumsum(counts), bad, side="right"))
-        end = sum(counts[:numeric])
-        vals = np.fromiter(map(float, tokens[:end]), dtype=np.float64, count=end)
-    counts = np.array(counts[:numeric], dtype=np.int64)
-    width = (counts % 4 != 0) | (counts == 0)
-    finite = np.ones(len(counts), dtype=bool)
-    finite[np.repeat(np.arange(len(counts)), counts)[~np.isfinite(vals)]] = False
-    same_n = counts == (counts[0] if len(counts) else 0)
-    wrong = (width | ~finite | ~same_n).nonzero()[0]
-    if len(wrong):
-        r = wrong[0]
-        if width[r]:
-            message = "each row needs 4*N values (re/im interleaved)"
-        elif not finite[r]:
-            message = "non-finite value"
-        else:
-            message = (f"row holds N={counts[r] // 4} antennas but the first row "
-                       f"holds N={counts[0] // 4}; every row needs the same N")
-        raise FormatError(message, path=path, line=lines[r])
-    if numeric < len(lines):
-        raise FormatError("non-numeric value", path=path, line=lines[numeric])
-    N = counts[0] // 4 if len(counts) else 1
-    flat = vals.reshape(len(counts), N, 2, 2)
-    return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _detect(args, cfg_hash) -> int:
     constellation = load_constellation(args.constellation)
     det = make_detector(args.detector, constellation)
-    idx, evals, comps = det.detect_batch(_read_blocks(args.input))
+    idx, evals, comps = det.detect_batch(read_blocks(args.input))
     rows = [[t, i, e, c] for t, (i, e, c) in
             enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
     write_csv(args.output or sys.stdout,

@@ -1,4 +1,5 @@
-"""On-disk formats: constellation JSON and result CSV/JSON.
+"""On-disk formats: constellation JSON, result CSV/JSON, and the numeric text
+of `detect --input` and `construct --packing-file`, which one tokenizer reads.
 
 Every file this package writes opens with one provenance record: format
 version, tool version, config hash and seed. The writers record the hash
@@ -23,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from .channel import BenchReport, SerCurve
-from .errors import FormatError
+from .errors import FormatError, InvalidInputError
 from .geometry import Constellation
+from .packing import PackingSet
 from .zopt import ZOptConstellation, ZOptStructure, zopt_structure
 
 FORMAT_VERSION = 1
@@ -226,3 +228,104 @@ def bench_rows(reports: list[BenchReport]):
         for r in reports
     ]
     return header, rows
+
+
+# ---------------------------------------------------------------------------
+# numeric text: received blocks and packing tables
+
+
+def _read_rows(path):
+    """(line numbers, value counts, values end to end) of a text file's rows
+    up to the first row holding a non-number, and (line number, tokens) of
+    that row, or None. Values are separated by commas or whitespace and '#'
+    starts a comment."""
+    lines, counts, tokens = [], [], []
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        body = line.split("#", 1)[0]
+        row = body.replace(",", " ").split()
+        if row or body.strip():  # a line of commas is a row of no values
+            lines.append(lineno)
+            counts.append(len(row))
+            tokens += row
+    bad = None
+    try:
+        vals = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        k = next(k for k, tok in enumerate(tokens) if not _is_float(tok))
+        n = int(np.searchsorted(np.cumsum(counts), k, side="right"))
+        end = sum(counts[:n])
+        bad = lines[n], tokens[end:end + counts[n]]
+        lines, counts = lines[:n], counts[:n]
+        vals = np.fromiter(map(float, tokens[:end]), dtype=np.float64, count=end)
+    return lines, np.array(counts, dtype=np.int64), vals, bad
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def read_blocks(path) -> np.ndarray:
+    """(n, 2, N) received blocks, one per row of 4*N re/im interleaved values,
+    the same N on every row. The first bad line is reported; within a line, a
+    non-numeric value comes first, then a count that is not 4*N, then a
+    non-finite value, then an N unlike the first row's."""
+    lines, counts, vals, bad = _read_rows(path)
+    width = (counts % 4 != 0) | (counts == 0)
+    finite = np.ones(len(counts), dtype=bool)
+    finite[np.repeat(np.arange(len(counts)), counts)[~np.isfinite(vals)]] = False
+    same_n = counts == (counts[0] if len(counts) else 0)
+    wrong = (width | ~finite | ~same_n).nonzero()[0]
+    if len(wrong):
+        r = wrong[0]
+        if width[r]:
+            message = "each row needs 4*N values (re/im interleaved)"
+        elif not finite[r]:
+            message = "non-finite value"
+        else:
+            message = (f"row holds N={counts[r] // 4} antennas but the first row "
+                       f"holds N={counts[0] // 4}; every row needs the same N")
+        raise FormatError(message, path=path, line=lines[r])
+    if bad:
+        raise FormatError("non-numeric value", path=path, line=bad[0])
+    N = counts[0] // 4 if len(counts) else 1
+    flat = vals.reshape(len(counts), N, 2, 2)
+    return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
+
+
+def load_packing(path) -> PackingSet:
+    """A packing table: an x y z row per point within 1e-6 of unit norm, which
+    is renormalized, after an optional row holding the point count as one
+    whole number. The first bad line is reported; within a line, a non-number
+    comes first, then a count other than 3, then the norm. A wrong point count
+    and what `PackingSet` rejects are format errors without a line."""
+    lines, counts, vals, bad = _read_rows(path)
+    header = None
+    if len(counts) and counts[0] == 1:
+        if not float(vals[0]).is_integer():
+            raise FormatError("expected integer header or x y z triple",
+                              path=path, line=lines[0])
+        header = int(vals[0])
+        lines, counts, vals = lines[1:], counts[1:], vals[1:]
+    wrong = np.flatnonzero(counts != 3)
+    n = int(wrong[0]) if len(wrong) else len(counts)
+    pts = vals[:3 * n].reshape(n, 3)
+    x, y, z = pts.T
+    norm = np.sqrt(x * x + y * y + z * z)
+    far = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-6))  # also NaN
+    if len(far):
+        raise FormatError(f"point norm {float(norm[far[0]])!r} deviates from 1 by more "
+                          "than 1e-6", path=path, line=lines[far[0]])
+    if n < len(counts):
+        raise FormatError(f"expected 3 values, got {counts[n]}", path=path, line=lines[n])
+    if bad:
+        raise FormatError(f"non-numeric value in {bad[1]!r}", path=path, line=bad[0])
+    if header is not None and header != n:
+        raise FormatError(f"header says {header} points but file holds {n}", path=path)
+    try:
+        return PackingSet(pts / norm[:, None])
+    except InvalidInputError as exc:
+        raise FormatError(str(exc), path=path) from exc

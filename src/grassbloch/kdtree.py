@@ -137,9 +137,11 @@ class KDTree:
         """Nearest neighbor for each row of q.
 
         Returns (indices, squared distances, distance_evals, comparisons),
-        one entry per query.
+        one entry per query. A non-finite row raises InvalidInputError.
         """
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        if not np.isfinite(q).all():
+            raise InvalidInputError("query rows must be finite")
         m, d = q.shape
         qflat = q.ravel()
         split_dim, split_val = self._split_dim, self._split_val

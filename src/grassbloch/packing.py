@@ -1,10 +1,10 @@
 """Point sets on the unit sphere that maximize the minimum pairwise distance.
 
 Exact closed-form configurations are available for C in {2, 3, 4, 6, 8, 12};
-everything else goes through a two-phase maximin optimizer or is loaded from a
-packing table file (plain text, one "x y z" triple per line, '#' comments,
-optional leading point-count header). Each of them gives a `PackingSet`,
-which computes its minimum pairwise distance from its points.
+everything else goes through a two-phase maximin optimizer, or comes from a
+packing table that `formats.load_packing` reads. Each of them gives a
+`PackingSet`, which computes its minimum pairwise distance from its points.
+This module reads no files.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import FormatError, InvalidInputError
-from .formats import read_text
+from .errors import InvalidInputError
 from .geometry import min_euclidean_distance_array
 
 EXACT_COUNTS = (2, 3, 4, 6, 8, 12)
@@ -220,21 +219,31 @@ def _min_distance_from_gram(gram: np.ndarray) -> float:
     return float(np.sqrt(2.0 - 2.0 * np.clip(gram.max(), -1.0, 1.0)))
 
 
-def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
-    """Smoothed minimum distance and the number of pairs it evaluated.
+def _softmin_weights(d: np.ndarray, eps: float, w: np.ndarray) -> tuple[float, float, int]:
+    """Phase 1's weights exp((dmin - d_ij) / eps) of the distances `d` (inf on
+    the diagonal) into `w`, normalized to sum to 1; returns dmin, their sum
+    before that (each pair counted twice) and the number of pairs weighted."""
+    n = len(d)
+    dmin = float(d.min())
+    np.subtract(dmin, d, out=w)
+    w /= eps
+    np.maximum(w, _EXP_FLOOR, out=w)
+    np.exp(w, out=w)
+    np.fill_diagonal(w, 0.0)  # the floor lifted the diagonal's -inf
+    total = float(w.sum())
+    w /= total
+    return dmin, total, n * (n - 1) // 2
 
-    Returns -eps * log(sum over pairs of exp(-d_ij / eps)), a lower bound on
-    the true minimum that converges to it as eps -> 0. The pair count is
-    C * (C - 1) / 2 by construction: the objective touches every pair.
-    """
+
+def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
+    """Phase 1's smoothed minimum distance, dmin - eps * log(sum over pairs of
+    its weights), a lower bound on the true minimum that converges to it as
+    eps -> 0, and the number of pairs it evaluated."""
     n = len(points)
-    gram, _ = _gram_buffer(n)
+    gram, w = _gram_buffer(n)
     d = _pairwise_distances(points, gram, np.empty((n, n)))
-    iu = np.triu_indices(n, k=1)
-    vals = d[iu]
-    dmin = vals.min()
-    total = np.exp(-(vals - dmin) / eps).sum()
-    return float(dmin - eps * math.log(total)), n * (n - 1) // 2
+    dmin, total, pairs = _softmin_weights(d, eps, w)
+    return dmin - eps * math.log(total / 2), pairs
 
 
 def _project_tangent(points: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -254,13 +263,7 @@ def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     for i in range(cfg.phase1_iters):
         if i:
             _pairwise_distances(points, gram, d)
-        dmin = float(d.min())
-        np.subtract(dmin, d, out=w)
-        w /= eps
-        np.maximum(w, _EXP_FLOOR, out=w)
-        np.exp(w, out=w)
-        np.fill_diagonal(w, 0.0)  # the floor lifted the diagonal's -inf
-        w /= w.sum()
+        dmin, _, _ = _softmin_weights(d, eps, w)
         # ascent direction of the softened minimum: repel along near-critical
         # pairs with weight w / d. d becomes 1 / d, 0 on the inf diagonal;
         # only a pair at d = 0 needs the slower mask, which leaves it at 0
@@ -348,49 +351,3 @@ def optimize_packing(C: int, seed: int = 0, config: PackingConfig | None = None)
         if f > best_f:
             best_points, best_f = pts, f
     return _make(best_points)
-
-
-def load_packing(path) -> PackingSet:
-    """Read a packing table file and validate it.
-
-    Entries may deviate from unit norm by at most 1e-6 and are renormalized.
-    Larger deviations and parse failures are format errors carrying the
-    offending line number; so are, without one, a point-count mismatch
-    against an optional integer header and whatever `PackingSet` rejects
-    (fewer than two points, duplicates).
-    """
-    rows = []
-    header = None
-    for lineno, raw_line in enumerate(read_text(path).split("\n"), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1 and header is None and not rows:
-            try:
-                header = int(parts[0])
-                continue
-            except ValueError:
-                raise FormatError("expected integer header or x y z triple",
-                                  path=path, line=lineno) from None
-        if len(parts) != 3:
-            raise FormatError(f"expected 3 values, got {len(parts)}",
-                              path=path, line=lineno)
-        try:
-            vec = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"non-numeric value in {parts!r}",
-                              path=path, line=lineno) from None
-        norm = math.sqrt(sum(v * v for v in vec))
-        if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN
-            raise FormatError(f"point norm {norm!r} deviates from 1 by more than 1e-6",
-                              path=path, line=lineno)
-        rows.append([v / norm for v in vec])
-    if header is not None and header != len(rows):
-        raise FormatError(f"header says {header} points but file holds {len(rows)}",
-                          path=path, line=None)
-    try:
-        return PackingSet(np.asarray(rows, dtype=np.float64))
-    except InvalidInputError as exc:
-        raise FormatError(str(exc), path=path) from exc
-

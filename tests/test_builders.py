@@ -21,7 +21,8 @@ from grassbloch.builders import (
 )
 from grassbloch.errors import InvalidInputError
 from grassbloch.geometry import canonicalize_array, min_chordal_distance_array
-from grassbloch.packing import exact_packing, load_packing, optimize_packing
+from grassbloch.formats import load_packing
+from grassbloch.packing import exact_packing, optimize_packing
 
 import os
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grassbloch.channel import make_detector
-from grassbloch import cli, detectors
+from grassbloch import cli, detectors, formats
 from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import FormatError, InvalidInputError
 from grassbloch.formats import FORMAT_VERSION, config_hash, load_constellation
@@ -642,7 +642,7 @@ def test_usage_error_exit_code():
 
 
 def reference_read_blocks(path):
-    """The line-by-line parser `cli._read_blocks` replaced: the oracle for
+    """The line-by-line parser `formats.read_blocks` replaced: the oracle for
     accepted input, values, messages and line numbers."""
     rows = []
     with open(path) as fh:
@@ -706,10 +706,10 @@ def test_read_blocks_matches_line_by_line_parser(tmp_path, name):
         want = reference_read_blocks(path)
     except FormatError as exc:
         with pytest.raises(FormatError) as got:
-            cli._read_blocks(path)
+            formats.read_blocks(path)
         assert str(got.value) == str(exc) and got.value.line == exc.line
         return
-    got = cli._read_blocks(path)
+    got = formats.read_blocks(path)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(bits(got), bits(want))
 
@@ -733,11 +733,11 @@ def test_read_blocks_matches_on_random_files(tmp_path):
             want = reference_read_blocks(path)
         except FormatError as exc:
             with pytest.raises(FormatError) as got:
-                cli._read_blocks(path)
+                formats.read_blocks(path)
             assert str(got.value) == str(exc)
             outcomes.add(str(exc).split(": ", 1)[1][:12])
             continue
-        got = cli._read_blocks(path)
+        got = formats.read_blocks(path)
         assert got.shape == want.shape
         assert np.array_equal(bits(got), bits(want))
         outcomes.add("ok")

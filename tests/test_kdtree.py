@@ -351,19 +351,17 @@ def test_ties_inside_one_leaf_go_to_the_lowest_index():
     assert list(idx) == [0, 3, 5] and d2[0] == 1.0
 
 
-@pytest.mark.parametrize("leaf", [1, 8])
-def test_nan_queries_match_reference(leaf):
-    # a NaN offset is never live, so a NaN row makes its first descent and
-    # stops, as the recursive walk does; a -inf coordinate reaches every
-    # point at distance inf, so the lowest index wins
-    tree = KDTree(sphere_points(300, seed=4), leaf_size=leaf)
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_non_finite_queries_rejected(bad):
+    # +inf would meet the leaf padding's +inf, and inf - inf = NaN would win
+    # the leaf minimum; the query refuses every non-finite row at the boundary
+    tree = KDTree(sphere_points(300, seed=4), leaf_size=8)
     q = sphere_points(6, seed=5)
-    q[0, 0] = np.nan
-    q[2, 1] = -np.inf
-    q[3] = np.nan
-    idx, d2, evals, _ = assert_same_as_reference(tree, q)
-    assert np.all(idx[[0, 3]] == _BIG) and np.all(np.isinf(d2[[0, 3]]))
-    assert idx[2] == 0 and evals[2] == 300
+    q[2, 1] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        tree.query(q)
+    with pytest.raises(InvalidInputError, match="finite"):
+        tree.query(q[2])
 
 
 @pytest.mark.parametrize("B", [8, 12])

@@ -8,13 +8,13 @@ import pytest
 
 from grassbloch import packing
 from grassbloch.errors import FormatError, InvalidInputError
+from grassbloch.formats import load_packing
 from grassbloch.geometry import fejes_toth_bound, min_euclidean_distance_array
 from grassbloch.packing import (
     PackingConfig,
     PackingSet,
     exact_packing,
     fibonacci_points,
-    load_packing,
     optimize_packing,
     softmin_objective,
 )
@@ -511,3 +511,99 @@ class TestLoadPacking:
         p = load_packing(os.path.join(DATA, "packing16.txt"))
         assert p.C == 16
         assert p.min_distance > 0.87
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("2.5\n0 0 1\n0 0 -1\n", 1, "expected integer header or x y z triple"),
+        ("2\n0 0 1\n0 1\n", 3, "expected 3 values, got 2"),
+        ("0 0 1\n0, 0, -1, 1\n", 2, "expected 3 values, got 4"),
+        # a non-number is reported before its line's wrong count
+        ("0 0 1\n0 x\n", 2, "non-numeric value in ['0', 'x']"),
+        ("x\n0 0 1\n", 1, "non-numeric value in ['x']"),
+        # the first bad line wins, whatever its fault
+        ("0 0 1\n0 0 2\n0 1\n", 2, "point norm 2.0 deviates from 1 by more than 1e-6"),
+        ("0 0 1\n0 1\n0 0 y\n", 2, "expected 3 values, got 2"),
+    ])
+    def test_error_names_its_line(self, tmp_path, text, line, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        with pytest.raises(FormatError) as err:
+            load_packing(f)
+        assert err.value.line == line and message in str(err.value)
+
+    def test_commas_load_as_whitespace(self, tmp_path):
+        plain, commas = tmp_path / "plain.txt", tmp_path / "commas.txt"
+        save_packing(plain, exact_packing(12))
+        commas.write_text(plain.read_text().replace(" ", ", "))
+        assert "," in commas.read_text()
+        want, got = load_packing(plain).points, load_packing(commas).points
+        assert want.tobytes() == got.tobytes()
+
+    def test_whole_number_count_row(self, tmp_path):
+        f = tmp_path / "count.txt"
+        f.write_text("2.0\n0 0 1\n0 0 -1\n")
+        assert load_packing(f).C == 2
+
+
+def reference_load_packing(path):
+    """The line-by-line parser `formats.load_packing` replaced, for tables
+    without commas, with a line's non-number now reported before its count:
+    the oracle for accepted points and bad lines."""
+    rows, header = [], None
+    with open(path) as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            parts = raw_line.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) == 1 and header is None and not rows:
+                try:
+                    header = int(parts[0])
+                    continue
+                except ValueError:
+                    raise FormatError("header", path=path, line=lineno) from None
+            try:
+                vec = [float(p) for p in parts]
+            except ValueError:
+                raise FormatError("non-numeric", path=path, line=lineno) from None
+            if len(parts) != 3:
+                raise FormatError("count", path=path, line=lineno)
+            norm = math.sqrt(sum(v * v for v in vec))
+            if not abs(norm - 1.0) <= 1e-6:
+                raise FormatError("norm", path=path, line=lineno)
+            rows.append([v / norm for v in vec])
+    if header is not None and header != len(rows):
+        raise FormatError("header count", path=path)
+    return PackingSet(np.asarray(rows, dtype=np.float64)).points
+
+
+def test_load_packing_matches_line_by_line_parser(tmp_path):
+    # tables with a stray token, row or count now and then; every table the
+    # old parser accepts loads to the same bits, and every one it rejects
+    # fails on the same line
+    rng = np.random.default_rng(7)
+    words = ["x", "nan", "inf", "0", "1.5", "#c", "\t"]
+    outcomes = set()
+    for trial in range(300):
+        pts = rng.standard_normal((int(rng.integers(0, 6)), 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        pts *= 1.0 + rng.choice([0.0, 3e-7, 1e-5], size=(len(pts), 1))
+        lines = [" ".join(f"{v:.17g}" for v in p) for p in pts]
+        for k in range(len(lines)):
+            if rng.random() < 0.05:
+                lines[k] += " " + words[rng.integers(0, len(words))]
+            if rng.random() < 0.05:
+                lines[k] = words[rng.integers(0, len(words))]
+        if rng.random() < 0.5:
+            lines.insert(0, str(len(pts) + int(rng.integers(-1, 2)) * (rng.random() < 0.2)))
+        path = tmp_path / f"pk{trial}.txt"
+        path.write_text("\n".join(lines))
+        try:
+            want = reference_load_packing(path)
+        except (FormatError, InvalidInputError) as exc:
+            with pytest.raises(FormatError) as got:
+                load_packing(path)
+            assert got.value.line == getattr(exc, "line", None)
+            outcomes.add(str(exc).split(": ", 1)[-1] if getattr(exc, "line", None) else "file")
+            continue
+        assert load_packing(path).points.tobytes() == want.tobytes()
+        outcomes.add("ok")
+    assert {"ok", "file", "norm", "count", "non-numeric"} <= outcomes
