@@ -1,12 +1,14 @@
 """Block-Rayleigh Monte Carlo engine with reproducible substreams.
 
-Each trial draws its symbol, channel and noise from a substream keyed by
-(seed, SNR index, trial index), so results are bitwise independent of the
-rows per detector call, the worker count and of which detectors consume the
-stream. Sweeps run one worker thread per CPU in the process's affinity mask;
-the GRASSBLOCH_THREADS environment variable asks for fewer. SNR is defined
-as 1 / sigma^2: codewords have unit norm before the sqrt(T) transmit scaling
-and sigma^2 is the per-complex-entry noise variance.
+Each trial draws its symbol, channel and unit-variance noise once, from a
+substream keyed by (seed, trial index), and every SNR point of a sweep
+receives Y = sqrt(2)*x*H + sigma*W from those draws. So results are bitwise
+independent of the rows per detector call, the worker count, which detectors
+consume the stream and which other SNR points the sweep holds. Sweeps run one
+worker thread per CPU in the process's affinity mask; the GRASSBLOCH_THREADS
+environment variable asks for fewer. SNR is defined as 1 / sigma^2: codewords
+have unit norm before the sqrt(T) transmit scaling and sigma^2 is the
+per-complex-entry noise variance.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ _THREADS_ENV = "GRASSBLOCH_THREADS"
 
 #: most rows in one detector call
 ROWS_PER_CALL = 8192
-#: most entries, rows x 4N, in one trial chunk's arrays
-MAX_BLOCK_ENTRIES = 1 << 22
+#: most complex entries, rows x 5N, that a trial chunk holds: its 3N draws
+#: and 2N received entries per row. 2 MiB, the received blocks of a chunk of
+#: 8192 rows at N = 8 when each SNR point drew its own.
+MAX_CHUNK_ENTRIES = 1 << 17
 #: most draws, trials x 3N, in one block of trial generation, so that a
-#: block's arrays stay in L2 cache from the counters to Y
+#: block's arrays stay in L2 cache from the counters to the draws, and from
+#: the draws to Y
 _TRIAL_BLOCK_ENTRIES = 1 << 14
 
 
@@ -91,10 +96,16 @@ def _workers() -> int:
 
 def _rows_per_call(N: int) -> int:
     """Rows per detector call: at most `ROWS_PER_CALL`, and at most
-    `MAX_BLOCK_ENTRIES` entries in a batch's (rows, 4N) arrays, but never
+    `MAX_CHUNK_ENTRIES` entries in a chunk's (rows, 5N) arrays, but never
     capped below 256 rows. The constellation size plays no part: the GLRT
     detector scores a chunk in cache-sized blocks of its own."""
-    return min(ROWS_PER_CALL, max(256, MAX_BLOCK_ENTRIES // (4 * N)))
+    return min(ROWS_PER_CALL, max(256, MAX_CHUNK_ENTRIES // (5 * N)))
+
+
+def _block_rows(N: int) -> int:
+    """Trials per block of trial generation: at most `_TRIAL_BLOCK_ENTRIES`
+    draws, and at least one trial."""
+    return max(1, _TRIAL_BLOCK_ENTRIES // (3 * N))
 
 
 def _check_run(trials: int, N: int) -> None:
@@ -121,74 +132,89 @@ def _noise_variance(snr_db) -> float:
     return sigma2
 
 
-def _trial_batch(seed: int, snr_index: int, lo: int, hi: int, N: int,
-                 sigma2: float, points: np.ndarray):
-    """Symbols and received blocks for trials [lo, hi) of one SNR point.
+def _draw_trials(seed: int, lo: int, hi: int, N: int, points: np.ndarray):
+    """Symbols, transmit rows and unit-variance draws of trials [lo, hi).
 
-    A trial's symbol is counter 0 of its substream. Its 3N complex normal
-    draws take counters 1 + 2k, k < 3N: first the N channel gains H, then the
-    2N noise entries W, row by row. Trials go from counters to Y in blocks of
-    at most `_TRIAL_BLOCK_ENTRIES` draws, each step in place, and the block
-    size changes no bit of the result.
+    A trial's symbol is counter 0 of its substream. Its 3N unit-variance
+    complex normal draws take counters 1 + 2k, k < 3N: first the N channel
+    gains H, then the 2N noise entries W, row by row. Returns the symbols, the
+    (n, 2, 1) transmit rows sqrt(2)*x and the (n, 3N) draws [H | W]. Draws go
+    in blocks of at most `_TRIAL_BLOCK_ENTRIES`, which change no bit.
     """
-    keys = rng.stream_key_vec(seed, snr_index, np.arange(lo, hi, dtype=np.uint64))
+    keys = rng.stream_key_vec(seed, np.arange(lo, hi, dtype=np.uint64))
     sym = rng.uniform_index(keys, 0, len(points))
     tx = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None]
     ctr = 1 + 2 * np.arange(3 * N, dtype=np.uint64)
-    variance = np.array([1.0] * N + [sigma2] * (2 * N))
     n = hi - lo
-    step = max(1, _TRIAL_BLOCK_ENTRIES // (3 * N))
-    Y = np.empty((n, 2, N), dtype=np.complex128)
-    Z = np.empty((min(step, n), 3 * N), dtype=np.complex128)
+    step = _block_rows(N)
+    Z = np.empty((n, 3 * N), dtype=np.complex128)
     for s in range(0, n, step):
         b = min(step, n - s)
-        z = rng.complex_normal(keys[s:s + b, None], ctr, variance, out=Z[:b])
-        y = np.multiply(tx[s:s + b], z[:, None, :N], out=Y[s:s + b])
-        y += z[:, N:].reshape(b, 2, N)
-    return sym, Y
+        rng.complex_normal(keys[s:s + b, None], ctr, out=Z[s:s + b])
+    return sym, tx, Z
 
 
-def _run_point(detectors, points, seed, snr_index, sigma2, trials, N, rows, workers):
-    """One SNR point: a (5, n_detectors) int64 array of totals per detector.
+def _receive(tx: np.ndarray, Z: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Received blocks Y = tx*H + sigma*W of `_draw_trials`' rows, into the
+    (n, 2, N) complex array `out`, which is returned.
 
-    Its rows are errors, distance evaluations, comparisons, the most
-    evaluations on one trial, and mismatches: trials where a detector
-    disagrees with the first one in the list. Chunks are independent
-    substream ranges, so the reduction is a plain sum (a max for the fourth
-    row) and the outcome does not depend on scheduling.
+    The noise is scaled part by part, real and imaginary, as floats. Y goes
+    in the blocks `_draw_trials` uses, with a block-sized scratch, and the
+    block size changes no bit.
     """
+    n, N = len(Z), Z.shape[1] // 3
+    step = _block_rows(N)
+    noise = np.empty((min(step, n), 4 * N))
+    for s in range(0, n, step):
+        b = min(step, n - s)
+        np.multiply(tx[s:s + b], Z[s:s + b, None, :N], out=out[s:s + b])
+        w = np.multiply(Z[s:s + b, N:].view(np.float64), sigma, out=noise[:b])
+        y = out[s:s + b].view(np.float64)
+        y += w.reshape(y.shape)
+    return out
+
+
+def _sweep(x, tags, snr_db, trials, N, seed):
+    """Totals of the detectors `tags` on `x`: a (SNRs, 5, detectors) int64
+    array.
+
+    Its rows per SNR are errors, distance evaluations, comparisons, the most
+    evaluations on one trial, and mismatches: trials where a detector
+    disagrees with the first one in the list. Each chunk of trials is drawn
+    once and detected at every SNR. Chunks are independent substream ranges,
+    so the reduction is a plain sum (a max for the fourth row) and the outcome
+    does not depend on scheduling.
+    """
+    _check_run(trials, N)
+    sigmas = [math.sqrt(_noise_variance(s)) for s in snr_db]
+    detectors = [make_detector(tag, x) for tag in tags]
+    rows = _rows_per_call(N)
 
     def work(lo):
-        sym, Y = _trial_batch(seed, snr_index, lo, min(lo + rows, trials), N, sigma2, points)
-        tally = np.empty((5, len(detectors)), dtype=np.int64)
-        for k, det in enumerate(detectors):
-            idx, ev, cp = det.detect_batch(Y)
-            if k == 0:
-                ref = idx
-            tally[:, k] = (np.count_nonzero(idx != sym), ev.sum(), cp.sum(), ev.max(),
-                           np.count_nonzero(idx != ref))
+        hi = min(lo + rows, trials)
+        sym, tx, Z = _draw_trials(seed, lo, hi, N, x.array)
+        Y = np.empty((hi - lo, 2, N), dtype=np.complex128)
+        tally = np.empty((len(sigmas), 5, len(detectors)), dtype=np.int64)
+        for i, sigma in enumerate(sigmas):
+            _receive(tx, Z, sigma, Y)
+            for k, det in enumerate(detectors):
+                idx, ev, cp = det.detect_batch(Y)
+                if k == 0:
+                    ref = idx
+                tally[i, :, k] = (np.count_nonzero(idx != sym), ev.sum(), cp.sum(), ev.max(),
+                                  np.count_nonzero(idx != ref))
         return tally
 
     starts = range(0, trials, rows)
+    workers = _workers()
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = np.stack(list(pool.map(work, starts)))
     else:
         parts = np.stack([work(lo) for lo in starts])
     totals = parts.sum(axis=0)
-    totals[3] = parts[:, 3].max(axis=0)
+    totals[:, 3] = parts[:, :, 3].max(axis=0)
     return totals
-
-
-def _sweep(x, tags, snr_db, trials, N, seed):
-    """`_run_point` totals of the detectors `tags` on `x` at each SNR in dB."""
-    _check_run(trials, N)
-    sigma2s = [_noise_variance(s) for s in snr_db]
-    dets = [make_detector(tag, x) for tag in tags]
-    rows = _rows_per_call(N)
-    workers = _workers()
-    return [_run_point(dets, x.array, seed, snr_index, sigma2, trials, N, rows, workers)
-            for snr_index, sigma2 in enumerate(sigma2s)]
 
 
 def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0) -> SerCurve:
@@ -198,15 +224,15 @@ def run_ser(x, detector, snr_db, trials: int, N: int = 1, seed: int = 0) -> SerC
     """
     snr_db = [float(s) for s in snr_db]
     # per SNR: errors, evaluations, comparisons, ... of the one detector
-    totals = _sweep(x, [detector], snr_db, trials, N, seed)
-    errors = tuple(int(t[0][0]) for t in totals)
+    totals = _sweep(x, [detector], snr_db, trials, N, seed)[:, :, 0]
+    errors = tuple(int(t[0]) for t in totals)
     return SerCurve(
         snr_db=tuple(snr_db),
         trials=trials,
         errors=errors,
         ser=tuple(e / trials for e in errors),
-        mean_distance_evals=tuple(t[1][0] / trials for t in totals),
-        mean_comparisons=tuple(t[2][0] / trials for t in totals),
+        mean_distance_evals=tuple(t[1] / trials for t in totals),
+        mean_comparisons=tuple(t[2] / trials for t in totals),
         seed=seed,
         detector=detector,
         N=N,

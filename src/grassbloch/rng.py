@@ -1,7 +1,7 @@
 """Counter-based splittable random numbers.
 
 Every draw is a pure function of (seed, stream words..., counter), built on the
-splitmix64 finalizer. Trials, SNR points and draw slots each get their own
+splitmix64 finalizer. Trials, optimizer starts and draw slots each get their own
 substream, so results do not depend on batch size, worker count or evaluation
 order. All of it runs on wrapping uint64 numpy arrays.
 """
@@ -80,11 +80,6 @@ def uniform(key, counter) -> np.ndarray:
     return (raw(key, counter) >> _U11).astype(np.float64) * _INV53
 
 
-def uniform_open(key, counter) -> np.ndarray:
-    """Uniform draw in (0, 1]; safe as a log() argument."""
-    return ((raw(key, counter) >> _U11).astype(np.float64) + 1.0) * _INV53
-
-
 def _polar(r: np.ndarray, ang: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write `r*cos(ang) + 1j*(r*sin(ang))` into the complex array `out`,
     bitwise, and return it; `ang` is used as scratch.
@@ -127,7 +122,7 @@ def complex_normal(key, counter, variance=1.0, out=None) -> np.ndarray:
     x >>= _U11
     u = x.astype(np.float64)
     u1, u2 = u[0, ...], u[1, ...]
-    u1 += 1.0  # uniform_open: (0, 1]
+    u1 += 1.0  # (0, 1]: safe as a log() argument
     u1 *= _INV53
     u2 *= _INV53  # uniform: [0, 1)
     if out is None:

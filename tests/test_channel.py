@@ -5,7 +5,14 @@ import pytest
 
 from grassbloch import channel, rng
 from grassbloch.builders import build_s_opt
-from grassbloch.channel import _rows_per_call, _trial_batch, _workers, bench_detectors, run_ser
+from grassbloch.channel import (
+    _draw_trials,
+    _receive,
+    _rows_per_call,
+    _workers,
+    bench_detectors,
+    run_ser,
+)
 from grassbloch.detectors import GlrtDetector
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import ser_curve_to_json
@@ -13,18 +20,24 @@ from grassbloch.packing import exact_packing
 from grassbloch.zopt import build_z_opt
 
 
+def trial_batch(seed, lo, hi, N, sigma2, points):
+    """Symbols and received blocks of trials [lo, hi) at one noise variance."""
+    sym, tx, Z = _draw_trials(seed, lo, hi, N, points)
+    return sym, _receive(tx, Z, math.sqrt(sigma2), np.empty((hi - lo, 2, N), dtype=np.complex128))
+
+
 class TestTransmit:
     def test_noiseless_single_antenna(self):
         # without noise a pole codeword leaves the other receive row empty
         points = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-        sym, Y = _trial_batch(3, 0, 0, 64, 1, 0.0, points)
+        sym, Y = trial_batch(3, 0, 64, 1, 0.0, points)
         assert set(sym.tolist()) == {0, 1}
         assert np.all(Y[np.arange(64), 1 - sym, 0] == 0.0)
         assert np.all(np.abs(Y[np.arange(64), sym, 0]) > 0.0)
 
     def test_rank_one_columns(self):
         points = np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=np.complex128)
-        sym, Y = _trial_batch(5, 0, 0, 32, 2, 0.0, points)
+        sym, Y = trial_batch(5, 0, 32, 2, 0.0, points)
         # every column proportional to the sent codeword
         ratio = Y[:, 1, :] / Y[:, 0, :]
         expected = (points[sym, 1] / points[sym, 0])[:, None]
@@ -34,7 +47,7 @@ class TestTransmit:
         # E||Y||_F^2 = 2N + 2N sigma^2
         N, sigma2, trials = 2, 0.5, 100000
         points = np.array([[1.0, 1j]]) / math.sqrt(2)
-        sym, Y = _trial_batch(123, 0, 0, trials, N, sigma2, points)
+        sym, Y = trial_batch(123, 0, trials, N, sigma2, points)
         assert np.all(sym == 0)
         power = np.mean(np.sum(np.abs(Y) ** 2, axis=(1, 2)))
         expected = 2 * N + 2 * N * sigma2
@@ -42,30 +55,46 @@ class TestTransmit:
 
     def test_sample_channel_layout(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-        sym, Y = _trial_batch(5, 0, 10, 17, 3, 0.25, points)
-        assert sym.shape == (7,) and Y.shape == (7, 2, 3)
+        sym, tx, Z = _draw_trials(5, 10, 17, 3, points)
+        assert sym.shape == (7,) and tx.shape == (7, 2, 1) and Z.shape == (7, 9)
+        Y = np.empty((7, 2, 3), dtype=np.complex128)
+        assert _receive(tx, Z, 0.5, Y) is Y
 
 
-def reference_trial_batch(seed, snr_index, lo, hi, N, sigma2, points):
-    """The trial generation as first written, with whole-batch temporaries:
-    `_trial_batch` must match it bit for bit."""
+def reference_trial_batch(seed, lo, hi, N, sigma2, points):
+    """The trial stream as defined, with whole-batch temporaries:
+    `_draw_trials` and `_receive` must match it bit for bit.
+
+    The noise is scaled by sigma = sqrt(sigma2) in its real and imaginary
+    parts, as floats."""
     C = len(points)
-    keys = rng.stream_key_vec(seed, snr_index, np.arange(lo, hi, dtype=np.uint64))
+    keys = rng.stream_key_vec(seed, np.arange(lo, hi, dtype=np.uint64))
     sym = rng.uniform_index(keys, 0, C)
     h_ctr = 1 + 2 * np.arange(N, dtype=np.uint64)
     H = rng.complex_normal(keys[:, None], h_ctr[None, :])
     w_ctr = 1 + 2 * N + 2 * np.arange(2 * N, dtype=np.uint64).reshape(2, N)
-    W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :], variance=sigma2)
-    Y = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None] * H[:, None, :] + W
-    return sym, Y
+    W = rng.complex_normal(keys[:, None, None], w_ctr[None, :, :])
+    S = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None] * H[:, None, :]
+    Y = (S.view(np.float64) + math.sqrt(sigma2) * W.view(np.float64)).view(np.complex128)
+    return sym, H, W, Y
 
 
 POLES = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
+def assert_matches_reference(seed, lo, hi, N, sigma2, points):
+    sym, tx, Z = _draw_trials(seed, lo, hi, N, points)
+    Y = _receive(tx, Z, math.sqrt(sigma2), np.empty((hi - lo, 2, N), dtype=np.complex128))
+    ref_sym, H, W, ref_Y = reference_trial_batch(seed, lo, hi, N, sigma2, points)
+    assert np.array_equal(sym, ref_sym)
+    assert np.array_equal(Z[:, :N].view(np.uint64), H.view(np.uint64))
+    assert np.array_equal(Z[:, N:].view(np.uint64), W.reshape(-1, 2 * N).view(np.uint64))
+    assert np.array_equal(Y.view(np.uint64), ref_Y.view(np.uint64))
+
+
 class TestTrialBatchReference:
-    """`_trial_batch` gives the reference's words, over block boundaries and
-    at the noise variances where a signed zero could differ."""
+    """`_draw_trials` and `_receive` give the reference's words, over block
+    boundaries and at the noise variances where a signed zero could differ."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 17])
     @pytest.mark.parametrize("sigma2", [0.0, 1e-300, 0.1, 1.0])
@@ -75,19 +104,26 @@ class TestTrialBatchReference:
         step = channel._TRIAL_BLOCK_ENTRIES // (3 * N)
         # two ranges over two block boundaries, and a single trial
         for lo, hi in ((0, 2 * step + 5), (step - 3, 3 * step + 1), (41, 42)):
-            sym, Y = _trial_batch(9, 2, lo, hi, N, sigma2, points)
-            ref_sym, ref_Y = reference_trial_batch(9, 2, lo, hi, N, sigma2, points)
-            assert np.array_equal(sym, ref_sym)
-            assert np.array_equal(Y.view(np.uint64), ref_Y.view(np.uint64))
+            assert_matches_reference(9, lo, hi, N, sigma2, points)
 
     @pytest.mark.parametrize("entries", [1, 40, 1 << 20])
     def test_block_size_changes_no_bit(self, monkeypatch, entries):
         # one trial per block, blocks that do not divide the range, one block
-        ref_sym, ref_Y = reference_trial_batch(4, 1, 3, 300, 2, 0.0, POLES)
         monkeypatch.setattr(channel, "_TRIAL_BLOCK_ENTRIES", entries)
-        sym, Y = _trial_batch(4, 1, 3, 300, 2, 0.0, POLES)
-        assert np.array_equal(sym, ref_sym)
-        assert np.array_equal(Y.view(np.uint64), ref_Y.view(np.uint64))
+        for sigma2 in (0.0, 0.5):
+            assert_matches_reference(4, 3, 300, 2, sigma2, POLES)
+
+    def test_noiseless_received_blocks_are_the_signal(self):
+        # sigma^2 = 0 gives sqrt(2)*x*H at every SNR position, also in a buffer
+        # that held another SNR's blocks
+        N = 3
+        points = build_z_opt(6).array
+        sym, tx, Z = _draw_trials(2, 0, 5000, N, points)
+        signal = math.sqrt(2.0) * np.take(points, sym, axis=0)[:, :, None] * Z[:, None, :N]
+        Y = np.empty((5000, 2, N), dtype=np.complex128)
+        for sigma in (0.0, 1.0, 0.0, 0.3, 0.0):
+            _receive(tx, Z, sigma, Y)
+            assert np.array_equal(Y, signal) == (sigma == 0.0)
 
 
 class TestRunSer:
@@ -162,10 +198,14 @@ class TestRunSer:
         assert _workers() == 1
 
     def test_rows_per_call(self):
-        assert all(_rows_per_call(N) == 8192 for N in range(1, 129))
-        assert _rows_per_call(129) == 8128
-        assert _rows_per_call(4096) == 256
-        assert _rows_per_call(8192) == 256  # the floor
+        # a chunk holds 3N draws and 2N received entries per row
+        assert all(_rows_per_call(N) == 8192 for N in range(1, 4))
+        assert _rows_per_call(4) == 6553
+        assert _rows_per_call(8) == 3276
+        assert _rows_per_call(102) == 257
+        assert all(_rows_per_call(N) * 5 * N <= channel.MAX_CHUNK_ENTRIES for N in range(1, 103))
+        assert _rows_per_call(103) == 256  # the floor
+        assert _rows_per_call(8192) == 256
 
     def test_trials_required(self):
         x = build_s_opt(exact_packing(4))
@@ -250,3 +290,60 @@ class TestScheduleIndependence:
             lambda: bench_detectors(z, ["glrt", "sopt", "zopt"], trials=9000, N=2, seed=4))
         assert all(r == reports[0] for r in reports)
         assert [r.mismatches_vs_first for r in reports[0]] == [0, 0, 0]
+
+
+class TestOneStreamPerSweep:
+    """Every SNR point of a sweep detects the same draws, so a point's row
+    does not depend on which other points the sweep holds or their order."""
+
+    @pytest.mark.parametrize("tag", channel.DETECTOR_TAGS)
+    def test_snr_subset_and_order(self, monkeypatch, tag):
+        z = build_z_opt(6)
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+        def rows(curve):
+            return list(zip(curve.errors, curve.mean_distance_evals, curve.mean_comparisons))
+
+        sweeps = []
+        for per_call in (64, 1024):
+            for workers in ("1", "2", "4"):
+                monkeypatch.setattr(channel, "ROWS_PER_CALL", per_call)
+                monkeypatch.setenv("GRASSBLOCH_THREADS", workers)
+                full = run_ser(z, tag, [0.0, 10.0, 20.0], trials=3000, N=2, seed=6)
+                alone = run_ser(z, tag, [20.0], trials=3000, N=2, seed=6)
+                backwards = run_ser(z, tag, [20.0, 10.0, 0.0], trials=3000, N=2, seed=6)
+                assert rows(full)[2:] == rows(alone)
+                assert rows(backwards) == rows(full)[::-1]
+                sweeps.append(full)
+        assert all(c == sweeps[0] for c in sweeps)
+        assert 0 < sweeps[0].errors[2] < sweeps[0].errors[1] < sweeps[0].errors[0]
+
+
+def pairwise_error_probability(delta, sigma2, N):
+    """Exact GLRT pairwise error probability PEP_N(delta, sigma^2) for the
+    transmit scale sqrt(2): P(Beta(N, N) > t), t = 1/2 + a*delta^2/(2D), with
+    a = 2 and D = sqrt(a^2 delta^4 + 4 sigma^2 (sigma^2 + a) delta^2)."""
+    a = 2.0
+    D = math.sqrt(a * a * delta ** 4 + 4.0 * sigma2 * (sigma2 + a) * delta ** 2)
+    t = 0.5 + a * delta ** 2 / (2.0 * D)
+    return sum(math.comb(2 * N - 1, k) * t ** k * (1.0 - t) ** (2 * N - 1 - k)
+               for k in range(N))
+
+
+class TestExactOracle:
+    """For two codewords the symbol error rate is the pairwise error
+    probability, so the simulated SER of an orthogonal pair must match it."""
+
+    def test_closed_form_at_one_antenna(self):
+        got = [pairwise_error_probability(1.0, 10.0 ** (-snr / 10.0), 1) for snr in (0, 10, 20)]
+        assert got == pytest.approx([0.25, 0.045455, 0.0049505], rel=1e-4)
+
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_orthogonal_pair(self, N):
+        z = build_z_opt(1)
+        assert abs(np.vdot(z.array[0], z.array[1])) < 1e-12  # chordal distance 1
+        trials = 200000
+        curve = run_ser(z, "glrt", [0.0, 10.0, 20.0], trials=trials, N=N, seed=12)
+        for snr, errors in zip(curve.snr_db, curve.errors):
+            p = pairwise_error_probability(1.0, 10.0 ** (-snr / 10.0), N)
+            assert abs(errors - trials * p) <= 4.0 * math.sqrt(trials * p * (1.0 - p)), snr

@@ -6,7 +6,7 @@ import pytest
 
 from grassbloch import detectors
 from grassbloch.builders import build_s_opt
-from grassbloch.channel import _trial_batch, bench_detectors, make_detector
+from grassbloch.channel import _draw_trials, _receive, bench_detectors, make_detector
 from grassbloch.detectors import (
     GlrtDetector,
     SoptDetector,
@@ -128,8 +128,9 @@ class TestFrontEndReference:
 
     @staticmethod
     def observations(x, N, snr_db, trials=10000):
-        return _trial_batch(N * 100 + int(snr_db), 0, 0, trials, N, 10.0 ** (-snr_db / 10.0),
-                            x.array)[1]
+        _, tx, Z = _draw_trials(N * 100 + int(snr_db), 0, trials, N, x.array)
+        return _receive(tx, Z, math.sqrt(10.0 ** (-snr_db / 10.0)),
+                        np.empty((trials, 2, N), dtype=np.complex128))
 
     @staticmethod
     def check_sopt(det, Ys):
