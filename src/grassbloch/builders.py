@@ -73,6 +73,8 @@ def qam_symbols(n: int, scale: float) -> np.ndarray:
     return (re + 1j * im).ravel()
 
 
+#: evenly spaced scales in the exp-map grid search
+_SWEEP_STEPS = 200
 #: grid scales whose pair bounds one call computes; its temporaries peak at
 #: 0.4 MiB for 8 scales at B = 10 (1.8 MiB at B = 14), 10 MiB for all 200
 _BOUND_CHUNK = 8
@@ -118,11 +120,11 @@ def _pair_bounds(m: int, scales) -> np.ndarray:
     return np.sqrt((dx * dx + dy * dy + dz * dz).min(axis=1) + 1e-14) / 2.0
 
 
-def _sweep_scale(m: int, lo: float, hi: float, steps: int = 200) -> float:
+def _sweep_scale(m: int, lo: float, hi: float) -> float:
     """Scale in [lo, hi] at which the m x m grid's exp-map points have the
-    largest minimum distance: the best of `steps` evenly spaced scales, then
-    30 rounds of two probes at a shrinking span either side of the best, the
-    first scale winning exact ties.
+    largest minimum distance: the best of `_SWEEP_STEPS` evenly spaced
+    scales, then 30 rounds of two probes at a shrinking span either side of
+    the best, the first scale winning exact ties.
 
     A scale is probed (one full d_min) only while its `_pair_bounds` can
     reach the best d_min found, so the choice is the one that probing every
@@ -132,9 +134,9 @@ def _sweep_scale(m: int, lo: float, hi: float, steps: int = 200) -> float:
     def d_min(s):
         return min_chordal_distance_array(canonicalize_array(_exp_map_points(qam_symbols(m * m, s))))
 
-    grid = np.linspace(lo, hi, steps)
+    grid = np.linspace(lo, hi, _SWEEP_STEPS)
     bounds = np.concatenate(
-        [_pair_bounds(m, grid[i : i + _BOUND_CHUNK]) for i in range(0, steps, _BOUND_CHUNK)]
+        [_pair_bounds(m, grid[i : i + _BOUND_CHUNK]) for i in range(0, _SWEEP_STEPS, _BOUND_CHUNK)]
     )
     best_i, best_d = 0, -1.0
     for i in np.argsort(-bounds, kind="stable"):
@@ -144,7 +146,7 @@ def _sweep_scale(m: int, lo: float, hi: float, steps: int = 200) -> float:
         if d > best_d or (d == best_d and i < best_i):
             best_i, best_d = i, d
     best_s = grid[best_i]
-    span = (hi - lo) / (steps - 1)
+    span = (hi - lo) / (_SWEEP_STEPS - 1)
     for _ in range(30):
         span *= 0.6
         probes = [s for s in (best_s - span, best_s + span) if lo <= s <= hi]

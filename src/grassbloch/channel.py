@@ -33,8 +33,9 @@ _THREADS_ENV = "GRASSBLOCH_THREADS"
 #: most rows in one detector call
 ROWS_PER_CALL = 8192
 #: most complex entries, rows x 5N, that a trial chunk holds: its 3N draws
-#: and 2N received entries per row. 2 MiB, the received blocks of a chunk of
-#: 8192 rows at N = 8 when each SNR point drew its own.
+#: and 2N received entries per row. 2 MiB: a chunk still fills a whole
+#: detector call for N <= 3, and a larger cap (5 x 2^15 entries) ran N = 8
+#: sweeps no faster while holding about 1 MB more at its peak.
 MAX_CHUNK_ENTRIES = 1 << 17
 #: most draws, trials x 3N, in one block of trial generation, so that a
 #: block's arrays stay in L2 cache from the counters to the draws, and from
@@ -108,8 +109,13 @@ def _block_rows(N: int) -> int:
     return max(1, _TRIAL_BLOCK_ENTRIES // (3 * N))
 
 
-def _check_run(trials: int, N: int) -> None:
-    """Reject trial and antenna counts no run can use."""
+def _check_run(tags, snr_db, trials: int, N: int) -> None:
+    """Reject sweeps with nothing to do, and trial and antenna counts no run
+    can use, before any trial is drawn."""
+    if not snr_db:
+        raise InvalidInputError("empty SNR list")
+    if not tags:
+        raise InvalidInputError("need at least one detector")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if N < 1:
@@ -185,7 +191,7 @@ def _sweep(x, tags, snr_db, trials, N, seed):
     so the reduction is a plain sum (a max for the fourth row) and the outcome
     does not depend on scheduling.
     """
-    _check_run(trials, N)
+    _check_run(tags, snr_db, trials, N)
     sigmas = [math.sqrt(_noise_variance(s)) for s in snr_db]
     detectors = [make_detector(tag, x) for tag in tags]
     rows = _rows_per_call(N)

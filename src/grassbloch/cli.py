@@ -271,10 +271,7 @@ def _bound(args, cfg_hash) -> int:
 
 
 def _simulate(args, cfg_hash) -> int:
-    snr = _parse_snr(args.snr)
-    if not snr:
-        raise InvalidInputError("empty SNR list")
-    curve = run_ser(load_constellation(args.constellation), args.detector, snr,
+    curve = run_ser(load_constellation(args.constellation), args.detector, _parse_snr(args.snr),
                     trials=args.trials, N=args.antennas, seed=args.seed)
     ser_curve_to_csv(args.output or sys.stdout, curve, cfg_hash=cfg_hash)
     if args.json_output:
@@ -284,8 +281,6 @@ def _simulate(args, cfg_hash) -> int:
 
 def _bench(args, cfg_hash) -> int:
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
-    if not tags:
-        raise InvalidInputError("need at least one detector")
     reports = bench_detectors(load_constellation(args.constellation), tags,
                               trials=args.trials, N=args.antennas,
                               seed=args.seed, snr_db=args.snr)

@@ -3,7 +3,9 @@
 Every draw is a pure function of (seed, stream words..., counter), built on the
 splitmix64 finalizer. Trials, optimizer starts and draw slots each get their own
 substream, so results do not depend on batch size, worker count or evaluation
-order. All of it runs on wrapping uint64 numpy arrays.
+order. All of it runs on wrapping uint64 numpy arrays. Complex normal draws are
+unit variance; the channel applies the noise scale sigma, in
+`channel._receive` alone.
 """
 
 from __future__ import annotations
@@ -51,21 +53,16 @@ def _word(w: int) -> np.ndarray:
 def stream_key_vec(seed: int, *words) -> np.ndarray:
     """Derive 64-bit substream keys from a seed and stream coordinates.
 
-    Each of `words` may be an int or a uint64 array, and the keys broadcast
-    over the array words. Integer words fold as 1-element arrays, so wrapping
-    uint64 math gives the same bits as the 64-bit masked integer recurrence.
-    When every word is an int, the key is a single np.uint64.
+    Each of `words` may be an int or a uint64 array, and the keys, a uint64
+    array, broadcast over the array words; with int words only it has shape
+    (1,). Integer words fold as 1-element arrays, so wrapping uint64 math
+    gives the same bits as the 64-bit masked integer recurrence.
     """
     key = _mix64_vec(_word(seed))
-    scalar = True
     for w in words:
-        if isinstance(w, (int, np.integer)):
-            w = _word(w)
-        else:
-            w = np.asarray(w, dtype=np.uint64)
-            scalar = False
+        w = _word(w) if isinstance(w, (int, np.integer)) else np.asarray(w, dtype=np.uint64)
         key = _mix64_vec(key ^ (w * _U_SALT))
-    return key[0] if scalar else key
+    return key
 
 
 def raw(key, counter) -> np.ndarray:
@@ -80,33 +77,13 @@ def uniform(key, counter) -> np.ndarray:
     return (raw(key, counter) >> _U11).astype(np.float64) * _INV53
 
 
-def _polar(r: np.ndarray, ang: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write `r*cos(ang) + 1j*(r*sin(ang))` into the complex array `out`,
-    bitwise, and return it; `ang` is used as scratch.
+def complex_normal(key, counter, out=None) -> np.ndarray:
+    """Unit-variance circularly symmetric complex normal draws via Box-Muller.
 
-    Written into the real and imaginary parts directly, that sum differs only
-    in the sign of zeros: numpy forms its real part as
-    `r*cos(ang) + ((0*(r*sin(ang))) - 0)` and its imaginary part as
-    `0 + (r*sin(ang))`, and both are formed here as such.
-    """
-    re, im = out.real, out.imag
-    np.cos(ang, out=re)
-    re *= r
-    np.sin(ang, out=im)
-    im *= r
-    re += np.multiply(im, 0.0, out=ang)
-    im += 0.0
-    return out
-
-
-def complex_normal(key, counter, variance=1.0, out=None) -> np.ndarray:
-    """Circularly symmetric complex normal draws via Box-Muller.
-
-    One draw consumes counters `counter` and `counter + 1`. The total variance
-    (real plus imaginary part) of each sample equals `variance`, a scalar or
-    an array that broadcasts to the draws' shape (that of `key` and `counter`
-    broadcast together). The draws go to `out` when it is given, a complex128
-    array of that shape, which is returned.
+    One draw consumes counters `counter` and `counter + 1`, and its real and
+    imaginary parts each have variance 1/2. The draws take the shape of `key`
+    and `counter` broadcast together, and go to `out` when it is given, a
+    complex128 array of that shape, which is returned.
     """
     k = np.asarray(key, dtype=np.uint64)
     c = np.asarray(counter, dtype=np.uint64)
@@ -128,10 +105,12 @@ def complex_normal(key, counter, variance=1.0, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(u1.shape, dtype=np.complex128)
     r = np.log(u1, out=u1)
-    r *= -variance
+    np.negative(r, out=r)
     np.sqrt(r, out=r)
     u2 *= 2.0 * np.pi
-    return _polar(r, u2, out)
+    np.multiply(np.cos(u2, out=out.real), r, out=out.real)
+    np.multiply(np.sin(u2, out=out.imag), r, out=out.imag)
+    return out
 
 
 def uniform_index(key, counter, n: int) -> np.ndarray:

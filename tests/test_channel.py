@@ -261,6 +261,26 @@ class TestBench:
             run_ser(z, "glrt", [0.0], trials=trials, N=N)
 
 
+class TestNothingToDo:
+    """A sweep with no SNR point or no detector is refused before any draw."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(channel, "_draw_trials", lambda *a: calls.append(a))
+        return calls
+
+    def test_empty_snr_list(self, draws):
+        with pytest.raises(InvalidInputError, match="empty SNR list"):
+            run_ser(build_z_opt(6), "glrt", [], trials=200000, N=8)
+        assert draws == []
+
+    def test_no_detector(self, draws):
+        with pytest.raises(InvalidInputError, match="need at least one detector"):
+            bench_detectors(build_z_opt(6), [], trials=200000, N=8)
+        assert draws == []
+
+
 class TestScheduleIndependence:
     """Rows and counters do not depend on the rows per detector call or on
     the worker count, for every detector."""

@@ -264,6 +264,12 @@ class TestSimulate:
         assert run(["simulate", "--constellation", zopt_file, "--snr", "0",
                     "--trials", 0]) == 2
 
+    @pytest.mark.parametrize("snr", [",", "10:0:1"])
+    def test_empty_snr_list_usage_error(self, zopt_file, capsys, snr):
+        assert run(["simulate", "--constellation", zopt_file, f"--snr={snr}",
+                    "--trials", 10]) == 2
+        assert "empty SNR list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("snr", ["nan", "-inf", "0,nan", "-4000"])
     def test_snr_without_noise_variance(self, zopt_file, capsys, snr):
         assert run(["simulate", "--constellation", zopt_file, f"--snr={snr}",
@@ -321,6 +327,11 @@ class TestBench:
     def test_antenna_count_usage_error(self, zopt_file, capsys, n):
         assert run(["bench", "--constellation", zopt_file, "--trials", 10, "-N", n]) == 2
         assert "need at least one receive antenna" in capsys.readouterr().err
+
+    def test_no_detector_usage_error(self, zopt_file, capsys):
+        assert run(["bench", "--constellation", zopt_file, "--detectors", " , ",
+                    "--trials", 10]) == 2
+        assert "need at least one detector" in capsys.readouterr().err
 
 
 class TestDetect:
