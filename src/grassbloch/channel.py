@@ -23,7 +23,6 @@ import numpy as np
 from . import rng
 from .detectors import GlrtDetector, SoptDetector, ZoptDetector
 from .errors import InvalidInputError
-from .zopt import ZOptConstellation
 
 DETECTORS = {"glrt": GlrtDetector, "sopt": SoptDetector, "zopt": ZoptDetector}
 DETECTOR_TAGS = tuple(DETECTORS)
@@ -46,15 +45,11 @@ _TRIAL_BLOCK_ENTRIES = 1 << 14
 def make_detector(tag: str, x):
     """Instantiate a detector for a constellation.
 
-    The layered detector ("zopt") needs a `ZOptConstellation`.
+    The layered detector ("zopt") refuses a constellation without a layer
+    structure.
     """
     if tag not in DETECTORS:
         raise InvalidInputError(f"unknown detector {tag!r}; expected one of {DETECTOR_TAGS}")
-    if tag == "zopt" and not isinstance(x, ZOptConstellation):
-        raise InvalidInputError(
-            "this constellation carries no layer structure; "
-            "the zopt detector needs one (construct with --method z-opt)"
-        )
     return DETECTORS[tag](x)
 
 

@@ -1,23 +1,24 @@
 """Noncoherent detectors for G(2,1) constellations, with operation counters.
 
-Three detectors are provided. The exhaustive one maximizes ||Y^H x||^2 over
-all codewords. The two fast ones share one front end, `rough_estimate_batch`:
-the Bloch point of the dominant eigenvector of Y Y^H, in closed form from the
-Gram entries, so the products it forms reach the fourth powers of Y's
-entries. The tree-based detector finds that point's Euclidean nearest
-neighbor among the codewords' Bloch points, which picks the same codeword
-because chordal distance is half of Bloch Euclidean distance. The layered
-detector exploits the structure of layered-polygon constellations: the
-point's angles name a cell of an angular grid, the cell narrows the
-candidates to at most four codewords, and a closed-form cell-to-index map
-turns the winning candidate into a codeword index. It takes a
-`ZOptConstellation` and keeps only its layer structure and l polar angles,
-the O(sqrt(C)) state, never the codeword array.
+All three detectors read one front end, `bloch_vector_batch`: the
+unnormalized Bloch vector r of G = Y Y^H, from the Gram entries. The
+exhaustive detector maximizes r . b, which is 2 ||Y^H x||^2 - tr G, over the
+codewords' Bloch points b. The two fast ones search r / |r|
+(`rough_estimate_batch`), the Bloch point of G's dominant eigenvector. The
+tree-based detector finds its Euclidean nearest neighbor among the codewords'
+Bloch points, which picks the same codeword because chordal distance is half
+of Bloch Euclidean distance. The layered detector exploits the structure of
+layered-polygon constellations: the point's angles name a cell of an angular
+grid, the cell narrows the candidates to at most four codewords, and a
+closed-form cell-to-index map turns the winning candidate into a codeword
+index. It takes a `ZOptConstellation` and keeps only its layer structure and
+l polar angles, the O(sqrt(C)) state, never the codeword array.
 
-Ties always resolve to the lowest codeword index. Every detector's
-single-row `detect` is one function, `_detect_one`, which runs the
-detector's batch implementation on one row, so scalar and vectorized
-detection are exactly the same computation.
+Ties always resolve to the lowest codeword index; at r = 0 (G a multiple of
+the identity) every codeword ties and every detector decides codeword 0.
+Every detector's single-row `detect` is one function, `_detect_one`, which
+runs the detector's batch implementation on one row, so scalar and
+vectorized detection are exactly the same computation.
 """
 
 from __future__ import annotations
@@ -54,71 +55,63 @@ def _detect_one(det, Y) -> DetectionResult:
 
 
 # ---------------------------------------------------------------------------
-# rough estimation: collapse a 2xN observation to a single direction
+# the front end: the Bloch vector of Y Y^H
 
 
-def _gram_parts(Ys: np.ndarray):
-    """Entries of Y Y^H for a batch of (n, 2, N) observations."""
+def bloch_vector_batch(Ys) -> np.ndarray:
+    """(n, 3) unnormalized Bloch vectors r of G = Y Y^H for a batch of (n, 2, N)
+    observations, screened by `_checked`.
+
+    G - tr(G)/2 I = (r . sigma) / 2 over the Pauli matrices, so
+    r = (2 Re g01, -2 Im g01, g00 - g11) points at the Bloch point of G's
+    dominant eigenvector, and r . b = 2 ||Y^H x||^2 - tr G for a unit
+    codeword x with Bloch point b.
+    """
+    Ys = _checked(Ys)
     row0 = Ys[:, 0, :]
     row1 = Ys[:, 1, :]
     g00 = np.einsum("ij,ij->i", row0, row0.conj()).real
     g11 = np.einsum("ij,ij->i", row1, row1.conj()).real
     g01 = np.einsum("ij,ij->i", row0, row1.conj())
-    return g00, g11, g01
+    return np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11])
 
 
-def rough_estimate_batch(Ys) -> np.ndarray:
-    """(n, 3) unit Bloch points of the dominant direction of each (2, N)
-    observation in the batch.
-
-    With G = Y Y^H, G - tr(G)/2 I = (r . sigma) / 2 over the Pauli matrices,
-    so r = (2 Re g01, -2 Im g01, g00 - g11) points at the Bloch point of G's
-    dominant eigenvector, and r / |r| is that point. A multiple of the
-    identity (r = 0) resolves to the north pole, the first basis vector.
+def rough_estimate_batch(r) -> np.ndarray:
+    """(n, 3) unit Bloch points r / |r| of a batch of `bloch_vector_batch`
+    vectors: the dominant directions of the observations. r = 0 (a multiple
+    of the identity) resolves to the north pole, the first basis vector.
     """
-    g00, g11, g01 = _gram_parts(_checked(Ys))
-    r = np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11])
     norm = np.sqrt(np.einsum("ij,ij->i", r, r))
     tie = norm == 0.0
-    r[tie] = (0.0, 0.0, 1.0)
     norm[tie] = 1.0
-    return r / norm[:, None]
+    u = r / norm[:, None]
+    u[tie] = (0.0, 0.0, 1.0)
+    return u
 
 
 # ---------------------------------------------------------------------------
 # exhaustive detector
 
 
-def _score_matrix_parts(points: np.ndarray) -> np.ndarray:
-    """(4, C) real factor so that scores = [g00, g11, 2Re g01, -2Im g01] @ parts."""
-    x0 = points[:, 0]
-    x1 = points[:, 1]
-    m = np.conj(x0) * x1
-    return np.vstack([np.abs(x0) ** 2, np.abs(x1) ** 2, m.real, m.imag])
-
-
 class GlrtDetector:
-    """argmax over the constellation of ||Y^H x||^2, evaluated for every codeword.
+    """argmax over the constellation of ||Y^H x||^2, evaluated for every codeword
+    as r . b over a contiguous (3, C) copy of the codewords' Bloch points.
 
     A batch is scored in cache-sized blocks of at most 2**17 scores, so its
     memory stays bounded however many rows it holds.
     """
 
     def __init__(self, constellation: Constellation):
-        if len(constellation) == 0:
-            raise InvalidInputError("empty constellation")
-        self.constellation = constellation
-        self._parts = _score_matrix_parts(constellation.array)
+        self._bloch = np.ascontiguousarray(constellation.bloch.T)
 
     def detect_batch(self, Ys: np.ndarray):
-        g00, g11, g01 = _gram_parts(_checked(Ys))
-        A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
-        C = self._parts.shape[1]
+        r = bloch_vector_batch(Ys)
+        C = self._bloch.shape[1]
         step = max(1, _GLRT_BLOCK_ENTRIES // C)
-        idx = np.empty(len(A), dtype=np.intp)
-        for lo in range(0, len(A), step):
-            idx[lo:lo + step] = np.argmax(A[lo:lo + step] @ self._parts, axis=1)
-        counts = np.full(len(A), C, dtype=np.int64)
+        idx = np.empty(len(r), dtype=np.intp)
+        for lo in range(0, len(r), step):
+            idx[lo:lo + step] = np.argmax(r[lo:lo + step] @ self._bloch, axis=1)
+        counts = np.full(len(r), C, dtype=np.int64)
         return idx, counts, counts.copy()
 
     detect = _detect_one
@@ -131,15 +124,17 @@ class GlrtDetector:
 class SoptDetector:
     """Nearest neighbor on the Bloch sphere; decision-identical to the GLRT.
 
-    Owns a space-partitioning tree over the constellation's Bloch points.
+    Owns a space-partitioning tree over the constellation's Bloch points. At
+    r = 0 the tree searches the north pole, and the decision is codeword 0.
     """
 
     def __init__(self, constellation: Constellation):
-        self.constellation = constellation
         self.tree = KDTree(constellation.bloch)
 
     def detect_batch(self, Ys: np.ndarray):
-        idx, _, evals, comps = self.tree.query(rough_estimate_batch(Ys))
+        r = bloch_vector_batch(Ys)
+        idx, _, evals, comps = self.tree.query(rough_estimate_batch(r))
+        idx[~r.any(axis=1)] = 0
         return idx, evals, comps
 
     detect = _detect_one
@@ -201,12 +196,17 @@ class ZoptDetector:
     """
 
     def __init__(self, z: ZOptConstellation):
+        if not isinstance(z, ZOptConstellation):
+            raise InvalidInputError(
+                "this constellation carries no layer structure; "
+                "the zopt detector needs one (construct with --method z-opt)"
+            )
         self.structure = z.structure
         self.theta = z.theta
 
     def detect_batch(self, Ys: np.ndarray):
         s = self.structure
-        theta_z, phi_z = bloch_angles(rough_estimate_batch(Ys))
+        theta_z, phi_z = bloch_angles(rough_estimate_batch(bloch_vector_batch(Ys)))
         n = len(theta_z)
         j0 = azimuth_region(phi_z, s.z_max)
         i = polar_region(theta_z, self.theta)

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from grassbloch import detectors
-from grassbloch.builders import build_s_opt
+from grassbloch.builders import build_cube_split, build_s_opt, exp_map_constellation
 from grassbloch.channel import _draw_trials, _receive, bench_detectors, make_detector
 from grassbloch.detectors import (
     GlrtDetector,
     SoptDetector,
     ZoptDetector,
     _checked,
-    _gram_parts,
-    _score_matrix_parts,
     azimuth_region,
+    bloch_vector_batch,
     cell_vertex,
     polar_region,
     rough_estimate_batch,
@@ -41,6 +40,29 @@ def noiseless_observation(codeword_row, h=0.8 - 0.6j, N=1):
     return math.sqrt(2.0) * x @ hrow
 
 
+def gram_parts(Ys):
+    """Entries g00, g11 and g01 of Y Y^H for a batch of (n, 2, N) observations."""
+    row0, row1 = Ys[:, 0, :], Ys[:, 1, :]
+    return (np.einsum("ij,ij->i", row0, row0.conj()).real,
+            np.einsum("ij,ij->i", row1, row1.conj()).real,
+            np.einsum("ij,ij->i", row0, row1.conj()))
+
+
+def reference_glrt_scores(Ys, points):
+    """The exhaustive detector's former score, the reference for its decisions:
+    ||Y^H x||^2 as [g00, g11, 2 Re g01, -2 Im g01] @ a (4, C) table of the codewords."""
+    g00, g11, g01 = gram_parts(_checked(Ys))
+    A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
+    x0, x1 = points[:, 0], points[:, 1]
+    m = np.conj(x0) * x1
+    return A @ np.vstack([np.abs(x0) ** 2, np.abs(x1) ** 2, m.real, m.imag])
+
+
+def unit_points(Ys):
+    """The fast detectors' front end: `rough_estimate_batch` of the Bloch vectors."""
+    return rough_estimate_batch(bloch_vector_batch(Ys))
+
+
 def reference_rough_estimate_batch(Ys):
     """The eigenvector front end that `rough_estimate_batch` replaced: the
     reference for its decisions. Dominant left singular vector of each
@@ -49,7 +71,7 @@ def reference_rough_estimate_batch(Ys):
     n, _, N = Ys.shape
     if N == 1:
         return Ys[:, :, 0].copy()
-    g00, g11, g01 = _gram_parts(Ys)
+    g00, g11, g01 = gram_parts(Ys)
     delta = 0.5 * (g00 - g11)
     r = np.sqrt(delta * delta + np.abs(g01) ** 2)
     out = np.empty((n, 2), dtype=np.complex128)
@@ -96,7 +118,7 @@ def external_constellation():
 class TestRoughEstimate:
     def test_single_column(self):
         y = np.array([[0.3 - 0.4j], [1j]])
-        est = rough_estimate_batch(y[None])
+        est = unit_points(y[None])
         want = bloch_array((y[:, 0] / np.linalg.norm(y))[None])
         assert np.allclose(est, want, rtol=0.0, atol=1e-15)
         assert np.linalg.norm(est[0]) == pytest.approx(1.0, abs=1e-15)
@@ -105,22 +127,22 @@ class TestRoughEstimate:
         x = np.array([0.6, 0.8j])
         Y = np.outer(x, [1.0, 2.0, -1j])
         u = np.linalg.svd(Y)[0][:, 0]
-        est = rough_estimate_batch(Y[None])
+        est = unit_points(Y[None])
         assert np.allclose(est, bloch_array(u[None]), rtol=0.0, atol=1e-12)
 
     def test_noisy_matches_svd(self):
         rng = np.random.default_rng(3)
         Ys = rng.standard_normal((50, 2, 4, 2)) @ [1.0, 1j]
         u = np.linalg.svd(Ys)[0][:, :, 0]
-        assert np.allclose(rough_estimate_batch(Ys), bloch_array(u), rtol=0.0, atol=1e-9)
+        assert np.allclose(unit_points(Ys), bloch_array(u), rtol=0.0, atol=1e-9)
 
     def test_identity_tie_rule(self):
-        est = rough_estimate_batch(np.eye(2, dtype=complex)[None])
+        est = unit_points(np.eye(2, dtype=complex)[None])
         assert est.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            rough_estimate_batch(np.zeros((1, 2, 2)))
+            bloch_vector_batch(np.zeros((1, 2, 2)))
 
 
 class TestFrontEndReference:
@@ -220,12 +242,84 @@ class TestGlrt:
         # block sizes 2048, 256 and 32 rows; no row count is a multiple
         x = build_z_opt(B)
         Ys = np.random.default_rng(B).standard_normal((rows, 2, 2, 2)) @ [1.0, 1j]
-        g00, g11, g01 = _gram_parts(Ys)
-        A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
-        want = np.argmax(A @ _score_matrix_parts(x.array), axis=1)
+        want = np.argmax(bloch_vector_batch(Ys) @ x.bloch.T, axis=1)
         idx, evals, comps = GlrtDetector(x).detect_batch(Ys)
         assert np.array_equal(idx, want)
         assert evals.tolist() == comps.tolist() == [len(x)] * rows
+
+    def test_state_is_the_bloch_points(self):
+        x = build_z_opt(6)
+        state = vars(GlrtDetector(x))
+        assert list(state) == ["_bloch"]
+        assert state["_bloch"].flags.c_contiguous
+        assert np.array_equal(state["_bloch"], x.bloch.T)
+
+
+FAMILIES = {
+    "z-opt": lambda: build_z_opt(8),
+    "s-opt": lambda: build_s_opt(exact_packing(12)),
+    "exp-map": lambda: exp_map_constellation(6),
+    "cube-split": lambda: build_cube_split(6),
+}
+
+
+class TestGlrtMatchesFourTermScore:
+    """The Bloch product decides as the former 4-term score and reaches the
+    brute-force maximum of ||Y^H x||^2 in complex arithmetic."""
+
+    TRIALS = 20000
+    SNRS_DB = (0.0, 10.0, 20.0, 40.0, math.inf)  # 10**5 blocks in all
+
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_random_blocks(self, family, N):
+        x = FAMILIES[family]()
+        det = GlrtDetector(x)
+        _, tx, Z = _draw_trials(7 + N, 0, self.TRIALS, N, x.array)
+        Y = np.empty((self.TRIALS, 2, N), dtype=np.complex128)
+        for snr_db in self.SNRS_DB:
+            _receive(tx, Z, math.sqrt(10.0 ** (-snr_db / 10.0)), Y)
+            idx = det.detect_batch(Y)[0]
+            for lo in range(0, self.TRIALS, 2000):
+                Ys, got = Y[lo:lo + 2000], idx[lo:lo + 2000]
+                ref = reference_glrt_scores(Ys, x.array)
+                top2 = -np.partition(-ref, 1, axis=1)[:, :2]
+                near_tie = top2[:, 0] - top2[:, 1] <= 1e-12 * np.abs(top2[:, 0])
+                want = np.argmax(ref, axis=1)
+                assert np.array_equal(got[~near_tie], want[~near_tie])
+                energy = (np.abs(Ys.conj().transpose(0, 2, 1) @ x.array.T) ** 2).sum(axis=1)
+                best = energy.max(axis=1)
+                assert np.all(energy[np.arange(len(got)), got] >= best * (1.0 - 1e-12))
+
+
+#: observations with Y Y^H a multiple of the identity (r = 0): every codeword
+#: is a maximizer of ||Y^H x||^2, so the lowest-index rule gives codeword 0
+SCALAR_GRAM = np.array([np.eye(2), 3.0 * np.eye(2), [[1.0, 1j], [1j, 1.0]] / np.sqrt(2.0)],
+                       dtype=np.complex128)
+
+
+class TestExactTies:
+    @pytest.mark.parametrize("B", [4, 6, 8, 12, "k-cap"])
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_scalar_gram_decides_codeword_zero(self, tag, B):
+        z = k_cap_constellation(K_CAP_ROWS[0]) if B == "k-cap" else build_z_opt(B)
+        det = make_detector(tag, z)
+        assert bloch_vector_batch(SCALAR_GRAM).tolist() == [[0.0, 0.0, 0.0]] * 3
+        assert det.detect_batch(SCALAR_GRAM)[0].tolist() == [0, 0, 0]
+        assert [det.detect(Y).index for Y in SCALAR_GRAM] == [0, 0, 0]
+
+    @pytest.mark.parametrize("tag", ["glrt", "sopt"])
+    def test_scalar_gram_on_s_opt(self, tag):
+        det = make_detector(tag, build_s_opt(exact_packing(12)))
+        assert det.detect_batch(SCALAR_GRAM)[0].tolist() == [0, 0, 0]
+
+    def test_sopt_keeps_the_search_counters(self):
+        # at r = 0 the tree still searches the north pole, and counts it
+        z = build_z_opt(12)
+        det = SoptDetector(z)
+        pole = det.tree.query(np.array([[0.0, 0.0, 1.0]]))
+        _, evals, comps = det.detect_batch(SCALAR_GRAM[:1])
+        assert (evals[0], comps[0]) == (pole[2][0], pole[3][0])
 
 
 class TestSopt:
@@ -482,9 +576,11 @@ class TestKCapRows:
 
 class TestMakeDetector:
     def test_zopt_needs_structure(self):
-        x = build_s_opt(exact_packing(4))
-        with pytest.raises(InvalidInputError):
-            make_detector("zopt", x)
+        # the detector itself refuses a set without layers, not only the factory
+        for x in (build_s_opt(exact_packing(4)), exp_map_constellation(6)):
+            for make in (lambda: make_detector("zopt", x), lambda: ZoptDetector(x)):
+                with pytest.raises(InvalidInputError, match="no layer structure"):
+                    make()
 
     def test_unknown(self):
         x = build_s_opt(exact_packing(4))
