@@ -50,7 +50,7 @@ from .packing import (
     exact_packing,
     optimize_packing,
 )
-from .zopt import build_z_opt
+from .zopt import build_z_opt, candidate_distances
 
 #: every tag but "external", which only files from elsewhere carry
 METHODS = tuple(m for m in METHOD_TAGS if m != "external")
@@ -187,10 +187,12 @@ def _construct(args, cfg_hash) -> int:
         )
     C = 2**B
     seed = args.seed
-    structure = None
+    n_v = candidates = None
     if args.method == "z-opt":
         constellation = build_z_opt(B)
-        structure = constellation.structure
+        s = constellation.structure
+        n_v = s.n_v
+        candidates = candidate_distances(constellation.theta[:n_v], s).count
     elif args.method == "s-opt":
         if args.packing_file:
             packing = load_packing(args.packing_file)
@@ -230,8 +232,8 @@ def _construct(args, cfg_hash) -> int:
         "d_min": d_min,
         "fejes_toth_bound": bound,
         "ratio": d_min / bound,
-        "n_v": structure.n_v if structure is not None else None,
-        "candidate_set_size": structure.candidate_count if structure is not None else None,
+        "n_v": n_v,
+        "candidate_set_size": candidates,
     }
     write_json(args.report, report)
     print(f"wrote {args.output} (C={len(constellation)}, d_min={d_min:.7f}, "

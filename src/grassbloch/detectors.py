@@ -79,9 +79,17 @@ def bloch_vector_batch(Ys) -> np.ndarray:
 def rough_estimate_batch(r) -> np.ndarray:
     """(n, 3) unit Bloch points r / |r| of a batch of `bloch_vector_batch`
     vectors: the dominant directions of the observations. r = 0 (a multiple
-    of the identity) resolves to the north pole, the first basis vector.
+    of the identity) resolves to the north pole, the first basis vector. A
+    row whose |r|^2 underflows (Y = [[1, 1e-170], [0, 1]] is at unit scale)
+    is first divided by the power of two of its largest |component|.
     """
-    norm = np.sqrt(np.einsum("ij,ij->i", r, r))
+    norm2 = np.einsum("ij,ij->i", r, r)
+    low = np.flatnonzero(norm2 < np.finfo(np.float64).tiny)
+    if len(low):
+        r = r.copy()
+        r[low] = np.ldexp(r[low], -np.frexp(np.abs(r[low]).max(axis=1))[1][:, None])
+        norm2[low] = np.einsum("ij,ij->i", r[low], r[low])
+    norm = np.sqrt(norm2)
     tie = norm == 0.0
     norm[tie] = 1.0
     u = r / norm[:, None]
@@ -191,8 +199,9 @@ class ZoptDetector:
     Holds only the layer structure and the l polar angles of a
     `ZOptConstellation`, never its codeword array: the closed-form
     cell-to-index map (`cell_vertex`, one gather from the structure's
-    per-layer table) names the winning codeword. It works for every shape
-    `ZOptStructure` accepts, whatever the number of half rings per cap.
+    per-layer table) names the winning codeword. It decides as the GLRT on
+    uniform rows at any increasing angles, but on capped rows (B = 5, 7 and
+    any k half rings per cap) only at the angles `optimize_zopt` places.
     """
 
     def __init__(self, z: ZOptConstellation):

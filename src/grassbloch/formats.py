@@ -7,10 +7,10 @@ they are given and never compute one (the CLI hashes each command once); a
 library caller that passes none gets null. Formats are versioned and readers
 reject files from a future major version; they never read the hash. A
 constellation file with a `zopt` block loads as the `ZOptConstellation` that
-the block's layer sizes Z_l and angles theta realize. The rest of the block
-(B, C, l, z_max, n_v and the layer offsets) must be what those two determine,
-and the realized codewords must match the file's rows to within 1e-12 in
-every entry.
+`zopt_structure(B)` of its integer B and the block's angles theta realize.
+The block's Z_l must be that structure's, the rest of the block what the
+two determine, and the realized codewords must match the file's rows to
+within 1e-12 in every entry.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .channel import BenchReport, SerCurve
 from .errors import FormatError, InvalidInputError
 from .geometry import Constellation
 from .packing import PackingSet
-from .zopt import ZOptConstellation, ZOptStructure, zopt_structure
+from .zopt import ZOptConstellation, zopt_structure
 
 FORMAT_VERSION = 1
 
@@ -107,11 +107,11 @@ def save_constellation(path, x, seed=None, cfg_hash=None) -> None:
 def constellation_from_dict(data, path=None):
     """Rebuild the Constellation from a JSON payload.
 
-    A payload with a `zopt` block gives the ZOptConstellation that the block's
-    Z_l and theta realize. Every other field of the block must be what those
-    two determine, a `z-opt` file must carry the layer sizes
-    `zopt_structure` gives for its B, and the payload's codeword rows must
-    match the realized ones within 1e-12 in every entry.
+    A payload with a `zopt` block must be a `z-opt` file with an integer B,
+    and gives the ZOptConstellation that `zopt_structure(B)` and the block's
+    theta realize. The block's Z_l must be that structure's, every other field
+    what the two determine, and the codeword rows the realized ones, in count
+    and within 1e-12 in every entry.
     """
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object", path=path)
@@ -130,20 +130,16 @@ def constellation_from_dict(data, path=None):
             return Constellation(rows.view(np.complex128), data["method"], data["B"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad codeword data: {exc}", path=path) from exc
-    zd = data["zopt"]
+    zd, B = data["zopt"], data["B"]
     try:
-        s = ZOptStructure(zd["Z_l"])
-        # before realizing anything: a Z_l can claim 2^40 points
-        if s.C != len(rows):
-            raise ValueError(f"layer sizes sum to {s.C}, not the file's {len(rows)} codewords")
-        if (data["method"], data["B"], type(data["B"])) != ("z-opt", s.B, int):
-            raise ValueError(f"a zopt block needs method 'z-opt' and B={s.B}, "
-                             f"not {data['method']!r} and B={data['B']!r}")
-        table = zopt_structure(s.B)
-        if s != table:
+        if data["method"] != "z-opt" or type(B) is not int:
+            raise ValueError(f"a zopt block needs method 'z-opt' and an integer B, "
+                             f"not {data['method']!r} and B={B!r}")
+        s = zopt_structure(B)
+        if zd["Z_l"] != list(s.Z_l):
             # e.g. a B = 7 file from before B = 7 moved to ten layers
-            raise ValueError(f"layer sizes {list(s.Z_l)} ({s.l} layers) do not match the "
-                             f"B={s.B} structure {list(table.Z_l)} ({table.l} layers); "
+            raise ValueError(f"layer sizes {zd['Z_l']} ({len(zd['Z_l'])} layers) do not "
+                             f"match the B={B} structure {list(s.Z_l)} ({s.l} layers); "
                              "rebuild the constellation")
         z = ZOptConstellation(s, zd["theta"])
         # as JSON text, so a bool or a float does not pass for an int
@@ -151,6 +147,8 @@ def constellation_from_dict(data, path=None):
             raise ValueError("its fields do not all follow from its Z_l and theta")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad layered-structure block: {exc}", path=path) from exc
+    if len(z) != len(rows):
+        raise FormatError(f"{len(rows)} codewords, but the zopt block realizes {len(z)}", path=path)
     # the rebuilt rows are valid codewords, so matching them validates the file's
     gap = np.abs(z.array.view(np.float64).reshape(len(rows), 4) - rows).max(axis=1)
     bad = np.flatnonzero(~(gap <= _ZOPT_ROW_TOL))

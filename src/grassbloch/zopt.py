@@ -121,20 +121,6 @@ class ZOptStructure:
         return tuple(k for k in range(1, len(top) + 1) if k == 1 or top[k - 1] > top[k - 2])
 
     @property
-    def candidate_count(self) -> int:
-        """Distance evaluations per objective call.
-
-        2*n_v for uniform rows. With k >= 1 half rings per cap, two in-layer
-        distances count (the top ring's and the first full ring's): 2*n_v + 1,
-        or 2*n_v + 3 with an equator layer (B = 5 has k = 1, B = 7 has k = 2).
-        A single equatorial ring (B = 1) has only its in-layer distance.
-        """
-        if self.l == 1:
-            return 1
-        n_v_prime = self.n_v + self.equator
-        return 2 * n_v_prime - 1 + len(self.h_layers)
-
-    @property
     def layer_offsets(self) -> tuple:
         """Index of each layer's first codeword."""
         return tuple(itertools.accumulate(self.Z_l[:-1], initial=0))

@@ -95,6 +95,24 @@ class TestConstruct:
         )
         assert report["n_v"] == 1
 
+    @pytest.mark.parametrize("B, n_v, candidates", [
+        (1, 1, 1), (2, 1, 2), (3, 1, 2), (4, 2, 4), (5, 2, 7), (6, 4, 8), (7, 5, 11),
+        (8, 8, 16), (12, 32, 64),
+    ])
+    def test_zopt_report_counts(self, tmp_path, B, n_v, candidates):
+        # 2 n_v candidate distances, +3 at B = 5 (halved caps and an equator
+        # layer), +1 at B = 7 (doubled caps); one in-layer distance at B = 1
+        out = tmp_path / "z.json"
+        assert run(["construct", "--method", "z-opt", "-B", B, "-o", out]) == 0
+        report = json.loads((tmp_path / "z.json.report.json").read_text())
+        assert (report["n_v"], report["candidate_set_size"]) == (n_v, candidates)
+
+    def test_sopt_report_has_no_layer_counts(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["construct", "--method", "s-opt", "-B", 2, "-o", out]) == 0
+        report = json.loads((tmp_path / "s.json.report.json").read_text())
+        assert report["n_v"] is None and report["candidate_set_size"] is None
+
     def test_sopt_b2_exact(self, tmp_path):
         out = tmp_path / "s2.json"
         assert run(["construct", "--method", "s-opt", "-B", 2, "-o", out]) == 0

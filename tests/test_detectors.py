@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -143,6 +144,55 @@ class TestRoughEstimate:
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             bloch_vector_batch(np.zeros((1, 2, 2)))
+
+
+def reference_unit_points(r):
+    """r / |r| with r = 0 at the north pole, formed directly: the normalization
+    `rough_estimate_batch` keeps bit for bit wherever |r|^2 is a normal float."""
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))
+    tie = norm == 0.0
+    norm[tie] = 1.0
+    u = r / norm[:, None]
+    u[tie] = (0.0, 0.0, 1.0)
+    return u
+
+
+class TestTinyBlochVector:
+    """A unit-scale block whose Bloch vector r is so short that |r|^2 underflows."""
+
+    BLOCKS = [[[1.0, 1e-170], [0.0, 1.0]], [[1.0, 1e-170j], [0.0, 1.0]],
+              [[3.0, 3e-170], [0.0, 3.0]]]
+
+    @pytest.mark.parametrize("B", [4, 6, 12])
+    def test_detectors_agree(self, B):
+        z = build_z_opt(B)
+        dets = [GlrtDetector(z), SoptDetector(z), ZoptDetector(z)]
+        Ys = np.array(self.BLOCKS, dtype=np.complex128)
+        picks = [det.detect_batch(Ys)[0] for det in dets]
+        for block, *idx in zip(self.BLOCKS, *picks):
+            assert len(set(idx)) == 1, (block, idx)
+            assert [det.detect(np.array(block)).index for det in dets] == idx
+
+    def test_direction_is_the_unscaled_one(self):
+        rng = np.random.default_rng(21)
+        r = rng.standard_normal((1000, 3))
+        tiny = np.ldexp(r, -990)  # |r|^2 underflows, every component stays normal
+        before = tiny.copy()
+        assert rough_estimate_batch(tiny).tobytes() == rough_estimate_batch(r).tobytes()
+        assert np.array_equal(tiny, before)  # the caller's vectors are not touched
+
+    def test_subnormal_and_zero_rows(self):
+        r = np.array([[5e-324, 0.0, 0.0], [0.0, -1e-320, 1e-320], [0.0, 0.0, 0.0]])
+        u = rough_estimate_batch(r)
+        assert u.tolist() == [[1.0, 0.0, 0.0], [0.0, -math.sqrt(0.5), math.sqrt(0.5)],
+                              [0.0, 0.0, 1.0]]
+
+    def test_unit_scale_rows_keep_their_bits(self):
+        rng = np.random.default_rng(22)
+        Ys = rng.standard_normal((100000, 2, 2, 2)) @ [1.0, 1j]
+        Ys[::1000] = np.eye(2)  # r = 0
+        r = bloch_vector_batch(Ys)
+        assert rough_estimate_batch(r).tobytes() == reference_unit_points(r).tobytes()
 
 
 class TestFrontEndReference:
@@ -530,6 +580,19 @@ class TestZoptDetector:
             assert np.array_equal(gi, zi)
             assert evals.max() <= 4
 
+    @pytest.mark.parametrize("B", [4, 6, 8, 9])
+    def test_uniform_rows_exact_at_any_angles(self, B):
+        # uniform rows need no particular angles; capped rows (B = 5 and 7)
+        # are exact only at the angles the optimizer places
+        s = zopt_structure(B)
+        rng = np.random.default_rng(100 + B)
+        for _ in range(6):
+            z = ZOptConstellation(s, np.sort(rng.uniform(0.0, math.pi, s.l)))
+            Ys = rng.standard_normal((20000, 2, 1, 2)) @ [1.0, 1j]
+            idx, evals, _ = ZoptDetector(z).detect_batch(Ys)
+            assert np.array_equal(idx, GlrtDetector(z).detect_batch(Ys)[0])
+            assert evals.max() <= 4
+
     def test_functional_entry(self):
         z = build_z_opt(4)
         res = ZoptDetector(z).detect(noiseless_observation(z.array[5]))
@@ -675,3 +738,42 @@ class TestExtremeScale:
         assert np.array_equal(out[0], Ys[0])
         assert np.array_equal(out[1], out[2])
         assert 0.5 <= np.abs(out[1].view(np.float64)).max() < 1.0
+
+
+def midpoint_blocks(X):
+    """Noiseless 2 x 1 blocks halfway between each codeword x_i and its
+    neighbour x_j, the argmax of |x_i^H x_j| over j != i (lowest index on
+    equality): x_j is turned by the phase of x_j^H x_i, and the block is
+    (x_i + x_j) / ||x_i + x_j||. Returns the blocks and each j."""
+    overlap = np.abs(X.conj() @ X.T)
+    np.fill_diagonal(overlap, -np.inf)
+    j = np.argmax(overlap, axis=1)
+    phase = np.einsum("ij,ij->i", X[j].conj(), X)
+    mid = X + X[j] * (phase / np.abs(phase))[:, None]
+    return (mid / np.linalg.norm(mid, axis=1)[:, None])[:, :, None], j
+
+
+class TestMidpoints:
+    """Each midpoint is a tie between two codewords, up to rounding. The
+    detectors may split such a tie differently (how often follows numpy's CPU
+    dispatch, so the counts are printed, not asserted), but each picks one of
+    the two, and the two picks score alike."""
+
+    @pytest.mark.parametrize("B", [4, 6, 8, 10])
+    def test_picks_are_the_pair(self, B):
+        z = build_z_opt(B)
+        X = z.array
+        Ys, j = midpoint_blocks(X)
+        i = np.arange(len(X))
+        picks = {tag: make_detector(tag, z).detect_batch(Ys)[0]
+                 for tag in ("glrt", "sopt", "zopt")}
+        for idx in picks.values():
+            assert np.all((idx == i) | (idx == j))
+        disagree = {}
+        for a, b in itertools.combinations(picks, 2):
+            k = np.flatnonzero(picks[a] != picks[b])
+            disagree[f"{a}-{b}"] = len(k)
+            sa, sb = (np.abs(np.einsum("ij,ij->i", Ys[k, :, 0].conj(), X[picks[tag][k]])) ** 2
+                      for tag in (a, b))
+            assert np.all(np.abs(sa - sb) <= 2e-15 * np.maximum(sa, sb))
+        print(f"B={B} midpoint disagreements of {len(X)}: {disagree}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,12 +79,41 @@ class TestConstellationJson:
         with pytest.raises(FormatError, match="differ"):
             constellation_from_dict(d)
 
-    @pytest.mark.parametrize("key, value", [("method", "s-opt"), ("B", 2)])
-    def test_layer_block_needs_zopt_header(self, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        ("method", "s-opt", "needs method 'z-opt' and an integer B, not 's-opt' and B=3"),
+        # the header's B names the structure, which the block's Z_l must match
+        ("B", 2, r"layer sizes \[4, 4\] \(2 layers\) do not match the B=2 structure \[2, 2\]"),
+    ], ids=["method-s-opt", "B-2"])
+    def test_layer_block_needs_zopt_header(self, key, value, message):
         d = constellation_to_dict(build_z_opt(3))
         d[key] = value
-        with pytest.raises(FormatError, match="needs method 'z-opt' and B=3"):
+        with pytest.raises(FormatError, match=message):
             constellation_from_dict(d)
+
+    @pytest.mark.parametrize("B", [0, 17, 2000])
+    def test_layer_header_bits_outside_table(self, tmp_path, B):
+        from grassbloch.cli import main
+
+        d = constellation_to_dict(build_z_opt(3))
+        d["B"] = B
+        with pytest.raises(FormatError, match=f"B={B} outside the supported range"):
+            constellation_from_dict(d)
+        path = tmp_path / "zrange.json"
+        path.write_text(json.dumps(d))
+        assert main(["evaluate", str(path)]) == 3
+
+    @pytest.mark.parametrize("keep", [1, 8, 15])
+    def test_layer_block_row_count(self, tmp_path, keep):
+        # one row would broadcast against the realized ones; none may pass
+        from grassbloch.cli import main
+
+        d = constellation_to_dict(build_z_opt(4))
+        d["codewords"] = d["codewords"][:keep]
+        with pytest.raises(FormatError, match=f"{keep} codewords, but the zopt block realizes 16"):
+            constellation_from_dict(d)
+        path = tmp_path / "zrows.json"
+        path.write_text(json.dumps(d))
+        assert main(["evaluate", str(path)]) == 3
 
     @pytest.mark.parametrize("moved, loads", [(1e-13, True), (1e-11, False)])
     def test_layer_block_row_tolerance(self, moved, loads):
@@ -212,7 +242,8 @@ class TestConstellationJson:
 
         d = constellation_to_dict(build_z_opt(B))
         d["B"] = value
-        with pytest.raises(FormatError, match=f"needs method 'z-opt' and B={B}"):
+        message = re.escape(f"an integer B, not 'z-opt' and B={value!r}")
+        with pytest.raises(FormatError, match=message):
             constellation_from_dict(json.loads(json.dumps(d)))
         d["zopt"]["B"] = value  # header and block alike
         path = tmp_path / "zhead.json"
@@ -243,7 +274,8 @@ class TestConstellationJson:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(d))
         monkeypatch.setattr(zopt, "realize_codewords", realize)
-        with pytest.raises(FormatError, match="1048576"):
+        message = r"layer sizes \[524288, 524288\] .* B=3 structure \[4, 4\]"
+        with pytest.raises(FormatError, match=message):
             load_constellation(path)
         assert main(["evaluate", str(path)]) == 3
 

@@ -110,9 +110,8 @@ class TestStructureTable:
     @pytest.mark.parametrize("Z_l", [(2, 4, 2)] + K_CAP_ROWS)
     def test_candidate_count_with_k_half_rings(self, Z_l):
         s = ZOptStructure(Z_l)
-        assert s.candidate_count == 2 * s.n_v + 1 + 2 * s.equator
         free = np.linspace(0.2, math.pi / 2 - 0.1, s.n_v)
-        assert candidate_distances(free, s).count == s.candidate_count
+        assert candidate_distances(free, s).count == 2 * s.n_v + 1 + 2 * s.equator
 
     @pytest.mark.parametrize("Z_l", [
         (2, 6, 6, 2),  # rings not powers of two
@@ -148,9 +147,8 @@ class TestStructureTable:
         for B in range(1, 17):
             s = zopt_structure(B)
             expected = 1 if B == 1 else 2 * s.n_v + (3 if B == 5 else 1 if B == 7 else 0)
-            assert s.candidate_count == expected
             free = np.linspace(0.2, math.pi / 2 - 0.1, s.n_v)
-            assert candidate_distances(free, s).count == s.candidate_count
+            assert candidate_distances(free, s).count == expected
 
 
 class TestChordHelpers:
@@ -201,7 +199,7 @@ class TestCandidateDistances:
             assert len(cd.V) == n_v_prime - 1
             assert len(cd.H) == (2 if B in (5, 7) else 1)
             assert len(cd.D) == n_v_prime
-            assert cd.count == s.candidate_count
+            assert cd.count == 2 * s.n_v + (3 if B == 5 else 1 if B == 7 else 0)
 
     def test_matches_all_pairs_minimum(self):
         # the whole point of the reduction: nothing outside the set is smaller
