@@ -31,8 +31,6 @@ from .detectors import (
     GlrtDetector,
     SoptDetector,
     ZoptDetector,
-    azimuth_region,
-    polar_region,
 )
 from .channel import SerCurve, bench_detectors, run_ser
 from .formats import load_packing

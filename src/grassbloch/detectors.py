@@ -1,7 +1,8 @@
 """Noncoherent detectors for G(2,1) constellations, with operation counters.
 
 All three detectors read one front end, `bloch_vector_batch`: the
-unnormalized Bloch vector r of G = Y Y^H, from the Gram entries. The
+unnormalized Bloch vector r of G = Y Y^H, from the Gram entries, rescaled
+by a power of two where |r|^2 is not a normal float. The
 exhaustive detector maximizes r . b, which is 2 ||Y^H x||^2 - tr G, over the
 codewords' Bloch points b. The two fast ones search r / |r|
 (`rough_estimate_batch`), the Bloch point of G's dominant eigenvector. The
@@ -10,9 +11,9 @@ Bloch points, which picks the same codeword because chordal distance is half
 of Bloch Euclidean distance. The layered detector exploits the structure of
 layered-polygon constellations: the point's angles name a cell of an angular
 grid, the cell narrows the candidates to at most four codewords, and a
-closed-form cell-to-index map turns the winning candidate into a codeword
-index. It takes a `ZOptConstellation` and keeps only its layer structure and
-l polar angles, the O(sqrt(C)) state, never the codeword array.
+closed-form cell-to-index map turns the first nearest candidate into a
+codeword index. It takes a `ZOptConstellation` and keeps only its layer
+structure and l polar angles, the O(sqrt(C)) state, never the codeword array.
 
 Ties always resolve to the lowest codeword index; at r = 0 (G a multiple of
 the identity) every codeword ties and every detector decides codeword 0.
@@ -32,8 +33,6 @@ from .errors import DegenerateInputError, InvalidInputError
 from .geometry import Constellation, bloch_angles
 from .kdtree import KDTree
 from .zopt import ZOptConstellation, ZOptStructure, diagonal_chord
-
-TWO_PI = 2.0 * math.pi
 
 #: most entries in one (rows, C) block of GLRT scores: 1 MiB of float64, so
 #: a block stays in L2 cache between the product that writes it and the
@@ -65,7 +64,11 @@ def bloch_vector_batch(Ys) -> np.ndarray:
     G - tr(G)/2 I = (r . sigma) / 2 over the Pauli matrices, so
     r = (2 Re g01, -2 Im g01, g00 - g11) points at the Bloch point of G's
     dominant eigenvector, and r . b = 2 ||Y^H x||^2 - tr G for a unit
-    codeword x with Bloch point b.
+    codeword x with Bloch point b. A row whose |r|^2 is not a normal float
+    (Y = [[1, 1e-170], [0, 1]] is at unit scale) is divided by the power of
+    two of its largest |component|: the factor is exact and no detector
+    depends on the length of r, so every detector reads it without
+    subnormal products. Every other row keeps its bits.
     """
     Ys = _checked(Ys)
     row0 = Ys[:, 0, :]
@@ -73,23 +76,20 @@ def bloch_vector_batch(Ys) -> np.ndarray:
     g00 = np.einsum("ij,ij->i", row0, row0.conj()).real
     g11 = np.einsum("ij,ij->i", row1, row1.conj()).real
     g01 = np.einsum("ij,ij->i", row0, row1.conj())
-    return np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11])
+    r = np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11])
+    low = np.flatnonzero(np.einsum("ij,ij->i", r, r) < np.finfo(np.float64).tiny)
+    if len(low):
+        r[low] = np.ldexp(r[low], -np.frexp(np.abs(r[low]).max(axis=1))[1][:, None])
+    return r
 
 
 def rough_estimate_batch(r) -> np.ndarray:
     """(n, 3) unit Bloch points r / |r| of a batch of `bloch_vector_batch`
-    vectors: the dominant directions of the observations. r = 0 (a multiple
-    of the identity) resolves to the north pole, the first basis vector. A
-    row whose |r|^2 underflows (Y = [[1, 1e-170], [0, 1]] is at unit scale)
-    is first divided by the power of two of its largest |component|.
+    vectors, whose |r|^2 is a normal float or 0: the dominant directions of
+    the observations. r = 0 (a multiple of the identity) resolves to the
+    north pole, the first basis vector.
     """
-    norm2 = np.einsum("ij,ij->i", r, r)
-    low = np.flatnonzero(norm2 < np.finfo(np.float64).tiny)
-    if len(low):
-        r = r.copy()
-        r[low] = np.ldexp(r[low], -np.frexp(np.abs(r[low]).max(axis=1))[1][:, None])
-        norm2[low] = np.einsum("ij,ij->i", r[low], r[low])
-    norm = np.sqrt(norm2)
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))
     tie = norm == 0.0
     norm[tie] = 1.0
     u = r / norm[:, None]
@@ -152,27 +152,6 @@ class SoptDetector:
 # layered-constellation detector
 
 
-def azimuth_region(phi_z, z_max: int):
-    """Sector indices floor(phi / (pi / z_max)), clamped into [0, 2*z_max).
-
-    An azimuth that reaches 2*pi (only possible through rounding) wraps to 0;
-    values just below 2*pi stay in the last sector.
-    """
-    phi_z = np.asarray(phi_z, dtype=np.float64)
-    phi_z = np.where(phi_z >= TWO_PI, np.maximum(phi_z - TWO_PI, 0.0), phi_z)
-    j = np.floor(phi_z / (math.pi / z_max)).astype(np.int64)
-    return np.clip(j, 0, 2 * z_max - 1)
-
-
-def polar_region(theta_z, theta: np.ndarray):
-    """Numbers of layer angles strictly below theta_z, found by bisection."""
-    return np.searchsorted(theta, theta_z, side="left").astype(np.int64)
-
-
-def _region_comparisons(l: int) -> int:
-    return max(1, math.ceil(math.log2(l + 1)))
-
-
 def cell_vertex(i, j0, s: ZOptStructure):
     """(index, a) of the codeword anchored to grid cell (i, j0).
 
@@ -196,6 +175,16 @@ def cell_vertex(i, j0, s: ZOptStructure):
 class ZoptDetector:
     """Grid lookup plus at most four distance evaluations per decision.
 
+    The point's azimuth names a sector of pi/z_max and its polar angle the
+    region i in [0, l], the number of layer angles below it. The candidates
+    are the anchors (`cell_vertex`) of layers clip(i-1..i+2, 1, l), and the
+    decision is the first least distance among them. The layers never
+    decrease and codeword indices grow with the layer, so that is the lowest
+    index at any tie, and a clipped repeat of a layer never wins. Per
+    decision, evals counts the distinct candidate layers and comps the
+    bit_length(l) comparisons of the bisection over the layer angles plus
+    evals - 1 of the argmin.
+
     Holds only the layer structure and the l polar angles of a
     `ZOptConstellation`, never its codeword array: the closed-form
     cell-to-index map (`cell_vertex`, one gather from the structure's
@@ -216,20 +205,17 @@ class ZoptDetector:
     def detect_batch(self, Ys: np.ndarray):
         s = self.structure
         theta_z, phi_z = bloch_angles(rough_estimate_batch(bloch_vector_batch(Ys)))
-        n = len(theta_z)
-        j0 = azimuth_region(phi_z, s.z_max)
-        i = polar_region(theta_z, self.theta)
+        # phi < 2*pi, and pi / z_max is pi over a power of two, so even the
+        # largest phi, one ulp below 2*pi, lands in the last sector
+        j0 = (phi_z / (math.pi / s.z_max)).astype(np.int64)
+        i = np.searchsorted(self.theta, theta_z)
         cand = np.clip(i[:, None] + np.array([-1, 0, 1, 2]), 1, s.l)
-        dup = np.zeros_like(cand, dtype=bool)
-        dup[:, 1:] = cand[:, 1:] == cand[:, :-1]
         anchors, a = cell_vertex(cand, j0[:, None], s)
         dphi = np.abs(phi_z[:, None] - a * (math.pi / s.z_max))
         d = diagonal_chord(self.theta[cand - 1], theta_z[:, None], dphi)
-        d[dup] = np.inf
-        dmin = d.min(axis=1)
-        best = np.where(d == dmin[:, None], anchors, np.iinfo(np.int64).max).min(axis=1)
-        evals = (~dup).sum(axis=1).astype(np.int64)
-        comps = np.full(n, _region_comparisons(s.l), dtype=np.int64) + evals - 1
+        best = np.take_along_axis(anchors, d.argmin(axis=1)[:, None], axis=1)[:, 0]
+        evals = np.minimum(i + 2, s.l) - np.maximum(i - 1, 1) + 1
+        comps = s.l.bit_length() + evals - 1
         return best - 1, evals, comps
 
     detect = _detect_one

@@ -13,14 +13,12 @@ from grassbloch.detectors import (
     SoptDetector,
     ZoptDetector,
     _checked,
-    azimuth_region,
     bloch_vector_batch,
     cell_vertex,
-    polar_region,
     rough_estimate_batch,
 )
 from grassbloch.errors import DegenerateInputError, InvalidInputError
-from grassbloch.geometry import Constellation, bloch_array, canonicalize_array
+from grassbloch.geometry import Constellation, bloch_angles, bloch_array, canonicalize_array
 from grassbloch.packing import exact_packing
 from grassbloch.zopt import (
     ZOptConstellation,
@@ -173,19 +171,47 @@ class TestTinyBlochVector:
             assert len(set(idx)) == 1, (block, idx)
             assert [det.detect(np.array(block)).index for det in dets] == idx
 
+    @staticmethod
+    def blocks(eps):
+        """Blocks [[1, eps], [0, 1]]: r = (2 Re eps, -2 Im eps, 0) once |eps|^2
+        rounds away against 1."""
+        Ys = np.zeros((len(eps), 2, 2), dtype=np.complex128)
+        Ys[:, 0, 0] = Ys[:, 1, 1] = 1.0
+        Ys[:, 0, 1] = eps
+        return Ys
+
+    @pytest.mark.parametrize("B", [6, 8])
+    def test_subnormal_components_decided_alike(self, B):
+        # glrt's products r . b would lose bits to subnormal components of r
+        rng = np.random.default_rng(B)
+        eps = (rng.standard_normal(2000) + 1j * rng.standard_normal(2000)) * 1e-320
+        Ys = self.blocks(eps)
+        z = build_z_opt(B)
+        glrt, sopt, zopt = (det.detect_batch(Ys)[0]
+                            for det in (GlrtDetector(z), SoptDetector(z), ZoptDetector(z)))
+        assert np.array_equal(glrt, sopt)
+        assert np.array_equal(glrt, zopt)
+
     def test_direction_is_the_unscaled_one(self):
         rng = np.random.default_rng(21)
-        r = rng.standard_normal((1000, 3))
-        tiny = np.ldexp(r, -990)  # |r|^2 underflows, every component stays normal
+        eps = (rng.standard_normal(1000) + 1j * rng.standard_normal(1000)) * 2.0**-30
+        big = self.blocks(eps)
+        tiny = self.blocks(np.ldexp(eps.real, -960) + 1j * np.ldexp(eps.imag, -960))
         before = tiny.copy()
-        assert rough_estimate_batch(tiny).tobytes() == rough_estimate_batch(r).tobytes()
-        assert np.array_equal(tiny, before)  # the caller's vectors are not touched
+        r_big, r_tiny = bloch_vector_batch(big), bloch_vector_batch(tiny)
+        assert not r_big[:, 2].any()
+        # |r|^2 underflows for the tiny blocks, while every component stays normal
+        assert (np.einsum("ij,ij->i", r_big * 2.0**-960, r_big * 2.0**-960) == 0.0).all()
+        assert rough_estimate_batch(r_tiny).tobytes() == rough_estimate_batch(r_big).tobytes()
+        assert np.array_equal(tiny, before)  # the caller's blocks are not touched
 
     def test_subnormal_and_zero_rows(self):
-        r = np.array([[5e-324, 0.0, 0.0], [0.0, -1e-320, 1e-320], [0.0, 0.0, 0.0]])
-        u = rough_estimate_batch(r)
-        assert u.tolist() == [[1.0, 0.0, 0.0], [0.0, -math.sqrt(0.5), math.sqrt(0.5)],
-                              [0.0, 0.0, 1.0]]
+        eps = np.array([5e-324, 1e-320j, -1e-320 + 1e-320j, 0.0])
+        r = bloch_vector_batch(self.blocks(eps))
+        assert np.all(0.5 <= np.abs(r[:3]).max(axis=1)) and np.all(np.abs(r[:3]).max(axis=1) < 1.0)
+        assert rough_estimate_batch(r).tolist() == [
+            [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-math.sqrt(0.5), -math.sqrt(0.5), 0.0],
+            [0.0, 0.0, 1.0]]
 
     def test_unit_scale_rows_keep_their_bits(self):
         rng = np.random.default_rng(22)
@@ -405,34 +431,68 @@ class TestSopt:
             assert rep[1].mismatches_vs_first == 0
 
 
-class TestRegions:
-    def test_azimuth_zero(self):
-        assert azimuth_region(0.0, 8) == 0
+def polar_blocks(theta, w):
+    """N = 1 blocks (cos theta/2, w sin theta/2): for a unit complex w, the
+    Bloch point at polar angle theta and azimuth arg w, up to rounding."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return np.stack([np.cos(theta / 2.0) + 0j, np.sin(theta / 2.0) * w], axis=1)[:, :, None]
 
-    def test_azimuth_example(self):
-        assert azimuth_region(0.5, 8) == 1  # 0.5 / (pi/8) = 1.27...
 
-    def test_azimuth_near_wrap(self):
-        assert azimuth_region(2.0 * math.pi - 1e-12, 8) == 15
+def on_layer_angles(s, theta):
+    """The z-opt constellation of structure s whose layer angles are the polar
+    angles the detectors' front end reads off `polar_blocks(theta, 1)`, the
+    readable angles nearest theta: most angles near a pole are not arccos of
+    any float."""
+    return ZOptConstellation(s, bloch_angles(unit_points(polar_blocks(theta, 1.0)))[0])
 
-    def test_azimuth_wraps_exact_two_pi(self):
-        assert azimuth_region(2.0 * math.pi, 8) == 0
 
-    def test_polar_below_and_above(self):
-        theta = np.array([0.5, 1.2, 1.94, 2.64])
-        assert polar_region(0.3, theta) == 0
-        assert polar_region(3.0, theta) == 4
-        assert polar_region(1.0, theta) == 1
+#: (w, phi): unit complex numbers w whose blocks read azimuth phi = 0, one
+#: ulp below 2*pi, pi/2 and pi; the last two are sector edges for every
+#: z_max = 2^m >= 2
+SPECIAL_AZIMUTHS = [
+    (1.0, 0.0),
+    (complex(1.0, np.nextafter(2.0 * math.pi, 0.0) - 2.0 * math.pi),
+     np.nextafter(2.0 * math.pi, 0.0)),
+    (1j, math.pi / 2.0),
+    (-1.0, math.pi),
+]
 
-    def test_polar_counts_strictly_less(self):
-        theta = np.array([0.5, 1.2])
-        assert polar_region(1.2, theta) == 1
 
-    def test_batched_match_scalars(self):
-        phis = np.array([0.0, 0.5, 2.0 * math.pi - 1e-12, 2.0 * math.pi])
-        assert azimuth_region(phis, 8).tolist() == [0, 1, 15, 0]
-        theta = np.array([0.5, 1.2, 1.94, 2.64])
-        assert polar_region(np.array([0.3, 3.0, 1.0, 1.2]), theta).tolist() == [0, 4, 1, 1]
+class TestSpecialAngles:
+    """Bloch points at azimuth 0, one ulp below 2*pi and on sector edges, each
+    on every layer angle exactly and at both poles: zopt decides as glrt, and
+    every sector it looks up lies in [0, 2*z_max)."""
+
+    @pytest.mark.parametrize("B", list(range(1, 13)) + ["k-cap"])
+    def test_matches_glrt(self, B, monkeypatch):
+        optimized = k_cap_constellation(K_CAP_ROWS[0]) if B == "k-cap" else build_z_opt(B)
+        s = optimized.structure
+        z = on_layer_angles(s, optimized.theta)
+        sectors = []
+
+        def recording_cell_vertex(i, j0, s):
+            sectors.append(np.asarray(j0))
+            return cell_vertex(i, j0, s)
+
+        monkeypatch.setattr(detectors, "cell_vertex", recording_cell_vertex)
+        poles = np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=np.complex128)
+        glrt, zopt = GlrtDetector(z), ZoptDetector(z)
+        for w, azimuth in SPECIAL_AZIMUTHS:
+            Ys = np.concatenate([polar_blocks(optimized.theta, w), poles])
+            theta, phi = bloch_angles(unit_points(Ys))
+            assert np.array_equal(theta, np.concatenate([z.theta, [0.0, math.pi]])), azimuth
+            assert np.all(phi[:-2] == azimuth), azimuth
+            sectors.clear()
+            idx = zopt.detect_batch(Ys)[0]
+            # a tie is decided by rounding in either detector: there zopt
+            # picks one of the tied codewords
+            scores = bloch_vector_batch(Ys) @ z.bloch.T
+            tied = scores >= scores.max(axis=1, keepdims=True) - 1e-12
+            alone = tied.sum(axis=1) == 1
+            assert np.array_equal(idx[alone], glrt.detect_batch(Ys)[0][alone]), azimuth
+            assert tied[np.arange(len(idx)), idx].all(), azimuth
+            j0 = np.concatenate([j.ravel() for j in sectors])
+            assert j0.min() >= 0 and j0.max() < 2 * s.z_max, azimuth
 
 
 def geometric_anchor_table(z):
@@ -593,6 +653,26 @@ class TestZoptDetector:
             assert np.array_equal(idx, GlrtDetector(z).detect_batch(Ys)[0])
             assert evals.max() <= 4
 
+    @pytest.mark.parametrize("B", [1, 4, 7, 12])
+    def test_ties_go_to_the_lowest_index(self, B, monkeypatch):
+        # with every candidate distance equal, zopt decides the anchor of the
+        # lowest candidate layer, and counts as it does on any other row
+        z = build_z_opt(B)
+        s = z.structure
+        rng = np.random.default_rng(B)
+        Ys = rng.standard_normal((4000, 2, 2, 2)) @ [1.0, 1j]
+        det = ZoptDetector(z)
+        _, evals, comps = det.detect_batch(Ys)
+        monkeypatch.setattr(detectors, "diagonal_chord",
+                            lambda t_i, t_j, dphi: np.zeros(np.broadcast(t_i, t_j, dphi).shape))
+        idx, tied_evals, tied_comps = det.detect_batch(Ys)
+        theta, phi = bloch_angles(unit_points(Ys))
+        i = np.searchsorted(z.theta, theta)
+        first = cell_vertex(np.maximum(i - 1, 1), (phi / (math.pi / s.z_max)).astype(np.int64), s)[0]
+        assert np.array_equal(idx, first - 1)
+        assert np.array_equal(tied_evals, evals)
+        assert np.array_equal(tied_comps, comps)
+
     def test_functional_entry(self):
         z = build_z_opt(4)
         res = ZoptDetector(z).detect(noiseless_observation(z.array[5]))
@@ -623,6 +703,30 @@ class TestZoptDetector:
                 stack.extend(v)
             elif hasattr(v, "__dict__"):
                 stack.extend(vars(v).values())
+
+
+class TestZoptCounters:
+    """zopt's counters in every polar region 0..l: between the layer angles,
+    exactly on each one and at both poles."""
+
+    @pytest.mark.parametrize("Z_l", [zopt_structure(B).Z_l for B in range(1, 17)] + K_CAP_ROWS)
+    def test_region_by_region(self, Z_l):
+        s = ZOptStructure(Z_l)
+        l = s.l
+        spaced = math.pi * np.arange(1, l + 1) / (l + 1)
+        z = on_layer_angles(s, spaced)
+        edges = np.concatenate([[0.0], z.theta, [math.pi]])
+        queries = np.concatenate([(edges[:-1] + edges[1:]) / 2.0, spaced, [0.0, math.pi]])
+        Ys = np.concatenate([polar_blocks(queries, w) for w in (1.0, np.exp(2.1j))])
+        theta = bloch_angles(unit_points(Ys))[0]
+        assert np.array_equal(theta[l + 1:2 * l + 3], np.concatenate([z.theta, [0.0, math.pi]]))
+        _, evals, comps = ZoptDetector(z).detect_batch(Ys)
+        for t, e, c in zip(theta, evals, comps):
+            i = sum(layer < t for layer in z.theta)
+            want = len({min(max(k, 1), l) for k in range(i - 1, i + 3)})
+            assert (e, c) == (want, math.ceil(math.log2(l + 1)) + want - 1), (t, i)
+        regions = np.searchsorted(z.theta, theta)
+        assert set(regions.tolist()) == set(range(l + 1))
 
 
 class TestKCapRows:
