@@ -1,10 +1,12 @@
 """Noncoherent detectors for G(2,1) constellations, with operation counters.
 
 All three detectors read one front end, `bloch_vector_batch`: the
-unnormalized Bloch vector r of G = Y Y^H, from the Gram entries, rescaled
-by a power of two where |r|^2 is not a normal float. The
-exhaustive detector maximizes r . b, which is 2 ||Y^H x||^2 - tr G, over the
-codewords' Bloch points b. The two fast ones search r / |r|
+unnormalized Bloch vector r of G = Y Y^H, from the Gram entries. It is
+also the only screen of the observations: where tr G or |r|^2 is not a
+finite normal float, it refuses a non-finite or zero observation and
+otherwise rescales by an exact power of two. The exhaustive detector
+maximizes r . b, which is 2 ||Y^H x||^2 - tr G, over the codewords' Bloch
+points b. The two fast ones search r / |r|
 (`rough_estimate_batch`), the Bloch point of G's dominant eigenvector. The
 tree-based detector finds its Euclidean nearest neighbor among the codewords'
 Bloch points, which picks the same codeword because chordal distance is half
@@ -48,8 +50,10 @@ class DetectionResult:
 
 
 def _detect_one(det, Y) -> DetectionResult:
-    """`detect` of every detector: its `detect_batch` on one 2xN observation."""
-    idx, evals, comps = det.detect_batch(_as_batch(Y))
+    """`detect` of every detector: its `detect_batch` on one 2xN observation
+    (or a 2-vector, N = 1) as a batch of one."""
+    Y = np.asarray(Y, dtype=np.complex128)
+    idx, evals, comps = det.detect_batch((Y[:, None] if Y.ndim == 1 else Y)[None])
     return DetectionResult(int(idx[0]), int(evals[0]), int(comps[0]))
 
 
@@ -57,29 +61,71 @@ def _detect_one(det, Y) -> DetectionResult:
 # the front end: the Bloch vector of Y Y^H
 
 
-def bloch_vector_batch(Ys) -> np.ndarray:
-    """(n, 3) unnormalized Bloch vectors r of G = Y Y^H for a batch of (n, 2, N)
-    observations, screened by `_checked`.
+def _not_normal(x: np.ndarray) -> np.ndarray:
+    """Where x is not a finite normal float: 0, subnormal, inf or NaN."""
+    return ~((x >= np.finfo(np.float64).tiny) & (x < np.inf))
 
-    G - tr(G)/2 I = (r . sigma) / 2 over the Pauli matrices, so
-    r = (2 Re g01, -2 Im g01, g00 - g11) points at the Bloch point of G's
-    dominant eigenvector, and r . b = 2 ||Y^H x||^2 - tr G for a unit
-    codeword x with Bloch point b. A row whose |r|^2 is not a normal float
-    (Y = [[1, 1e-170], [0, 1]] is at unit scale) is divided by the power of
-    two of its largest |component|: the factor is exact and no detector
-    depends on the length of r, so every detector reads it without
-    subnormal products. Every other row keeps its bits.
-    """
-    Ys = _checked(Ys)
+
+def _unit_scaled(a: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Each row of `a` times the power of two that brings `top`, its largest
+    |real or imaginary part|, into [1/2, 1): an exact factor, 1 for a zero row."""
+    v = a.view(np.float64)
+    return np.ldexp(v, -np.frexp(top)[1].reshape((-1,) + (1,) * (v.ndim - 1))).view(a.dtype)
+
+
+def _bloch_and_trace(Ys: np.ndarray):
+    """r and tr G of Y Y^H from its three Gram entries."""
     row0 = Ys[:, 0, :]
     row1 = Ys[:, 1, :]
     g00 = np.einsum("ij,ij->i", row0, row0.conj()).real
     g11 = np.einsum("ij,ij->i", row1, row1.conj()).real
     g01 = np.einsum("ij,ij->i", row0, row1.conj())
-    r = np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11])
-    low = np.flatnonzero(np.einsum("ij,ij->i", r, r) < np.finfo(np.float64).tiny)
-    if len(low):
-        r[low] = np.ldexp(r[low], -np.frexp(np.abs(r[low]).max(axis=1))[1][:, None])
+    return np.column_stack([2.0 * g01.real, -2.0 * g01.imag, g00 - g11]), g00 + g11
+
+
+def bloch_vector_batch(Ys) -> np.ndarray:
+    """(n, 3) unnormalized Bloch vectors r of G = Y Y^H for a batch of (n, 2, N)
+    observations, refusing what no detector can decide.
+
+    G - tr(G)/2 I = (r . sigma) / 2 over the Pauli matrices, so
+    r = (2 Re g01, -2 Im g01, g00 - g11) points at the Bloch point of G's
+    dominant eigenvector, and r . b = 2 ||Y^H x||^2 - tr G for a unit
+    codeword x with Bloch point b.
+
+    Any shape but (n, 2, N >= 1) raises InvalidInputError. The screen reads
+    the two quantities the front end forms anyway. A row whose tr G or |r|^2
+    is not a finite normal float raises InvalidInputError if it has a
+    non-finite entry, then DegenerateInputError if it is zero. Otherwise its
+    Gram products overflowed or underflowed, or r is short at any scale
+    (Y = [[1, 1e-170], [0, 1]]). Its r is formed again from Y times the power
+    of two that brings its largest |entry| into [1/2, 1), or only up to it
+    where tr G is normal, and where |r|^2 is still not a normal float, r is
+    scaled the same way; r = 0 stays 0. Every factor is exact and no
+    detector depends on the length of r. Every other row keeps its bits:
+    its |r| >= 2^-511, so a component its products lost below the normal
+    floats can only break a tie to within rounding.
+    """
+    Ys = np.ascontiguousarray(Ys, dtype=np.complex128)
+    if Ys.ndim != 3 or Ys.shape[1] != 2 or Ys.shape[2] < 1:
+        raise InvalidInputError(f"observations must be 2xN with N >= 1, batched as "
+                                f"(n, 2, N); got batch shape {Ys.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, trace = _bloch_and_trace(Ys)
+        far = np.flatnonzero(_not_normal(trace) | _not_normal(np.einsum("ij,ij->i", r, r)))
+    if len(far):
+        Yf = Ys[far]
+        top = np.abs(Yf.view(np.float64)).max(axis=(1, 2))
+        if not np.isfinite(top).all():
+            raise InvalidInputError("observation has non-finite entries")
+        if not top.all():
+            raise DegenerateInputError("observation is zero")
+        # where tr G is normal, Y is only scaled up: scaling down could drop
+        # subnormal entries
+        top = np.where(_not_normal(trace[far]), top, np.minimum(top, 0.5))
+        rf = _bloch_and_trace(_unit_scaled(Yf, top))[0]
+        low = _not_normal(np.einsum("ij,ij->i", rf, rf))
+        rf[low] = _unit_scaled(rf[low], np.abs(rf[low]).max(axis=1))
+        r[far] = rf
     return r
 
 
@@ -219,53 +265,3 @@ class ZoptDetector:
         return best - 1, evals, comps
 
     detect = _detect_one
-
-
-# ---------------------------------------------------------------------------
-# observation checks
-
-
-#: rows whose |entries| sum outside [2**-_SCALE_EXP, 2**_SCALE_EXP] are
-#: rescaled; inside, the fourth powers of entries that the rough estimate
-#: forms in |r|^2, the squared norm of its Gram-entry vector r, stay normal
-#: floats
-_SCALE_EXP = 200
-
-
-def _checked(Ys) -> np.ndarray:
-    """A (n, 2, N) observation batch, refusing what no detector can decide.
-
-    Any other shape, or N = 0, raises InvalidInputError. A single screen
-    sums each row's |entries| (real and imaginary parts). A row with a
-    non-finite entry raises InvalidInputError and an all-zero row
-    DegenerateInputError. A row far from unit scale, whose Gram products
-    would overflow or underflow, is multiplied by the power of two that
-    brings its largest |entry| into [1/2, 1): the factor is exact and every
-    detector is scale-invariant, so its decision does not change. Every
-    other row is returned bit for bit.
-    """
-    Ys = np.ascontiguousarray(Ys, dtype=np.complex128)
-    if Ys.ndim != 3 or Ys.shape[1] != 2 or Ys.shape[2] < 1:
-        raise InvalidInputError(f"observations must be 2xN with N >= 1, batched as "
-                                f"(n, 2, N); got batch shape {Ys.shape}")
-    v = Ys.view(np.float64)
-    s = np.einsum("ijk->i", np.abs(v))
-    far = ~((s >= 2.0**-_SCALE_EXP) & (s <= 2.0**_SCALE_EXP))
-    if far.any():
-        a = np.abs(v[far])
-        if not np.isfinite(a).all():
-            raise InvalidInputError("observation has non-finite entries")
-        m = a.max(axis=(1, 2), initial=0.0)
-        if not m.all():
-            raise DegenerateInputError("observation is zero")
-        v = v.copy()
-        v[far] = np.ldexp(v[far], -np.frexp(m)[1][:, None, None])
-        Ys = v.view(np.complex128)
-    return Ys
-
-
-def _as_batch(Y) -> np.ndarray:
-    """One 2xN observation (or a 2-vector) as a batch of one; `_checked`
-    judges the shape."""
-    Y = np.asarray(Y, dtype=np.complex128)
-    return (Y[:, None] if Y.ndim == 1 else Y)[None]

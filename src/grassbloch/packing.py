@@ -219,31 +219,17 @@ def _min_distance_from_gram(gram: np.ndarray) -> float:
     return float(np.sqrt(2.0 - 2.0 * np.clip(gram.max(), -1.0, 1.0)))
 
 
-def _softmin_weights(d: np.ndarray, eps: float, w: np.ndarray) -> tuple[float, float, int]:
+def _softmin_weights(d: np.ndarray, eps: float, w: np.ndarray) -> float:
     """Phase 1's weights exp((dmin - d_ij) / eps) of the distances `d` (inf on
-    the diagonal) into `w`, normalized to sum to 1; returns dmin, their sum
-    before that (each pair counted twice) and the number of pairs weighted."""
-    n = len(d)
+    the diagonal) into `w`, normalized to sum to 1; returns dmin."""
     dmin = float(d.min())
     np.subtract(dmin, d, out=w)
     w /= eps
     np.maximum(w, _EXP_FLOOR, out=w)
     np.exp(w, out=w)
     np.fill_diagonal(w, 0.0)  # the floor lifted the diagonal's -inf
-    total = float(w.sum())
-    w /= total
-    return dmin, total, n * (n - 1) // 2
-
-
-def softmin_objective(points: np.ndarray, eps: float) -> tuple[float, int]:
-    """Phase 1's smoothed minimum distance, dmin - eps * log(sum over pairs of
-    its weights), a lower bound on the true minimum that converges to it as
-    eps -> 0, and the number of pairs it evaluated."""
-    n = len(points)
-    gram, w = _gram_buffer(n)
-    d = _pairwise_distances(points, gram, np.empty((n, n)))
-    dmin, total, pairs = _softmin_weights(d, eps, w)
-    return dmin - eps * math.log(total / 2), pairs
+    w /= w.sum()
+    return dmin
 
 
 def _project_tangent(points: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -263,7 +249,7 @@ def _softmin_phase(points: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     for i in range(cfg.phase1_iters):
         if i:
             _pairwise_distances(points, gram, d)
-        dmin, _, _ = _softmin_weights(d, eps, w)
+        dmin = _softmin_weights(d, eps, w)
         # ascent direction of the softened minimum: repel along near-critical
         # pairs with weight w / d. d becomes 1 / d, 0 on the inf diagonal;
         # only a pair at d = 0 needs the slower mask, which leaves it at 0

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from grassbloch import packing
 from grassbloch.builders import (
     build_cube_split,
     build_grass_lattice,
@@ -20,7 +21,7 @@ from grassbloch.builders import (
 from grassbloch.channel import bench_detectors, run_ser
 from grassbloch.detectors import GlrtDetector, ZoptDetector
 from grassbloch.geometry import bloch_array, fejes_toth_bound
-from grassbloch.packing import EXACT_COUNTS, PackingConfig, exact_packing, optimize_packing, softmin_objective, fibonacci_points
+from grassbloch.packing import EXACT_COUNTS, PackingConfig, exact_packing, optimize_packing, fibonacci_points
 from grassbloch.zopt import build_z_opt, candidate_distances, zopt_structure
 
 SEED = 20240811
@@ -223,12 +224,14 @@ def test_criterion_8_construction_cost_counts():
         # layered optimization touches n_v variables; the direct approach
         # moves every point with two free angles, i.e. 2C variables
         ok &= 2 * s.C == 2 * 2**B
+    # phase 1's own kernel weighs every pair of 24 points, and no point with itself
     pts = fibonacci_points(24)
-    _, pairs = softmin_objective(pts, 0.1)
-    ok &= pairs == 24 * 23 // 2
+    gram, w = packing._gram_buffer(24)
+    packing._softmin_weights(packing._pairwise_distances(pts, gram, np.empty((24, 24))), 0.1, w)
+    ok &= np.count_nonzero(w) // 2 == 24 * 23 // 2 and not w.diagonal().any()
     assert report(8, ok,
                   "candidate evals per call = 2 n_v (+3 halved caps, +1 doubled caps), "
-                  f"all-pairs objective = C(C-1)/2, n_v column matches for B<=16: {ok}")
+                  f"phase 1 weighs all C(C-1)/2 pairs, n_v column matches for B<=16: {ok}")
 
 
 def test_criterion_9_ser_behavior(zopts, families46):

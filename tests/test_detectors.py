@@ -12,7 +12,6 @@ from grassbloch.detectors import (
     GlrtDetector,
     SoptDetector,
     ZoptDetector,
-    _checked,
     bloch_vector_batch,
     cell_vertex,
     rough_estimate_batch,
@@ -50,7 +49,7 @@ def gram_parts(Ys):
 def reference_glrt_scores(Ys, points):
     """The exhaustive detector's former score, the reference for its decisions:
     ||Y^H x||^2 as [g00, g11, 2 Re g01, -2 Im g01] @ a (4, C) table of the codewords."""
-    g00, g11, g01 = gram_parts(_checked(Ys))
+    g00, g11, g01 = gram_parts(Ys)
     A = np.column_stack([g00, g11, 2.0 * g01.real, -2.0 * g01.imag])
     x0, x1 = points[:, 0], points[:, 1]
     m = np.conj(x0) * x1
@@ -171,6 +170,19 @@ class TestTinyBlochVector:
             assert len(set(idx)) == 1, (block, idx)
             assert [det.detect(np.array(block)).index for det in dets] == idx
 
+    @pytest.mark.parametrize("B", [4, 6, 12])
+    def test_any_scale_decided_alike(self, B):
+        # at 2**-300 and below, tr G stays normal while every product that
+        # forms r underflows, so r rounds to 0 unless formed at unit scale
+        z = build_z_opt(B)
+        Ys = np.array(self.BLOCKS, dtype=np.complex128)
+        for det in (GlrtDetector(z), SoptDetector(z), ZoptDetector(z)):
+            want = det.detect_batch(Ys)
+            for k in (-500, -400, -300, -150, 150, 300, 400, 700, 1000):
+                got = det.detect_batch(np.ldexp(Ys.real, k) + 1j * np.ldexp(Ys.imag, k))
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), k
+
     @staticmethod
     def blocks(eps):
         """Blocks [[1, eps], [0, 1]]: r = (2 Re eps, -2 Im eps, 0) once |eps|^2
@@ -232,7 +244,7 @@ class TestFrontEndReference:
 
     @staticmethod
     def check_sopt(det, Ys):
-        est = reference_rough_estimate_batch(_checked(Ys))
+        est = reference_rough_estimate_batch(Ys)
         ref_idx, _, ref_evals, ref_comps = det.tree.query(reference_bloch_of_raw(est))
         idx, evals, comps = det.detect_batch(Ys)
         assert np.array_equal(idx, ref_idx)
@@ -242,7 +254,7 @@ class TestFrontEndReference:
     @staticmethod
     def check_zopt(det, Ys, monkeypatch):
         got = det.detect_batch(Ys)
-        angles = reference_angles_of_raw(reference_rough_estimate_batch(_checked(Ys)))
+        angles = reference_angles_of_raw(reference_rough_estimate_batch(Ys))
         with monkeypatch.context() as m:
             m.setattr(detectors, "bloch_angles", lambda points: angles)
             want = det.detect_batch(Ys)
@@ -796,10 +808,13 @@ class TestRejectedObservations:
         for bad, error in ((0.0, DegenerateInputError), (np.nan, InvalidInputError),
                            (np.inf, InvalidInputError)):
             Y_bad = Y * 0.0 if bad == 0.0 else np.where(np.arange(N) == 0, bad, Y)
-            with pytest.raises(error):
+            # DegenerateInputError subclasses InvalidInputError: compare types exactly
+            with pytest.raises(error) as info:
                 det.detect(Y_bad)
-            with pytest.raises(error):
+            assert info.type is error
+            with pytest.raises(error) as info:
                 det.detect_batch(np.stack([Y, Y_bad]))
+            assert info.type is error
         tiny = Y * 1e-320  # subnormal entries, rescaled exactly before detection
         want = det.detect(np.ldexp(tiny.real, 1070) + 1j * np.ldexp(tiny.imag, 1070))
         assert det.detect(tiny) == want
@@ -813,12 +828,18 @@ class TestExtremeScale:
 
     @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
     def test_reported_observation(self, tag):
+        # near 2**512 some Gram products overflow and others do not; no
+        # factor may warn or change the decision
         det = make_detector(tag, build_z_opt(4))
-        for factor in (1.0, 1e200, 1e-170):
-            assert det.detect(self.Y * factor).index == 4
+        assert det.detect(self.Y).index == 4
+        for Y in (self.Y, np.ones((2, 2))):
+            for factor in (1e200, 1e-170, 2.0**510, 2.0**511, 2.0**512, 2.0**513):
+                assert det.detect(Y * factor) == det.detect(Y)
 
     @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
     def test_power_of_two_scaling(self, tag):
+        # 2**+-150 keeps every Gram product normal; 2**300 overflows |r|^2 and
+        # 2**-300 underflows it; 2**+-511 and beyond overflow or underflow tr G
         z = build_z_opt(6)
         rng = np.random.default_rng(12)
         rows = z.array[rng.integers(0, len(z), 64)]
@@ -827,21 +848,29 @@ class TestExtremeScale:
         Ys += 0.3 * (rng.standard_normal(Ys.shape) + 1j * rng.standard_normal(Ys.shape))
         det = make_detector(tag, z)
         ref = det.detect_batch(Ys)
-        for k in (-600, -300, -150, 0, 150, 300, 600):
+        for k in (-1000, -700, -511, -300, -150, 0, 150, 300, 511, 700, 1000):
             got = det.detect_batch(np.ldexp(Ys.real, k) + 1j * np.ldexp(Ys.imag, k))
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tag", ["glrt", "sopt", "zopt"])
+    def test_non_finite_reported_before_zero(self, tag):
+        det = make_detector(tag, build_z_opt(4))
+        Ys = np.stack([self.Y, np.zeros((2, 2)), np.full((2, 2), np.nan)])
+        with pytest.raises(InvalidInputError) as info:
+            det.detect_batch(Ys)
+        assert info.type is InvalidInputError  # not its subclass DegenerateInputError
 
     def test_only_extreme_rows_rescaled(self):
         Ys = np.tile(self.Y, (3, 1, 1))
         Ys[1] *= 2.0**700
         Ys[2] *= 2.0**-700
         before = Ys.copy()
-        out = _checked(Ys)
+        r = bloch_vector_batch(Ys)
         assert np.array_equal(Ys, before)  # the caller's batch is not touched
-        assert np.array_equal(out[0], Ys[0])
-        assert np.array_equal(out[1], out[2])
-        assert 0.5 <= np.abs(out[1].view(np.float64)).max() < 1.0
+        assert np.array_equal(r[1], r[2])
+        # Y's largest |entry| is 1, so both are formed from Y / 2: r / 4
+        assert np.array_equal(r[1], r[0] / 4.0)
 
 
 def midpoint_blocks(X):

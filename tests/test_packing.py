@@ -16,7 +16,6 @@ from grassbloch.packing import (
     exact_packing,
     fibonacci_points,
     optimize_packing,
-    softmin_objective,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -391,11 +390,15 @@ def test_phase1_exp_stays_normal(monkeypatch):
 
 
 def test_softmin_counts_all_pairs():
+    # every off-diagonal weight is at least exp(_EXP_FLOOR) / C^2 > 0
     pts = fibonacci_points(9)
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    val, pairs = softmin_objective(pts, 0.05)
-    assert pairs == 9 * 8 // 2
-    assert val <= min_euclidean_distance_array(pts)
+    gram, w = packing._gram_buffer(9)
+    dmin = packing._softmin_weights(packing._pairwise_distances(pts, gram, np.empty((9, 9))), 0.05, w)
+    assert np.count_nonzero(w) // 2 == 9 * 8 // 2
+    assert not w.diagonal().any()
+    assert math.isclose(w.sum(), 1.0)
+    assert math.isclose(dmin, min_euclidean_distance_array(pts), rel_tol=1e-12)
 
 
 class TestPackingSet:
