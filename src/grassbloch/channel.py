@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +30,11 @@ DETECTORS = {"glrt": GlrtDetector, "sopt": SoptDetector, "zopt": ZoptDetector}
 DETECTOR_TAGS = tuple(DETECTORS)
 
 _THREADS_ENV = "GRASSBLOCH_THREADS"
+
+#: tag -> detector for each constellation object that `make_detector` served;
+#: an entry goes when its constellation does
+_built = weakref.WeakKeyDictionary()
+_built_lock = threading.Lock()
 
 #: most rows in one detector call
 ROWS_PER_CALL = 8192
@@ -43,14 +50,21 @@ _TRIAL_BLOCK_ENTRIES = 1 << 14
 
 
 def make_detector(tag: str, x):
-    """Instantiate a detector for a constellation.
+    """The detector `tag` for the constellation object `x`, built on the first
+    call and returned again while `x` lives. Detectors keep no per-call state
+    and their arrays are read-only, so every caller, and every worker thread
+    of a sweep, can share one.
 
     The layered detector ("zopt") refuses a constellation without a layer
-    structure.
+    structure, on every call.
     """
     if tag not in DETECTORS:
         raise InvalidInputError(f"unknown detector {tag!r}; expected one of {DETECTOR_TAGS}")
-    return DETECTORS[tag](x)
+    with _built_lock:
+        built = _built.setdefault(x, {})
+        if tag not in built:
+            built[tag] = DETECTORS[tag](x)
+        return built[tag]
 
 
 @dataclass(frozen=True)

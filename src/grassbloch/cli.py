@@ -10,12 +10,20 @@ of its input files, exit 2 before anything is written. `simulate` and
 GRASSBLOCH_THREADS environment variable asks for fewer, and a value that is
 not an integer >= 1 exits 2. Every file is read and written through
 `formats`; this module parses only its arguments.
+
+`main` called again in one process reuses what it built: the parser, and
+the last `--constellation` file's constellation while that file's bytes are
+unchanged (keyed by their SHA-256, so a rewrite of the same size and mtime
+is read again), and with it the detectors `make_detector` built for it. The
+file is read once per call, and the bytes hashed are the bytes parsed. A
+load that fails keeps nothing. `evaluate` and `construct` keep nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import math
 import os
 import sys
@@ -33,10 +41,12 @@ from .errors import DegenerateInputError, FormatError, InvalidInputError
 from .formats import (
     bench_rows,
     config_hash,
+    constellation_from_bytes,
     load_constellation,
     load_packing,
     provenance,
     read_blocks,
+    read_bytes,
     save_constellation,
     ser_curve_to_csv,
     ser_curve_to_json,
@@ -62,6 +72,26 @@ MAX_BITS = 30
 OUTPUTS = ("output", "report", "json_output")
 #: arguments that name one file a command reads (evaluate's `inputs` name several)
 INPUTS = ("constellation", "input", "packing_file")
+
+
+#: (SHA-256 digest of its bytes, constellation) of the last --constellation
+#: file that loaded, or None
+_last_constellation = None
+
+
+def _constellation_arg(path):
+    """The constellation in the --constellation file `path`. The file is read
+    once; while its bytes match the last file that loaded, that file's
+    constellation, and so its detectors (`make_detector`), serve again. A
+    load that raises keeps nothing."""
+    global _last_constellation
+    data = read_bytes(path)
+    digest = hashlib.sha256(data).digest()
+    last = _last_constellation
+    if last is None or last[0] != digest:
+        last = (digest, constellation_from_bytes(data, path))
+        _last_constellation = last
+    return last[1]
 
 
 def _parse_snr(spec: str):
@@ -273,8 +303,8 @@ def _bound(args, cfg_hash) -> int:
 
 
 def _simulate(args, cfg_hash) -> int:
-    curve = run_ser(load_constellation(args.constellation), args.detector, _parse_snr(args.snr),
-                    trials=args.trials, N=args.antennas, seed=args.seed)
+    curve = run_ser(_constellation_arg(args.constellation), args.detector,
+                    _parse_snr(args.snr), trials=args.trials, N=args.antennas, seed=args.seed)
     ser_curve_to_csv(args.output or sys.stdout, curve, cfg_hash=cfg_hash)
     if args.json_output:
         write_json(args.json_output, ser_curve_to_json(curve, cfg_hash=cfg_hash))
@@ -283,7 +313,7 @@ def _simulate(args, cfg_hash) -> int:
 
 def _bench(args, cfg_hash) -> int:
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
-    reports = bench_detectors(load_constellation(args.constellation), tags,
+    reports = bench_detectors(_constellation_arg(args.constellation), tags,
                               trials=args.trials, N=args.antennas,
                               seed=args.seed, snr_db=args.snr)
     header, rows = bench_rows(reports)
@@ -292,8 +322,7 @@ def _bench(args, cfg_hash) -> int:
 
 
 def _detect(args, cfg_hash) -> int:
-    constellation = load_constellation(args.constellation)
-    det = make_detector(args.detector, constellation)
+    det = make_detector(args.detector, _constellation_arg(args.constellation))
     idx, evals, comps = det.detect_batch(read_blocks(args.input))
     rows = [[t, i, e, c] for t, (i, e, c) in
             enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]

@@ -20,8 +20,11 @@ structure and l polar angles, the O(sqrt(C)) state, never the codeword array.
 Ties always resolve to the lowest codeword index; at r = 0 (G a multiple of
 the identity) every codeword ties and every detector decides codeword 0.
 Every detector's single-row `detect` is one function, `_detect_one`, which
-runs the detector's batch implementation on one row, so scalar and
-vectorized detection are exactly the same computation.
+runs the detector's batch implementation on one row, so `detect` is exactly
+`detect_batch` on a batch of one. A row inside a larger batch can still round
+differently where two codewords tie to within rounding: at z-opt B = 4, the
+GLRT decides Y = [[1, -1e-200 + 1e-210j], [0, 0.5]] as codeword 0 alone and
+as 2 in a batch of two. ROADMAP item 2 tracks these rounding ties.
 """
 
 from __future__ import annotations
@@ -156,7 +159,9 @@ class GlrtDetector:
     """
 
     def __init__(self, constellation: Constellation):
+        # a copy (C >= 2), frozen: sweep threads share the detector
         self._bloch = np.ascontiguousarray(constellation.bloch.T)
+        self._bloch.setflags(write=False)
 
     def detect_batch(self, Ys: np.ndarray):
         r = bloch_vector_batch(Ys)

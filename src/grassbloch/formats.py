@@ -55,13 +55,25 @@ def write_json(path, data, indent=1) -> None:
         fh.write(text + "\n")
 
 
-def read_text(path) -> str:
-    """A file's text; a file that is not UTF-8 is a format error naming it."""
+def read_bytes(path) -> bytes:
+    """A file's bytes, read once."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode_text(data: bytes, path=None) -> str:
+    """The text of a file's bytes, with its newlines translated as text mode
+    reads them; bytes that are not UTF-8 are a format error naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path) -> str:
+    """A file's text; a file that is not UTF-8 is a format error naming it."""
+    return _decode_text(read_bytes(path), path)
 
 
 def _check_version(data, path):
@@ -163,13 +175,18 @@ def constellation_from_dict(data, path=None):
     return z
 
 
-def load_constellation(path):
-    text = read_text(path)
+def constellation_from_bytes(data: bytes, path=None):
+    """The Constellation a constellation file's bytes hold; `path` names the
+    file in errors. Validation reads nothing but the bytes."""
     try:
-        data = json.loads(text)
+        payload = json.loads(_decode_text(data, path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}", path=path) from exc
-    return constellation_from_dict(data, path=path)
+    return constellation_from_dict(payload, path=path)
+
+
+def load_constellation(path):
+    return constellation_from_bytes(read_bytes(path), path)
 
 
 # ---------------------------------------------------------------------------

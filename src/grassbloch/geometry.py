@@ -101,9 +101,11 @@ class Constellation:
 
     @property
     def bloch(self) -> np.ndarray:
-        """(C, 3) matrix of the codewords' Bloch points."""
+        """Read-only (C, 3) matrix of the codewords' Bloch points."""
         if self._bloch is None:
-            self._bloch = bloch_array(self._array)
+            bloch = bloch_array(self._array)
+            bloch.setflags(write=False)
+            self._bloch = bloch
         return self._bloch
 
     @property

@@ -54,7 +54,8 @@ class KDTree:
             raise InvalidInputError("need a nonempty (n, d) array of finite points")
         if leaf_size < 1:
             raise InvalidInputError("leaf_size must be >= 1")
-        self.points = points
+        # a view, so freezing it leaves a caller's array writable
+        self.points = points.view()
         n = len(points)
         # depth: the halvings s -> s - s // 2 that take n to at most leaf_size
         depth, s = 0, n
@@ -132,6 +133,10 @@ class KDTree:
         self._leaf_idx[row, col] = perm
         self._leaf_idx.sort(axis=1, kind="stable")
         self._leaf_pts[row, col] = np.take(points, self._leaf_idx[row, col], axis=0)
+        # read-only: queries from many threads may share one tree
+        for a in (self.points, perm, split_dim, split_val, start, end, self._count,
+                  self._leaf_idx, self._leaf_pts):
+            a.setflags(write=False)
 
     def query(self, q):
         """Nearest neighbor for each row of q.

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +15,11 @@ from grassbloch.channel import (
     _rows_per_call,
     _workers,
     bench_detectors,
+    make_detector,
     run_ser,
 )
 from grassbloch.detectors import GlrtDetector
+from grassbloch.kdtree import KDTree
 from grassbloch.errors import InvalidInputError
 from grassbloch.formats import ser_curve_to_json
 from grassbloch.packing import exact_packing
@@ -259,6 +265,84 @@ class TestBench:
             bench_detectors(z, ["glrt"], trials=trials, N=N)
         with pytest.raises(InvalidInputError):
             run_ser(z, "glrt", [0.0], trials=trials, N=N)
+
+
+class TestDetectorReuse:
+    """`make_detector` builds each detector once per constellation object and
+    drops it with that object."""
+
+    def test_one_per_tag_and_constellation(self):
+        x, y = build_z_opt(6), build_z_opt(6)
+        for tag in channel.DETECTOR_TAGS:
+            det = make_detector(tag, x)
+            assert make_detector(tag, x) is det
+            assert make_detector(tag, y) is not det
+        assert len({id(make_detector(tag, x)) for tag in channel.DETECTOR_TAGS}) == 3
+
+    def test_dies_with_its_constellation(self):
+        x = build_z_opt(6)
+        refs = [weakref.ref(make_detector(tag, x)) for tag in channel.DETECTOR_TAGS]
+        del x
+        gc.collect()
+        assert [r() for r in refs] == [None] * 3
+
+    def test_zopt_refuses_a_plain_constellation_every_call(self):
+        plain = build_s_opt(exact_packing(4))
+        for _ in range(3):
+            with pytest.raises(InvalidInputError, match="no layer structure"):
+                make_detector("zopt", plain)
+
+    @pytest.mark.parametrize("tag", channel.DETECTOR_TAGS)
+    def test_threads_share_one_detector(self, monkeypatch, tag):
+        z = build_z_opt(8)
+        det = make_detector(tag, z)
+        monkeypatch.setattr(channel, "ROWS_PER_CALL", 256)
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        curves = []
+        for workers in ("1", "2", "1"):
+            monkeypatch.setenv("GRASSBLOCH_THREADS", workers)
+            curves.append(run_ser(z, tag, [4.0, 12.0], trials=3000, N=2, seed=8))
+        assert curves[1] == curves[0] and curves[2] == curves[0]
+        assert make_detector(tag, z) is det
+
+    def test_concurrent_first_calls_build_one(self):
+        """More threads than cores ask at once, with a short switch interval;
+        a check-then-act race would build a second tree."""
+        x = build_z_opt(10)
+        got = []
+        start = threading.Barrier(8)
+
+        def ask():
+            start.wait(timeout=30)
+            got.append(make_detector("sopt", x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(d is got[0] for d in got)
+
+    def test_shared_arrays_are_read_only(self):
+        x = build_z_opt(6)
+        tree = make_detector("sopt", x).tree
+        arrays = [x.bloch, make_detector("glrt", x)._bloch, tree.points,
+                  *(v for v in vars(tree).values() if isinstance(v, np.ndarray))]
+        assert len(arrays) == 12
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+        # the tree freezes a view of its points, never the caller's array
+        pts = np.array(x.bloch)
+        KDTree(pts)
+        assert pts.flags.writeable
 
 
 class TestNothingToDo:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from grassbloch.channel import make_detector
+from grassbloch.channel import DETECTOR_TAGS, make_detector
 from grassbloch import cli, detectors, formats
 from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import FormatError, InvalidInputError
@@ -54,6 +58,155 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         assert cli.build_parser() is not cli.build_parser()
         assert self.run_calls(tmp_path, capsys) == shared
+
+
+def text_mode_load(path):
+    """The --constellation loader as it read files before the memo: text
+    mode, then JSON, then the payload checks. The reference for errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}", path=path) from exc
+    return formats.constellation_from_dict(data, path=path)
+
+
+def fresh_process(args):
+    """(exit code, stdout, stderr) of `main(args)` in a new interpreter."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from grassbloch.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestConstellationMemo:
+    """simulate, bench and detect reuse the last --constellation file's
+    constellation, and so its detectors, while the file's bytes are unchanged."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(cli, "_last_constellation", None)
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """The number of --constellation parses, as a one-item list."""
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return formats.constellation_from_bytes(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "constellation_from_bytes", counted)
+        return count
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        z = tmp_path / "z4.json"
+        assert run(["construct", "--method", "z-opt", "-B", 4, "-o", z]) == 0
+        rx = tmp_path / "rx.csv"
+        rx.write_text("0.5 0.1 -0.3 0.2 1 0 0 1\n1.0 0.0 0.0 1.0 0.2 0.1 0.7 -0.4\n")
+        return z, rx
+
+    def commands(self, z, rx, out):
+        return [
+            ["simulate", "--constellation", z, "--detector", "sopt", "--snr", "0,10",
+             "--trials", 300, "-N", 2, "-o", out],
+            ["bench", "--constellation", z, "--detectors", "glrt,sopt,zopt",
+             "--trials", 300, "-o", out],
+            *(["detect", "--constellation", z, "--detector", d, "--input", rx, "-o", out]
+              for d in DETECTOR_TAGS),
+        ]
+
+    def test_repeats_write_the_first_calls_bytes(self, files, tmp_path, parses):
+        z, rx = files
+        out = tmp_path / "out.csv"
+        for args in self.commands(z, rx, out):
+            got = []
+            for _ in range(3):
+                assert run(args) == 0
+                got.append(out.read_bytes())
+            assert got[1] == got[0] and got[2] == got[0]
+            assert fresh_process(args)[0] == 0
+            assert out.read_bytes() == got[0]
+        assert parses[0] == 1
+        x = cli._last_constellation[1]
+        assert all(make_detector(d, x) is make_detector(d, x) for d in DETECTOR_TAGS)
+
+    def test_same_length_rewrite_reparses(self, files, tmp_path, capsys, parses):
+        z, rx = files
+        out = tmp_path / "out.csv"
+        args = ["detect", "--constellation", z, "--detector", "sopt", "--input", rx, "-o", out]
+        assert run(args) == 0
+        first = out.read_bytes()
+        good = z.read_bytes()
+        stat = z.stat()
+        digit = good.index(b"[[0.9") + 4
+        bad = good[:digit] + b"8" + good[digit + 1:]
+        assert len(bad) == len(good)
+        # the same size and mtime: only the bytes tell the files apart
+        z.write_bytes(bad)
+        os.utime(z, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        capsys.readouterr()
+        assert run(args) == 3
+        assert "codeword 0 differs by 0.1 from the one the zopt layer angles" in \
+            capsys.readouterr().err
+        assert parses[0] == 2
+        z.write_bytes(good)
+        assert run(args) == 0
+        assert out.read_bytes() == first
+        assert parses[0] == 2  # the failed load kept nothing
+
+    def test_bad_file_fails_every_call(self, files, tmp_path, capsys):
+        z, rx = files
+        run(["detect", "--constellation", z, "--input", rx])
+        kept = cli._last_constellation
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"method": "z-opt", "B": 4, "codewords": [[1, 0, 0]]}')
+        capsys.readouterr()
+        errs = []
+        for _ in range(3):
+            assert run(["detect", "--constellation", bad, "--input", rx]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs == [errs[0]] * 3 and "bad codeword data" in errs[0]
+        assert cli._last_constellation is kept
+
+    @pytest.mark.parametrize("content", [
+        None,  # no file
+        b'{"method": "z-opt", "B": \xff}',
+        b'{\r\n"method": "z-opt",\r\n"B": 4,\r\n}',
+        b'\xef\xbb\xbf{"method": "z-opt"}',
+        b'{"method": "z-opt",\r"B": 4 "T": 2}',
+    ], ids=["missing", "not-utf8", "crlf-json-error", "bom", "cr-json-error"])
+    def test_read_errors_keep_their_messages(self, files, tmp_path, capsys, content):
+        _, rx = files
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises((FormatError, OSError)) as exc:
+            text_mode_load(str(path))
+        capsys.readouterr()
+        for _ in range(2):
+            assert run(["detect", "--constellation", path, "--input", rx]) == 3
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert cli._last_constellation is None
+
+    def test_evaluate_and_construct_leave_it(self, files, tmp_path):
+        z, rx = files
+        for before in (None, "loaded"):
+            if before:
+                assert run(["detect", "--constellation", z, "--input", rx]) == 0
+            kept = cli._last_constellation
+            assert run(["evaluate", z]) == 0
+            assert run(["construct", "--method", "z-opt", "-B", 3,
+                        "-o", tmp_path / "z3.json"]) == 0
+            assert cli._last_constellation is kept
 
 
 class TestParseSnr:
