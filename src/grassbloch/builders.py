@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .geometry import (
     canonicalize_array,
     min_chordal_distance_array,
 )
-from .packing import PackingConfig, PackingSet, optimize_packing
+
+if TYPE_CHECKING:  # annotations only: the structured builders need no packing
+    from .packing import PackingConfig, PackingSet
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +45,8 @@ def build_man_opt(C: int, seed: int = 0, config: PackingConfig | None = None) ->
     maximin point dispersion on the Bloch sphere, so the numerical work runs
     there and the result is converted exactly.
     """
+    from .packing import optimize_packing
+
     packing = optimize_packing(C, seed=seed, config=config)
     return build_s_opt(packing, method="man-opt")
 

@@ -25,9 +25,9 @@ import numpy as np
 from . import rng
 from .detectors import GlrtDetector, SoptDetector, ZoptDetector
 from .errors import InvalidInputError
+from .geometry import DETECTOR_TAGS
 
-DETECTORS = {"glrt": GlrtDetector, "sopt": SoptDetector, "zopt": ZoptDetector}
-DETECTOR_TAGS = tuple(DETECTORS)
+DETECTORS = dict(zip(DETECTOR_TAGS, (GlrtDetector, SoptDetector, ZoptDetector)))
 
 _THREADS_ENV = "GRASSBLOCH_THREADS"
 

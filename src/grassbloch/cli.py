@@ -9,7 +9,9 @@ of its input files, exit 2 before anything is written. `simulate` and
 `bench` run one worker thread per CPU in the process's affinity mask; the
 GRASSBLOCH_THREADS environment variable asks for fewer, and a value that is
 not an integer >= 1 exits 2. Every file is read and written through
-`formats`; this module parses only its arguments.
+`formats`; this module parses only its arguments. Each command imports
+the modules it runs when it runs, so importing this module loads no
+builder, packing, channel or detector code.
 
 `main` called again in one process reuses what it built: the parser, and
 the last `--constellation` file's constellation while that file's bytes are
@@ -29,14 +31,6 @@ import os
 import sys
 
 from . import __version__
-from .builders import (
-    build_cube_split,
-    build_grass_lattice,
-    build_man_opt,
-    build_s_opt,
-    exp_map_constellation,
-)
-from .channel import DETECTOR_TAGS, bench_detectors, make_detector, run_ser
 from .errors import DegenerateInputError, FormatError, InvalidInputError
 from .formats import (
     bench_rows,
@@ -53,13 +47,7 @@ from .formats import (
     write_csv,
     write_json,
 )
-from .geometry import METHOD_TAGS, fejes_toth_bound
-from .packing import (
-    EXACT_COUNTS,
-    PackingConfig,
-    exact_packing,
-    optimize_packing,
-)
+from .geometry import DETECTOR_TAGS, METHOD_TAGS, fejes_toth_bound
 from .zopt import build_z_opt, candidate_distances
 
 #: every tag but "external", which only files from elsewhere carry
@@ -183,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _packing_config(args):
+    from .packing import PackingConfig
+
     overrides = {k: getattr(args, k) for k in
                  ("starts", "phase1_iters", "phase2_sweeps")
                  if getattr(args, k) is not None}
@@ -224,6 +214,9 @@ def _construct(args, cfg_hash) -> int:
         n_v = s.n_v
         candidates = candidate_distances(constellation.theta[:n_v], s).count
     elif args.method == "s-opt":
+        from .builders import build_s_opt
+        from .packing import EXACT_COUNTS, exact_packing, optimize_packing
+
         if args.packing_file:
             packing = load_packing(args.packing_file)
             if packing.C != C:
@@ -236,16 +229,24 @@ def _construct(args, cfg_hash) -> int:
             packing = optimize_packing(C, seed=seed, config=_packing_config(args))
         constellation = build_s_opt(packing)
     elif args.method == "man-opt":
+        from .builders import build_man_opt
+
         constellation = build_man_opt(C, seed=seed, config=_packing_config(args))
     elif args.method == "exp-map":
+        from .builders import exp_map_constellation
+
         constellation = exp_map_constellation(B, symbols=args.symbols)
     elif args.method == "cube-split":
+        from .builders import build_cube_split
+
         constellation = build_cube_split(B)
     elif args.method == "grass-lattice":
         if B % 2 != 0:
             raise InvalidInputError(
                 "grass-lattice realizes 2^(2*Br) codewords; bits must be even"
             )
+        from .builders import build_grass_lattice
+
         constellation = build_grass_lattice(B // 2, alpha=args.alpha)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown method {args.method}")
@@ -303,6 +304,8 @@ def _bound(args, cfg_hash) -> int:
 
 
 def _simulate(args, cfg_hash) -> int:
+    from .channel import run_ser
+
     curve = run_ser(_constellation_arg(args.constellation), args.detector,
                     _parse_snr(args.snr), trials=args.trials, N=args.antennas, seed=args.seed)
     ser_curve_to_csv(args.output or sys.stdout, curve, cfg_hash=cfg_hash)
@@ -312,6 +315,8 @@ def _simulate(args, cfg_hash) -> int:
 
 
 def _bench(args, cfg_hash) -> int:
+    from .channel import bench_detectors
+
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
     reports = bench_detectors(_constellation_arg(args.constellation), tags,
                               trials=args.trials, N=args.antennas,
@@ -322,6 +327,8 @@ def _bench(args, cfg_hash) -> int:
 
 
 def _detect(args, cfg_hash) -> int:
+    from .channel import make_detector
+
     det = make_detector(args.detector, _constellation_arg(args.constellation))
     idx, evals, comps = det.detect_batch(read_blocks(args.input))
     rows = [[t, i, e, c] for t, (i, e, c) in

@@ -18,16 +18,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .channel import BenchReport, SerCurve
 from .errors import FormatError, InvalidInputError
 from .geometry import Constellation
-from .packing import PackingSet
 from .zopt import ZOptConstellation, zopt_structure
+
+if TYPE_CHECKING:  # annotations only, so that loading formats loads neither module
+    from .channel import BenchReport, SerCurve
+    from .packing import PackingSet
 
 FORMAT_VERSION = 1
 
@@ -48,9 +52,8 @@ def provenance(seed=None, cfg_hash=None) -> dict:
             "config_hash": cfg_hash, "seed": seed}
 
 
-def write_json(path, data, indent=1) -> None:
-    # json.dumps takes the C encoder when indent is None; json.dump never does
-    text = json.dumps(data, indent=indent)
+def write_json(path, data) -> None:
+    text = json.dumps(data, indent=1)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -89,6 +92,11 @@ def _check_version(data, path):
 
 def constellation_to_dict(x, seed=None, cfg_hash=None) -> dict:
     """JSON payload for a Constellation or ZOptConstellation."""
+    return _fields(x, seed, cfg_hash, x.array.view(np.float64).reshape(len(x), 4).tolist())
+
+
+def _fields(x, seed, cfg_hash, codewords) -> dict:
+    """A constellation file's fields in file order, with `codewords` as given."""
     b = x.B
     data = {
         **provenance(seed, cfg_hash),
@@ -96,7 +104,7 @@ def constellation_to_dict(x, seed=None, cfg_hash=None) -> dict:
         "B": int(b) if float(b).is_integer() else float(b),
         "T": 2,
         "M": 1,
-        "codewords": x.array.view(np.float64).reshape(len(x), 4).tolist(),
+        "codewords": codewords,
     }
     if isinstance(x, ZOptConstellation):
         data["zopt"] = _zopt_block(x)
@@ -112,8 +120,29 @@ def _zopt_block(z: ZOptConstellation) -> dict:
             "layer_offsets": list(s.layer_offsets)}
 
 
+def _codewords_text(points: np.ndarray) -> str:
+    """The `json.dumps` text of finite (C, 2) complex codewords as rows
+    [re0, im0, re1, im1], each distinct value formatted once.
+
+    Values are told apart by their bits, since a float-valued `np.unique`
+    would merge -0.0 into 0.0. `float.__repr__` is the text `json.dumps`
+    gives a finite float, and a Constellation holds only finite rows.
+    """
+    values, index = np.unique(points.view(np.uint64).ravel(), return_inverse=True)
+    texts = list(map(float.__repr__, values.view(np.float64).tolist()))
+    cells = operator.itemgetter(*index.tolist())(texts)
+    return "[" + ", ".join(["[%s, %s, %s, %s]"] * len(points)) % cells + "]"
+
+
 def save_constellation(path, x, seed=None, cfg_hash=None) -> None:
-    write_json(path, constellation_to_dict(x, seed=seed, cfg_hash=cfg_hash), indent=None)
+    """Write `json.dumps(constellation_to_dict(x, seed, cfg_hash))` and a
+    newline, without the list of every codeword entry as a Python float."""
+    parts = []
+    for key, value in _fields(x, seed, cfg_hash, _codewords_text(x.array)).items():
+        parts += [", " if parts else "{", json.dumps(key), ": ",
+                  value if key == "codewords" else json.dumps(value)]
+    with open(path, "w") as fh:
+        fh.writelines(parts + ["}\n"])
 
 
 def constellation_from_dict(data, path=None):
@@ -340,6 +369,8 @@ def load_packing(path) -> PackingSet:
         raise FormatError(f"non-numeric value in {bad[1]!r}", path=path, line=bad[0])
     if header is not None and header != n:
         raise FormatError(f"header says {header} points but file holds {n}", path=path)
+    from .packing import PackingSet
+
     try:
         return PackingSet(pts / norm[:, None])
     except InvalidInputError as exc:

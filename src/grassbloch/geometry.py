@@ -29,6 +29,9 @@ METHOD_TAGS = (
     "grass-lattice",
     "external",
 )
+#: the detectors' tags, in `channel.DETECTORS` order; kept here so that the
+#: command-line parser can offer them without loading the detectors
+DETECTOR_TAGS = ("glrt", "sopt", "zopt")
 
 #: unit axis (12, 15, 16) / 25 of the closest-pair sweep; it is generic, so
 #: the rings of equal z and the other symmetric sets the builders make spread

@@ -283,25 +283,32 @@ def _greedy_feasible(t: float, s: ZOptStructure):
 def optimize_zopt(s: ZOptStructure) -> np.ndarray:
     """Free polar angles maximizing the candidate-set minimum.
 
-    A 90-step bisection over the achievable minimum t in (1e-9, 2), where
-    each step places the layers greedily at their lowest feasible angles and
-    checks them against the candidate set (`_greedy_feasible`). The greedy
-    placement decides feasibility exactly, so the bisection converges on the
-    optimum of the structure and no polish follows. Deterministic.
+    A bisection of at most 90 steps over the achievable minimum t in
+    (1e-9, 2), where each step places the layers greedily at their lowest
+    feasible angles and checks them against the candidate set
+    (`_greedy_feasible`). It stops once the midpoint rounds to an end of the
+    bracket, since every later step would test that end again, and returns
+    the placement at the last feasible t. The greedy placement decides
+    feasibility exactly, so the bisection converges on the optimum of the
+    structure and no polish follows. Deterministic.
     """
     if not 4 <= s.B <= 16:
         raise InvalidInputError("optimization applies to B in 4..16; smaller B is closed form")
     lo = 1e-9
     hi = 2.0  # no chord exceeds the sphere diameter
-    if _greedy_feasible(lo, s) is None:
+    best = _greedy_feasible(lo, s)
+    if best is None:
         raise InvalidInputError("no feasible layer placement found")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if _greedy_feasible(mid, s) is not None:
-            lo = mid
+        if not lo < mid < hi:
+            break
+        theta = _greedy_feasible(mid, s)
+        if theta is not None:
+            lo, best = mid, theta
         else:
             hi = mid
-    return _greedy_feasible(lo, s)
+    return best
 
 
 # ---------------------------------------------------------------------------

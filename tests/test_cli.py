@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from grassbloch.channel import DETECTOR_TAGS, make_detector
-from grassbloch import cli, detectors, formats
+from grassbloch import builders, cli, detectors, formats
 from grassbloch.cli import MAX_BITS, MAX_SNR_POINTS, _parse_snr, main
 from grassbloch.errors import FormatError, InvalidInputError
 from grassbloch.formats import FORMAT_VERSION, config_hash, load_constellation
@@ -75,15 +76,67 @@ def text_mode_load(path):
     return formats.constellation_from_dict(data, path=path)
 
 
-def fresh_process(args):
-    """(exit code, stdout, stderr) of `main(args)` in a new interpreter."""
+def run_child(code, args=()):
+    """The finished process of `python -c code *args` in a new interpreter
+    that imports this checkout's grassbloch."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from grassbloch.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def fresh_process(args):
+    """(exit code, stdout, stderr) of `main(args)` in a new interpreter."""
+    proc = run_child("import sys; from grassbloch.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", args)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestColdImport:
+    """A new process loads only the modules the command it runs needs."""
+
+    #: modules only some commands run
+    LAZY = ("packing", "builders", "channel", "detectors", "kdtree", "rng")
+
+    def loaded(self, code, args=()):
+        proc = run_child(code + "; import sys; print(' '.join(m for m in "
+                         f"{self.LAZY!r} if 'grassbloch.' + m in sys.modules))", args)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_importing_cli(self):
+        assert self.loaded("from grassbloch import cli") == []
+
+    def test_importing_package(self):
+        assert self.loaded("import grassbloch") == []
+
+    def test_package_names(self):
+        # the names the package exported when it imported every module at once
+        import grassbloch
+
+        assert grassbloch.__all__ == [
+            "CandidateDistances", "Constellation", "DetectionResult", "GlrtDetector",
+            "PackingConfig", "PackingSet", "SerCurve", "SoptDetector", "ZOptConstellation",
+            "ZOptStructure", "ZoptDetector", "bench_detectors", "build_cube_split",
+            "build_exp_map", "build_grass_lattice", "build_man_opt", "build_s_opt",
+            "build_z_opt", "builders", "candidate_distances", "channel", "detectors",
+            "errors", "exact_packing", "exp_map_constellation", "fejes_toth_bound",
+            "formats", "geometry", "kdtree", "load_packing", "optimize_packing",
+            "optimize_zopt", "packing", "rng", "run_ser", "zopt", "zopt_structure"]
+        star = {}
+        exec("from grassbloch import *", star)
+        assert set(grassbloch.__all__) <= set(star)
+        assert star["run_ser"] is grassbloch.channel.run_ser
+        assert star["kdtree"] is importlib.import_module("grassbloch.kdtree")
+        with pytest.raises(AttributeError):
+            grassbloch.no_such_name
+
+    @pytest.mark.parametrize("method, loads", [("z-opt", []), ("cube-split", ["builders"])])
+    def test_construct(self, tmp_path, method, loads):
+        code = ("import sys; from grassbloch.cli import main; "
+                "assert main(sys.argv[1:]) == 0")
+        args = ["construct", "--method", method, "-B", 4, "-o", tmp_path / "x.json"]
+        assert self.loaded(code, args) == loads
 
 
 class TestConstellationMemo:
@@ -336,7 +389,7 @@ class TestConstruct:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "exp_map_constellation", exhausted)
+        monkeypatch.setattr(builders, "exp_map_constellation", exhausted)
         out = tmp_path / "x.json"
         assert run(["construct", "--method", "exp-map", "-B", 4, "-o", out]) == 4
         assert "error: out of memory" in capsys.readouterr().err

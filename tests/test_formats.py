@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -5,7 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from grassbloch.builders import build_s_opt
+from grassbloch import formats
+from grassbloch.builders import (
+    build_cube_split,
+    build_grass_lattice,
+    build_man_opt,
+    build_s_opt,
+    exp_map_constellation,
+)
 from grassbloch.channel import run_ser
 from grassbloch.errors import FormatError
 from grassbloch.formats import (
@@ -18,7 +26,7 @@ from grassbloch.formats import (
     ser_curve_to_csv,
     write_csv,
 )
-from grassbloch.packing import exact_packing
+from grassbloch.packing import EXACT_COUNTS, PackingConfig, exact_packing
 from grassbloch.geometry import Constellation
 from grassbloch.zopt import (
     ZOptConstellation,
@@ -27,6 +35,15 @@ from grassbloch.zopt import (
     expand_theta,
     optimize_zopt,
 )
+
+#: unit-norm rows holding -0.0 (in re0 and re1), the least subnormal, 1e-05
+#: (which repr writes with an exponent) and its negation, and repeats
+HAND_ROWS = [
+    [1.0, complex(-0.0, 5e-324)],
+    [-0.0, 1.0],
+    [math.sqrt(1.0 - 2e-10), complex(1e-05, -1e-05)],
+    [0.6, complex(-0.0, 0.8)],
+]
 
 
 class TestConstellationJson:
@@ -51,9 +68,19 @@ class TestConstellationJson:
         assert json.loads(path.read_text())["zopt"]["layer_offsets"] == [0, 4, 12, 20, 28]
         assert np.allclose(back.array, z.array)
 
-    @pytest.mark.parametrize("make", [lambda: build_s_opt(exact_packing(12)),
-                                      lambda: build_z_opt(9)])
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(build_z_opt, B) for B in range(1, 17)),
+        *(functools.partial(build_cube_split, B) for B in (1, 2, 5, 8, 11)),
+        *(functools.partial(build_grass_lattice, Br) for Br in (1, 2, 4, 5)),
+        *(functools.partial(exp_map_constellation, B) for B in (1, 2, 3, 6, 9, 10)),
+        *(lambda C=C: build_s_opt(exact_packing(C)) for C in EXACT_COUNTS),
+        lambda: build_man_opt(8, seed=3, config=PackingConfig(starts=1, phase1_iters=20,
+                                                              phase2_sweeps=20)),
+        lambda: Constellation(HAND_ROWS, "external"),
+    ])
     def test_file_bytes_match_streamed_encoder(self, tmp_path, make):
+        # the writer formats each distinct value once; the file is still
+        # exactly what the streamed encoder writes
         x = make()
         path = tmp_path / "c.json"
         save_constellation(path, x, seed=4, cfg_hash="0123456789ab")
@@ -61,6 +88,26 @@ class TestConstellationJson:
             json.dump(constellation_to_dict(x, seed=4, cfg_hash="0123456789ab"), fh)
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_hand_rows_keep_their_values(self):
+        # the rows keep -0.0, the subnormal and 1e-05 through Constellation,
+        # so the byte test above writes each of them
+        x = Constellation(HAND_ROWS, "external")
+        rows = constellation_to_dict(x)["codewords"]
+        assert [math.copysign(1.0, v) for v in (rows[0][2], rows[1][0], rows[3][2])] == [-1.0] * 3
+        assert {rows[0][3], rows[2][2], rows[2][3]} == {5e-324, 1e-05, -1e-05}
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, 5e-324, -5e-324],
+        [1e-05, 0.0001, 1e16, 9999999999999998.0],
+        [1e+16, -1e+16, 1e-05, -1e-05, 1e-05, 1e+16, -0.0, 0.1],
+        [1.7976931348623157e308, 2.2250738585072014e-308, 1 / 3, 2 / 3],
+    ])
+    def test_row_text_is_json_dumps(self, values):
+        # any finite values, not only unit-norm rows, repeated and negated
+        points = np.array(values, dtype=np.float64).view(np.complex128).reshape(-1, 2)
+        assert formats._codewords_text(points) == json.dumps(
+            points.view(np.float64).reshape(-1, 4).tolist())
 
     @pytest.mark.parametrize("B", list(range(1, 17)))
     def test_layered_rows_rebuild_bitwise(self, B):

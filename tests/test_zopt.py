@@ -286,6 +286,20 @@ class TestClosedForms:
         )
 
 
+def reference_optimize_zopt(s):
+    """Every one of the 90 bisection steps, then the placement at the last
+    feasible t: the reference for the optimizer that stops once the bracket
+    stops moving."""
+    lo, hi = 1e-9, 2.0
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if _greedy_feasible(mid, s) is not None:
+            lo = mid
+        else:
+            hi = mid
+    return _greedy_feasible(lo, s)
+
+
 class TestOptimizer:
     def test_b4_matches_exhaustive_grid(self):
         # two free angles: exhaustive scan is a usable global oracle
@@ -341,6 +355,11 @@ class TestOptimizer:
             s = zopt_structure(B)
             achieved = candidate_distances(optimize_zopt(s), s).minimum
             assert _greedy_feasible(achieved + 1e-10, s) is None, B
+
+    @pytest.mark.parametrize("B", range(4, 17))
+    def test_early_stop_matches_every_step(self, B):
+        s = zopt_structure(B)
+        assert optimize_zopt(s).tobytes() == reference_optimize_zopt(s).tobytes()
 
     def test_small_b_rejected(self):
         with pytest.raises(InvalidInputError, match="optimization applies to B in 4..16"):
