@@ -14,11 +14,16 @@ the modules it runs when it runs, so importing this module loads no
 builder, packing, channel or detector code.
 
 `main` called again in one process reuses what it built: the parser, and
-the last `--constellation` file's constellation while that file's bytes are
-unchanged (keyed by their SHA-256, so a rewrite of the same size and mtime
-is read again), and with it the detectors `make_detector` built for it. The
-file is read once per call, and the bytes hashed are the bytes parsed. A
-load that fails keeps nothing. `evaluate` and `construct` keep nothing.
+what it made of the files it read. The `--constellation` file, `detect`'s
+`--input` and each of `evaluate`'s files are read once per call, their bytes
+hashed (SHA-256) and those same bytes parsed only when no earlier call
+parsed bytes with that digest, so a rewrite of the same size and mtime is
+read again. A kept constellation keeps the detectors `make_detector` built
+for it and its minimum distance, and `construct` keeps the constellation it
+wrote under the digest of the bytes it wrote, so `evaluate` of that file
+parses nothing. A load that fails keeps nothing, and the arrays kept are
+read-only. Once the kept arrays pass `MEMO_BYTES`, the least recently used
+entries go; the newest always stays.
 """
 
 from __future__ import annotations
@@ -29,17 +34,20 @@ import hashlib
 import math
 import os
 import sys
+import threading
+from collections import OrderedDict
+
+import numpy as np
 
 from . import __version__
 from .errors import DegenerateInputError, FormatError, InvalidInputError
 from .formats import (
     bench_rows,
+    blocks_from_bytes,
     config_hash,
     constellation_from_bytes,
-    load_constellation,
     load_packing,
     provenance,
-    read_blocks,
     read_bytes,
     save_constellation,
     ser_curve_to_csv,
@@ -62,24 +70,50 @@ OUTPUTS = ("output", "report", "json_output")
 INPUTS = ("constellation", "input", "packing_file")
 
 
-#: (SHA-256 digest of its bytes, constellation) of the last --constellation
-#: file that loaded, or None
-_last_constellation = None
+#: most bytes of parsed arrays (codewords, received blocks) that `main` keeps
+#: between calls. 32 MiB holds 16 B = 16 constellations (2 MiB of codewords
+#: each) or a million N = 1 blocks, far more than a script that alternates a
+#: few files needs, while a script that walks through many files holds a
+#: bounded amount. The detectors built for a kept constellation come on top:
+#: with all three, about five times its codewords' bytes.
+MEMO_BYTES = 32 << 20
+
+#: (parser, SHA-256 digest of a file's bytes) -> (what the parser made of
+#: them, the bytes of its arrays), least recently used first
+_parsed = OrderedDict()
+#: guards `_parsed` where `main` runs on several threads at once
+_parsed_lock = threading.Lock()
 
 
-def _constellation_arg(path):
-    """The constellation in the --constellation file `path`. The file is read
-    once; while its bytes match the last file that loaded, that file's
-    constellation, and so its detectors (`make_detector`), serve again. A
-    load that raises keeps nothing."""
-    global _last_constellation
+def _load(path, parse):
+    """`parse(data, path)` of the bytes of the file `path`, read once. While
+    an earlier call parsed bytes with the same digest with `parse`, its
+    result serves again. A parse that raises keeps nothing."""
     data = read_bytes(path)
-    digest = hashlib.sha256(data).digest()
-    last = _last_constellation
-    if last is None or last[0] != digest:
-        last = (digest, constellation_from_bytes(data, path))
-        _last_constellation = last
-    return last[1]
+    key = (parse, hashlib.sha256(data).digest())
+    with _parsed_lock:
+        entry = _parsed.get(key)
+        if entry is not None:
+            _parsed.move_to_end(key)
+            return entry[0]
+    return _keep(key, parse(data, path))
+
+
+def _keep(key, value):
+    """Keep `value`, a constellation or an array it makes read-only, under
+    `key` as the newest entry, then drop the oldest entries past `MEMO_BYTES`."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+        size = value.nbytes
+    else:
+        size = value.array.nbytes  # read-only, as are its Bloch points and angles
+    with _parsed_lock:
+        _parsed[key] = (value, size)
+        _parsed.move_to_end(key)
+        total = sum(size for _, size in _parsed.values())
+        while total > MEMO_BYTES and len(_parsed) > 1:
+            total -= _parsed.popitem(last=False)[1][1]
+    return value
 
 
 def _parse_snr(spec: str):
@@ -251,7 +285,11 @@ def _construct(args, cfg_hash) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown method {args.method}")
 
-    save_constellation(args.output, constellation, seed=seed, cfg_hash=cfg_hash)
+    digest = save_constellation(args.output, constellation, seed=seed, cfg_hash=cfg_hash)
+    # parsing the bytes written would give an equal constellation: the same
+    # type, method, B, rows and angles, so the same d_min (tests/test_cli.py
+    # checks each method)
+    _keep((constellation_from_bytes, digest), constellation)
 
     d_min = constellation.min_chordal_distance
     bound = fejes_toth_bound(len(constellation)) if len(constellation) >= 3 else 1.0
@@ -276,7 +314,7 @@ def _evaluate(args, cfg_hash) -> int:
     rows = []
     notes = ["bound column is blank for C=2, where the exact value is 1"]
     for path in args.inputs:
-        constellation = load_constellation(path)
+        constellation = _load(path, constellation_from_bytes)
         d_min = constellation.min_chordal_distance
         C = len(constellation)
         if C >= 3:
@@ -306,7 +344,7 @@ def _bound(args, cfg_hash) -> int:
 def _simulate(args, cfg_hash) -> int:
     from .channel import run_ser
 
-    curve = run_ser(_constellation_arg(args.constellation), args.detector,
+    curve = run_ser(_load(args.constellation, constellation_from_bytes), args.detector,
                     _parse_snr(args.snr), trials=args.trials, N=args.antennas, seed=args.seed)
     ser_curve_to_csv(args.output or sys.stdout, curve, cfg_hash=cfg_hash)
     if args.json_output:
@@ -318,7 +356,7 @@ def _bench(args, cfg_hash) -> int:
     from .channel import bench_detectors
 
     tags = [t.strip() for t in args.detectors.split(",") if t.strip()]
-    reports = bench_detectors(_constellation_arg(args.constellation), tags,
+    reports = bench_detectors(_load(args.constellation, constellation_from_bytes), tags,
                               trials=args.trials, N=args.antennas,
                               seed=args.seed, snr_db=args.snr)
     header, rows = bench_rows(reports)
@@ -329,8 +367,8 @@ def _bench(args, cfg_hash) -> int:
 def _detect(args, cfg_hash) -> int:
     from .channel import make_detector
 
-    det = make_detector(args.detector, _constellation_arg(args.constellation))
-    idx, evals, comps = det.detect_batch(read_blocks(args.input))
+    det = make_detector(args.detector, _load(args.constellation, constellation_from_bytes))
+    idx, evals, comps = det.detect_batch(_load(args.input, blocks_from_bytes))
     rows = [[t, i, e, c] for t, (i, e, c) in
             enumerate(zip(idx.tolist(), evals.tolist(), comps.tolist()))]
     write_csv(args.output or sys.stdout,

@@ -21,10 +21,10 @@ Ties always resolve to the lowest codeword index; at r = 0 (G a multiple of
 the identity) every codeword ties and every detector decides codeword 0.
 Every detector's single-row `detect` is one function, `_detect_one`, which
 runs the detector's batch implementation on one row, so `detect` is exactly
-`detect_batch` on a batch of one. A row inside a larger batch can still round
-differently where two codewords tie to within rounding: at z-opt B = 4, the
-GLRT decides Y = [[1, -1e-200 + 1e-210j], [0, 0.5]] as codeword 0 alone and
-as 2 in a batch of two. ROADMAP item 2 tracks these rounding ties.
+`detect_batch` on a batch of one, and a row is decided alike in any batch:
+the GLRT never scores a block of one row, which BLAS rounds its own way.
+Where two codewords tie to within rounding, the three detectors can still
+pick different ones; ROADMAP item 2 tracks these ties.
 """
 
 from __future__ import annotations
@@ -165,13 +165,23 @@ class GlrtDetector:
 
     def detect_batch(self, Ys: np.ndarray):
         r = bloch_vector_batch(Ys)
+        n = len(r)
         C = self._bloch.shape[1]
-        step = max(1, _GLRT_BLOCK_ENTRIES // C)
+        # no block holds one row: BLAS multiplies one row by its own
+        # matrix-vector path, which can round differently from the same row
+        # in a block of two or more. A batch of one is scored as two copies
+        # and a last row left alone joins the block before it.
+        if n == 1:
+            r = np.repeat(r, 2, axis=0)
+        step = max(2, _GLRT_BLOCK_ENTRIES // C)
+        edges = list(range(0, len(r), step)) + [len(r)]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
         idx = np.empty(len(r), dtype=np.intp)
-        for lo in range(0, len(r), step):
-            idx[lo:lo + step] = np.argmax(r[lo:lo + step] @ self._bloch, axis=1)
-        counts = np.full(len(r), C, dtype=np.int64)
-        return idx, counts, counts.copy()
+        for lo, hi in zip(edges, edges[1:]):
+            idx[lo:hi] = np.argmax(r[lo:hi] @ self._bloch, axis=1)
+        counts = np.full(n, C, dtype=np.int64)
+        return idx[:n], counts, counts.copy()
 
     detect = _detect_one
 

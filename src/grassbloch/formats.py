@@ -134,15 +134,22 @@ def _codewords_text(points: np.ndarray) -> str:
     return "[" + ", ".join(["[%s, %s, %s, %s]"] * len(points)) % cells + "]"
 
 
-def save_constellation(path, x, seed=None, cfg_hash=None) -> None:
+def save_constellation(path, x, seed=None, cfg_hash=None) -> bytes:
     """Write `json.dumps(constellation_to_dict(x, seed, cfg_hash))` and a
-    newline, without the list of every codeword entry as a Python float."""
+    newline, without the list of every codeword entry as a Python float, and
+    return the SHA-256 digest of the bytes written. Each part is encoded,
+    hashed and written in turn, so the file's text is never held whole."""
     parts = []
     for key, value in _fields(x, seed, cfg_hash, _codewords_text(x.array)).items():
         parts += [", " if parts else "{", json.dumps(key), ": ",
                   value if key == "codewords" else json.dumps(value)]
-    with open(path, "w") as fh:
-        fh.writelines(parts + ["}\n"])
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts + ["}\n"]:
+            data = part.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.digest()
 
 
 def constellation_from_dict(data, path=None):
@@ -278,13 +285,13 @@ def bench_rows(reports: list[BenchReport]):
 # numeric text: received blocks and packing tables
 
 
-def _read_rows(path):
-    """(line numbers, value counts, values end to end) of a text file's rows
-    up to the first row holding a non-number, and (line number, tokens) of
-    that row, or None. Values are separated by commas or whitespace and '#'
+def _read_rows(text):
+    """(line numbers, value counts, values end to end) of a text's rows up to
+    the first row holding a non-number, and (line number, tokens) of that
+    row, or None. Values are separated by commas or whitespace and '#'
     starts a comment."""
     lines, counts, tokens = [], [], []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         body = line.split("#", 1)[0]
         row = body.replace(",", " ").split()
         if row or body.strip():  # a line of commas is a row of no values
@@ -312,12 +319,14 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def read_blocks(path) -> np.ndarray:
-    """(n, 2, N) received blocks, one per row of 4*N re/im interleaved values,
-    the same N on every row. The first bad line is reported; within a line, a
-    non-numeric value comes first, then a count that is not 4*N, then a
-    non-finite value, then an N unlike the first row's."""
-    lines, counts, vals, bad = _read_rows(path)
+def blocks_from_bytes(data: bytes, path=None) -> np.ndarray:
+    """(n, 2, N) received blocks, contiguous, that a `detect --input` file's
+    bytes hold: one per row of 4*N re/im interleaved values, the same N on
+    every row. `path` names the file in errors. The first bad line is
+    reported; within a line, a non-numeric value comes first, then a count
+    that is not 4*N, then a non-finite value, then an N unlike the first
+    row's."""
+    lines, counts, vals, bad = _read_rows(_decode_text(data, path))
     width = (counts % 4 != 0) | (counts == 0)
     finite = np.ones(len(counts), dtype=bool)
     finite[np.repeat(np.arange(len(counts)), counts)[~np.isfinite(vals)]] = False
@@ -337,7 +346,13 @@ def read_blocks(path) -> np.ndarray:
         raise FormatError("non-numeric value", path=path, line=bad[0])
     N = counts[0] // 4 if len(counts) else 1
     flat = vals.reshape(len(counts), N, 2, 2)
-    return (flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1)
+    return np.ascontiguousarray((flat[..., 0] + 1j * flat[..., 1]).transpose(0, 2, 1))
+
+
+def read_blocks(path) -> np.ndarray:
+    """The received blocks in the `detect --input` file `path`, read once
+    (`blocks_from_bytes`)."""
+    return blocks_from_bytes(read_bytes(path), path)
 
 
 def load_packing(path) -> PackingSet:
@@ -346,7 +361,7 @@ def load_packing(path) -> PackingSet:
     whole number. The first bad line is reported; within a line, a non-number
     comes first, then a count other than 3, then the norm. A wrong point count
     and what `PackingSet` rejects are format errors without a line."""
-    lines, counts, vals, bad = _read_rows(path)
+    lines, counts, vals, bad = _read_rows(read_text(path))
     header = None
     if len(counts) and counts[0] == 1:
         if not float(vals[0]).is_integer():

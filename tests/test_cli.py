@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -140,32 +142,45 @@ class TestColdImport:
 
 
 class TestConstellationMemo:
-    """simulate, bench and detect reuse the last --constellation file's
-    constellation, and so its detectors, while the file's bytes are unchanged."""
+    """`main` keeps what it parsed of the files it read, keyed by the parser
+    and the SHA-256 of the file's bytes: the --constellation file (and so its
+    detectors), detect's --input and evaluate's files, and the constellation
+    construct wrote, under the digest of the bytes it wrote."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(cli, "_last_constellation", None)
+        monkeypatch.setattr(cli, "_parsed", OrderedDict())
 
     @pytest.fixture()
     def parses(self, monkeypatch):
-        """The number of --constellation parses, as a one-item list."""
-        count = [0]
+        """The number of parses of each kind: {"constellation": n, "blocks": n}."""
+        count = {"constellation": 0, "blocks": 0}
 
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return formats.constellation_from_bytes(*args, **kwargs)
+        def counted(kind, parse):
+            def wrapper(*args, **kwargs):
+                count[kind] += 1
+                return parse(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(cli, "constellation_from_bytes", counted)
+        monkeypatch.setattr(cli, "constellation_from_bytes",
+                            counted("constellation", formats.constellation_from_bytes))
+        monkeypatch.setattr(cli, "blocks_from_bytes",
+                            counted("blocks", formats.blocks_from_bytes))
         return count
 
     @pytest.fixture()
-    def files(self, tmp_path):
+    def files(self, tmp_path, parses):
+        # after `parses`, so that construct keeps z4.json under the counted parser
         z = tmp_path / "z4.json"
         assert run(["construct", "--method", "z-opt", "-B", 4, "-o", z]) == 0
         rx = tmp_path / "rx.csv"
         rx.write_text("0.5 0.1 -0.3 0.2 1 0 0 1\n1.0 0.0 0.0 1.0 0.2 0.1 0.7 -0.4\n")
         return z, rx
+
+    @staticmethod
+    def kept(parse):
+        """What the memo holds from `parse`, oldest first."""
+        return [value for (p, _), (value, _) in cli._parsed.items() if p is parse]
 
     def commands(self, z, rx, out):
         return [
@@ -188,9 +203,21 @@ class TestConstellationMemo:
             assert got[1] == got[0] and got[2] == got[0]
             assert fresh_process(args)[0] == 0
             assert out.read_bytes() == got[0]
-        assert parses[0] == 1
-        x = cli._last_constellation[1]
+        # construct kept what it wrote, and the three detect calls share one parse
+        assert parses == {"constellation": 0, "blocks": 1}
+        [x] = self.kept(cli.constellation_from_bytes)
         assert all(make_detector(d, x) is make_detector(d, x) for d in DETECTOR_TAGS)
+
+    def test_three_detectors_parse_the_input_once(self, files, tmp_path, parses):
+        z, rx = files
+        for d in DETECTOR_TAGS:
+            out = tmp_path / f"det-{d}.csv"
+            args = ["detect", "--constellation", z, "--detector", d, "--input", rx, "-o", out]
+            assert run(args) == 0
+            kept = out.read_bytes()
+            assert fresh_process(args)[0] == 0
+            assert out.read_bytes() == kept
+        assert parses == {"constellation": 0, "blocks": 1}
 
     def test_same_length_rewrite_reparses(self, files, tmp_path, capsys, parses):
         z, rx = files
@@ -210,16 +237,40 @@ class TestConstellationMemo:
         assert run(args) == 3
         assert "codeword 0 differs by 0.1 from the one the zopt layer angles" in \
             capsys.readouterr().err
-        assert parses[0] == 2
+        assert parses["constellation"] == 1
         z.write_bytes(good)
         assert run(args) == 0
         assert out.read_bytes() == first
-        assert parses[0] == 2  # the failed load kept nothing
+        assert parses["constellation"] == 1  # the failed load kept nothing
+
+    def test_same_length_input_rewrite_reparses(self, files, tmp_path, parses):
+        z, rx = files
+        out = tmp_path / "out.csv"
+        args = ["detect", "--constellation", z, "--detector", "glrt", "--input", rx, "-o", out]
+        assert run(args) == 0
+        first = out.read_bytes()
+        good = rx.read_bytes()
+        stat = rx.stat()
+        # the first block's second column goes from (1, 0) to (0, 1): codeword
+        # 13, not 9; the same size and mtime, so only the bytes tell them apart
+        rewritten = good.replace(b"1 0 0 1", b"0 0 1 0")
+        assert len(rewritten) == len(good) and rewritten != good
+        rx.write_bytes(rewritten)
+        os.utime(rx, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert run(args) == 0
+        second = out.read_bytes()
+        assert parses["blocks"] == 2
+        assert fresh_process(args)[0] == 0
+        assert out.read_bytes() == second != first
+        rx.write_bytes(good)
+        assert run(args) == 0
+        assert out.read_bytes() == first
+        assert parses["blocks"] == 2
 
     def test_bad_file_fails_every_call(self, files, tmp_path, capsys):
         z, rx = files
         run(["detect", "--constellation", z, "--input", rx])
-        kept = cli._last_constellation
+        kept = list(cli._parsed.items())
         bad = tmp_path / "bad.json"
         bad.write_text('{"method": "z-opt", "B": 4, "codewords": [[1, 0, 0]]}')
         capsys.readouterr()
@@ -228,7 +279,21 @@ class TestConstellationMemo:
             assert run(["detect", "--constellation", bad, "--input", rx]) == 3
             errs.append(capsys.readouterr().err)
         assert errs == [errs[0]] * 3 and "bad codeword data" in errs[0]
-        assert cli._last_constellation is kept
+        assert list(cli._parsed.items()) == kept
+
+    def test_bad_input_fails_every_call(self, files, tmp_path, capsys, parses):
+        z, rx = files
+        kept = list(cli._parsed.items())
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1 0 0 1\n1 nan 0 1\n")
+        capsys.readouterr()
+        errs = []
+        for _ in range(3):
+            assert run(["detect", "--constellation", z, "--input", bad]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs == [errs[0]] * 3 and "non-finite value" in errs[0]
+        assert parses["blocks"] == 3
+        assert list(cli._parsed.items()) == kept
 
     @pytest.mark.parametrize("content", [
         None,  # no file
@@ -239,6 +304,7 @@ class TestConstellationMemo:
     ], ids=["missing", "not-utf8", "crlf-json-error", "bom", "cr-json-error"])
     def test_read_errors_keep_their_messages(self, files, tmp_path, capsys, content):
         _, rx = files
+        kept = list(cli._parsed.items())
         path = tmp_path / "c.json"
         if content is not None:
             path.write_bytes(content)
@@ -248,18 +314,103 @@ class TestConstellationMemo:
         for _ in range(2):
             assert run(["detect", "--constellation", path, "--input", rx]) == 3
             assert capsys.readouterr().err == f"error: {exc.value}\n"
-        assert cli._last_constellation is None
+        assert list(cli._parsed.items()) == kept
 
-    def test_evaluate_and_construct_leave_it(self, files, tmp_path):
+    def test_kept_arrays_are_read_only(self, files):
         z, rx = files
-        for before in (None, "loaded"):
-            if before:
-                assert run(["detect", "--constellation", z, "--input", rx]) == 0
-            kept = cli._last_constellation
+        assert run(["detect", "--constellation", z, "--detector", "zopt", "--input", rx]) == 0
+        [blocks] = self.kept(cli.blocks_from_bytes)
+        assert np.array_equal(blocks, formats.read_blocks(rx))
+        [x] = self.kept(cli.constellation_from_bytes)
+        for a in (blocks, x.array, x.bloch, x.theta):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 0.0
+
+    def test_construct_then_evaluate_parses_nothing(self, tmp_path, parses):
+        paths = []
+        for method, B in (("z-opt", 6), ("cube-split", 6), ("exp-map", 4)):
+            paths.append(tmp_path / f"{method}.json")
+            assert run(["construct", "--method", method, "-B", B, "-o", paths[-1]]) == 0
+        out = tmp_path / "evaluate.csv"
+        args = ["evaluate", *paths, "-o", out]
+        assert run(args) == 0
+        assert parses["constellation"] == 0
+        kept = out.read_bytes()
+        assert fresh_process(args)[0] == 0
+        assert out.read_bytes() == kept
+
+    def test_evaluate_keeps_what_it_parsed(self, tmp_path, parses):
+        z = tmp_path / "z5.json"
+        assert fresh_process(["construct", "--method", "z-opt", "-B", 5, "-o", z])[0] == 0
+        rx = tmp_path / "rx.csv"
+        rx.write_text("0.5 0.1 -0.3 0.2\n")
+        for _ in range(2):
             assert run(["evaluate", z]) == 0
-            assert run(["construct", "--method", "z-opt", "-B", 3,
-                        "-o", tmp_path / "z3.json"]) == 0
-            assert cli._last_constellation is kept
+        assert run(["detect", "--constellation", z, "--input", rx]) == 0
+        assert parses["constellation"] == 1
+        # a construct keeps one entry more, under the digest of what it wrote
+        entries = len(cli._parsed)
+        z3 = tmp_path / "z3.json"
+        assert run(["construct", "--method", "z-opt", "-B", 3, "-o", z3]) == 0
+        assert len(cli._parsed) == entries + 1
+        digest = hashlib.sha256(z3.read_bytes()).digest()
+        assert list(cli._parsed)[-1] == (cli.constellation_from_bytes, digest)
+
+    def test_budget_drops_the_oldest_and_keeps_the_newest(self, tmp_path, monkeypatch,
+                                                           parses):
+        def rx(name, rows):
+            path = tmp_path / name
+            path.write_text(f"{name[0]}.5 0 0 1\n" * rows)
+            return path
+
+        # one N = 1 block is 2 complex entries, 32 bytes
+        a, b, c = rx("1.csv", 2), rx("2.csv", 3), rx("3.csv", 4)
+        monkeypatch.setattr(cli, "MEMO_BYTES", 32 * 7)
+        load = lambda path: cli._load(path, cli.blocks_from_bytes)  # noqa: E731
+        for path in (a, b, a, c):
+            load(path)
+        # b, the least recently used, made room for c; a and c fit in 7 blocks
+        assert [len(v) for v in self.kept(cli.blocks_from_bytes)] == [2, 4]
+        assert parses["blocks"] == 3
+        big = rx("4.csv", 8)
+        assert len(load(big)) == 8
+        # past the budget on its own, the newest stays and every other entry goes
+        assert [len(v) for v in self.kept(cli.blocks_from_bytes)] == [8]
+        assert load(big) is load(big) and parses["blocks"] == 4
+
+
+class TestConstructKeepsWhatItWrote:
+    """The constellation construct keeps is the one its file parses as."""
+
+    #: a small optimizer budget for man-opt
+    EXTRA = {"man-opt": ["--starts", 1, "--phase1-iters", 10, "--phase2-sweeps", 10]}
+
+    @pytest.mark.parametrize("method, B", [
+        *(("z-opt", B) for B in range(1, 9)),
+        *(("s-opt", B) for B in (1, 2, 3, 5)),
+        ("man-opt", 3),
+        *(("exp-map", B) for B in (1, 3, 4, 6)),
+        *(("cube-split", B) for B in (1, 3, 6)),
+        *(("grass-lattice", B) for B in (2, 4)),
+    ])
+    def test_matches_the_parsed_file(self, tmp_path, monkeypatch, method, B):
+        monkeypatch.setattr(cli, "_parsed", OrderedDict())
+        out = tmp_path / "x.json"
+        extra = self.EXTRA.get(method, [])
+        assert run(["construct", "--method", method, "-B", B, *extra, "-o", out]) == 0
+        data = out.read_bytes()
+        [(key, (built, _))] = cli._parsed.items()
+        assert key == (cli.constellation_from_bytes, hashlib.sha256(data).digest())
+        parsed = formats.constellation_from_bytes(data)
+        assert type(built) is type(parsed)
+        assert (built.method, built.B, type(built.B)) == \
+            (parsed.method, parsed.B, type(parsed.B))
+        assert built.array.tobytes() == parsed.array.tobytes()
+        assert built.min_chordal_distance == parsed.min_chordal_distance
+        if method == "z-opt":
+            assert built.structure == parsed.structure
+            assert built.theta.tobytes() == parsed.theta.tobytes()
 
 
 class TestParseSnr:

@@ -335,6 +335,23 @@ class TestGlrt:
         assert np.array_equal(idx, want)
         assert evals.tolist() == comps.tolist() == [len(x)] * rows
 
+    def test_a_row_decides_alike_in_any_batch(self):
+        # 1e-200 from the north pole, which codewords 0-3 ring at one distance:
+        # a tie to within rounding, which a one-row product rounded its own way
+        x = build_z_opt(4)
+        det = GlrtDetector(x)
+        Y = np.array([[1.0, -1e-200 + 1e-210j], [0.0, 0.5]])
+        picks = [det.detect(Y).index]
+        for n in (1, 2, 3, 4, 8, 16):
+            picks += det.detect_batch(np.repeat(Y[None], n, axis=0))[0].tolist()
+        # the last row of a batch one row longer than a block
+        step = detectors._GLRT_BLOCK_ENTRIES // len(x)
+        noise = np.random.default_rng(16).standard_normal((step, 2, 2, 2)) @ [1.0, 1j]
+        idx = det.detect_batch(np.concatenate([noise, Y[None]]))[0]
+        picks.append(int(idx[-1]))
+        assert len(picks) == 1 + 34 + 1 and len(set(picks)) == 1
+        assert np.array_equal(idx[:-1], det.detect_batch(noise)[0])
+
     def test_state_is_the_bloch_points(self):
         x = build_z_opt(6)
         state = vars(GlrtDetector(x))
